@@ -1,10 +1,8 @@
 """Phaseflow: energy-stable simulation and long-time diagnostics for
 generalized phase-field systems with convex heat-flux laws."""
 
-from .backend import active_backend, use_backend
 from .dynamics import (SourceSpec, State, StepReport, Stepper, Trajectory,
-                       TrajectoryConfig, discrete_energy, run, step,
-                       zero_source)
+                       TrajectoryConfig, run, step, zero_source)
 from .grids import (BoundarySpec, DiscreteOperator, Field, Grid,
                     OperatorWorkspace, assemble, integrate, norm)
 from .models import (ConvexPotential, LatentHeat, ModelSpec,
@@ -21,10 +19,9 @@ __all__ = [
     "BoundarySpec", "ConvexPotential", "DiscreteOperator", "Field", "Grid",
     "LatentHeat", "ModelSpec", "NonconvexPotential", "OperatorWorkspace",
     "SourceSpec", "State", "StepReport", "SteadyState", "Stepper",
-    "Trajectory", "TrajectoryConfig", "ValidationReport", "active_backend",
-    "assemble", "builtin", "builtin_names", "check_range", "discrete_energy",
-    "divided_difference_lambda", "evaluate", "integrate", "norm",
-    "oracle_step", "regularize", "residual_stationary", "run",
-    "solve_catalog", "solve_stationary", "step", "use_backend",
-    "validate_hypotheses", "zero_source",
+    "Trajectory", "TrajectoryConfig", "ValidationReport", "assemble",
+    "builtin", "builtin_names", "check_range", "divided_difference_lambda",
+    "evaluate", "integrate", "norm", "oracle_step", "regularize",
+    "residual_stationary", "run", "solve_catalog", "solve_stationary",
+    "step", "validate_hypotheses", "zero_source",
 ]

@@ -9,11 +9,10 @@ Subcommands:
     validate <cfg>                     parse and validate only
 
 Common flags: --out DIR (overrides output.dir; PHASEFLOW_OUT is the
-environment fallback), --threads N (sweep parallelism), --seed S (only the
-brute-force oracle multi-start consumes it), --quiet.
+environment fallback), --threads N (sweep parallelism), --quiet.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 diagnostic assertion failed.
+Exit codes: 0 success, 2 configuration error (including an unreadable
+snapshot file), 3 solver failure, 4 diagnostic assertion failed.
 """
 
 import argparse
@@ -292,8 +291,6 @@ def main(argv=None):
                         help="output directory (fallback: PHASEFLOW_OUT, "
                              "then the config's output.dir)")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the brute-force oracle multi-start")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SourceSpec, State, TrajectoryConfig, discrete_energy
-from .errors import (InvalidParameter, ParseError, UnknownModel,
-                     ValidationError)
+from .dynamics import SourceSpec, State, Stepper, TrajectoryConfig
+from .errors import (InvalidParameter, ParseError, SnapshotError,
+                     UnknownModel, ValidationError)
 from .grids import BoundarySpec, Field, Grid, read_records
 from .models import ModelSpec, builtin, builtin_names
 
@@ -245,7 +245,7 @@ def make_initial_field(rd, prefix, grid, default_value=0.0):
         try:
             records = read_records(path)
             fld, _ = records[index]
-        except (OSError, IndexError, InvalidParameter) as exc:
+        except (OSError, IndexError, SnapshotError) as exc:
             rd.violations.append(f"cannot load snapshot '{path}': {exc}")
             return None
         if fld.grid.nodes != grid.nodes or fld.grid.extents != grid.extents:
@@ -273,7 +273,6 @@ class ExperimentConfig:
     allow_unstable: bool
     diagnostics: dict
     out_dir: str
-    seed: int = 0
     raw: dict = field(default_factory=dict)
 
     def initial_state(self):
@@ -420,7 +419,6 @@ def build_config(raw, base_dir="."):
     }
 
     out_dir = rd.str_("output.dir", "out")
-    seed = rd.int_("seed", 0)
 
     # steady-solve section keys are consumed by the steady entry point
     rd.str_("steady.guesses", "constants",
@@ -435,7 +433,8 @@ def build_config(raw, base_dir="."):
     if not rd.violations and model is not None and grid is not None:
         try:
             st = State.make(0.0, initial_theta, initial_chi, model)
-            e0 = discrete_energy(st, model, grid)
+            e0 = Stepper(model, grid, bc, source).energy(st.theta.flat,
+                                                         st.chi.flat)
             if not math.isfinite(e0):
                 rd.violations.append("initial energy is not finite")
         except Exception as exc:  # noqa: BLE001 - reported as a violation
@@ -451,7 +450,7 @@ def build_config(raw, base_dir="."):
         diagnostics=diagnostics,
         out_dir=os.path.join(base_dir, out_dir) if not os.path.isabs(out_dir)
         else out_dir,
-        seed=seed, raw=dict(raw))
+        raw=dict(raw))
 
 
 def parse_config(path):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Stepper
+from .dynamics import OmegaScan, source_density
 from .errors import (ConfigMismatch, InsufficientDecay, InsufficientSamples,
                      InvalidParameter)
 from .grids import OperatorWorkspace, quad_weights
@@ -140,16 +140,12 @@ def detect_omega_limit(traj, model, grid, thresholds=(1e-7, 1e-6, 1e-6),
     stationary residual and the temperature distance over consecutive rows;
     on success the stationary residual of the final order parameter is
     recomputed independently as the certificate."""
-    tol1, tol2, tol3 = thresholds
     c = traj.columns
-    ok = ((c["norm_chit_H"] < tol1)
-          & (c["stationary_residual"] < tol2)
-          & (c["dist_theta_H"] < tol3))
-    ok[0] = False  # row 0 carries no backward difference
-    run_len = 0
-    for i in range(1, ok.size):
-        run_len = run_len + 1 if ok[i] else 0
-        if run_len >= consecutive:
+    scan = OmegaScan(thresholds, consecutive)
+    for row in zip(c["norm_chit_H"], c["stationary_residual"],
+                   c["dist_theta_H"]):
+        i = scan.push(*row)
+        if i is not None:
             cert = steady_mod.residual_stationary(traj.final_state.chi,
                                                   model, grid)
             return OmegaReport("CONVERGED", float(traj.times[i]), int(i),
@@ -501,7 +497,11 @@ def tail_statistic(times, g_dual_norms, delta):
 
 def source_report(traj, model, grid, bc, source):
     """Numerical checks of the declared source integrability tags."""
-    stepper = Stepper(model, grid, bc, source)
+    ws = OperatorWorkspace(grid, bc)
+
+    def g(t):
+        return source_density(model, ws, bc, source, t)
+
     times = traj.times
     stat = None
     finite = True
@@ -514,10 +514,8 @@ def source_report(traj, model, grid, bc, source):
     if not source.is_zero or bc.kind == "robin":
         eps = 1e-6
         gt = np.array([
-            stepper.ws.dual_norm_weak(
-                (stepper.g_density(t + eps) - stepper.g_density(max(t - eps,
-                                                                    0.0)))
-                * stepper.ws.w / (eps + min(eps, t)))
+            ws.dual_norm_weak((g(t + eps) - g(max(t - eps, 0.0))) * ws.w
+                              / (eps + min(eps, t)))
             for t in times])
         dts = np.diff(times, prepend=times[0])
 

@@ -19,7 +19,7 @@ heat operator; both facts are checked by the test suite rather than trusted.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,12 +27,12 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from . import kernels
-from .backend import active_backend
 from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
                      NewtonDiverged)
 from .grids import (Field, OperatorWorkspace, check_dirichlet_consistency,
                     write_records)
 from .models import evaluate
+from .steady import residual_stationary
 
 _INF = float("inf")
 
@@ -85,12 +85,19 @@ class SourceSpec:
     q_tag: Optional[float] = None
     delta_src: Optional[float] = None
 
+    # flat nodal profile per grid, evaluated on first use
+    _profiles: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
     def f_values(self, grid, t):
-        if self.profile is None or self.envelope is None:
+        if self.is_zero:
             return np.zeros(grid.n_total)
-        prof = np.asarray(self.profile(*grid.meshgrid()), dtype=float) \
-            + np.zeros(grid.shape)
-        return prof.ravel() * float(self.envelope(t))
+        prof = self._profiles.get(grid)
+        if prof is None:
+            prof = (np.asarray(self.profile(*grid.meshgrid()), dtype=float)
+                    + np.zeros(grid.shape)).ravel()
+            self._profiles[grid] = prof
+        return prof * float(self.envelope(t))
 
     @property
     def is_zero(self):
@@ -99,6 +106,16 @@ class SourceSpec:
 
 def zero_source():
     return SourceSpec()
+
+
+def source_density(model, ws, bc, source, t):
+    """Right-hand side g(t) as a nodal density: the volumetric source plus,
+    for Robin conditions, the boundary exchange term."""
+    g = source.f_values(ws.grid, t)
+    if bc.kind == "robin":
+        jp_gamma = float(evaluate(model.j, 1, bc.trace_value(t)))
+        g = g + bc.eta * jp_gamma * ws.gamma / ws.w
+    return g
 
 
 @dataclass(frozen=True)
@@ -136,15 +153,11 @@ class TrajectoryConfig:
 # the stepper
 # ----------------------------------------------------------------------
 
-def _fd_form(K, w, active):
-    return sps.diags(1.0 / w[active]) @ K
-
-
 class Stepper:
     """Shared machinery for stepping one (model, grid, bc, source) problem.
 
-    Owns the operator workspace and the backend-dispatched constitutive
-    kernel; immutable inputs are shared, all mutable scratch is per call.
+    Owns the operator workspace and the Newton matrix structure; immutable
+    inputs are shared, all mutable scratch is per call.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -158,19 +171,8 @@ class Stepper:
         self.act = self.ws.opB.active           # theta unknowns
         self.m = self.act.size
         self.dirichlet = bc.kind == "dirichlet"
-        self.B_fd = _fd_form(self.ws.opB.K, self.ws.w, self.act).tocsr()
-        self.A_fd = _fd_form(self.ws.opA.K, self.ws.w,
-                             np.arange(self.n)).tocsr()
-        self.kernel = model.kernel(active_backend())
-        lam = model.lam
-        self._lam_d1 = lam.d1
-        self._lam_d2 = lam.d2
-        if source.is_zero:
-            self._profile_flat = None
-        else:
-            self._profile_flat = (np.asarray(
-                source.profile(*grid.meshgrid()), dtype=float)
-                + np.zeros(grid.shape)).ravel()
+        self.B_fd = (sps.diags(1.0 / self.ws.w[self.act])
+                     @ self.ws.opB.K).tocsr()
         self._build_jacobian_structure()
 
     def _build_jacobian_structure(self):
@@ -178,7 +180,7 @@ class Stepper:
         then only fills a data vector (duplicate diagonal entries sum)."""
         m, n = self.m, self.n
         btt = self.B_fd.tocoo()
-        acc = self.A_fd.tocoo()
+        acc = self.ws.A_fd.tocoo()
         am = np.arange(m)
         an = np.arange(n)
         rows = np.concatenate([btt.row, am, am, self.act + m,
@@ -192,10 +194,9 @@ class Stepper:
         self._acc_data = acc.data.copy()
         self._jshape = (m + n, m + n)
 
-    # -- constitutive dispatch --------------------------------------------
+    # -- constitutive evaluation ------------------------------------------
     def constitutive(self, theta, chi_old, chi_new):
-        if self.kernel is not None:
-            return self.kernel.arrays(theta, chi_old, chi_new)
+        """All pointwise arrays one Newton iterate needs."""
         m = self.model
         u = np.asarray(m.j.d1(theta), dtype=float)
         jpp = np.asarray(m.j.d2(theta), dtype=float)
@@ -205,45 +206,25 @@ class Stepper:
         lam_new = np.asarray(m.lam.value(chi_new), dtype=float)
         lam_p = np.asarray(m.lam.d1(chi_new), dtype=float)
         lhat, dlhat = kernels.secant_arrays(
-            self._lam_d1, self._lam_d2, chi_old, chi_new,
-            lam_old, lam_new, lam_p)
+            m.lam.d1, m.lam.d2, chi_old, chi_new, lam_old, lam_new, lam_p)
         return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
 
     def energy(self, theta_flat, chi_flat):
         """Discrete free energy: gradient term by the exact stiffness
         quadratic form, bulk terms by trapezoid quadrature."""
         grad = 0.5 * self.ws.opA.quad_form(chi_flat)
-        if self.kernel is not None:
-            bulk = self.kernel.bulk_energy(theta_flat, chi_flat, self.ws.w)
-        else:
-            bulk = float(np.dot(self.ws.w,
-                                np.asarray(self.model.w.value(chi_flat))
-                                + np.asarray(self.model.j.value(theta_flat))))
+        bulk = float(np.dot(self.ws.w,
+                            np.asarray(self.model.w.value(chi_flat))
+                            + np.asarray(self.model.j.value(theta_flat))))
         return grad + bulk
 
-    def _f_flat(self, t):
-        if self._profile_flat is None:
-            return np.zeros(self.n)
-        return self._profile_flat * float(self.source.envelope(t))
-
     def g_density(self, t):
-        """Right-hand side as a nodal density (volumetric source plus, for
-        Robin conditions, the boundary exchange term)."""
-        g = self._f_flat(t)
-        if not self.dirichlet:
-            jp_gamma = float(evaluate(self.model.j, 1,
-                                      self.bc.trace_value(t)))
-            g = g + self.bc.eta * jp_gamma * self.ws.gamma / self.ws.w
-        return g
+        return source_density(self.model, self.ws, self.bc, self.source, t)
 
     def g_dual_norm(self, t):
         """Dual norm of the right-hand side against the heat operator's
         energy norm (the norm appearing in the per-step energy estimate)."""
-        weak = self.ws.w * self._f_flat(t)
-        if not self.dirichlet:
-            jp_gamma = float(evaluate(self.model.j, 1,
-                                      self.bc.trace_value(t)))
-            weak = weak + self.bc.eta * jp_gamma * self.ws.gamma
+        weak = self.ws.w * self.g_density(t)
         if not np.any(weak):
             return 0.0
         return self.ws.dual_norm_weak(weak)
@@ -280,7 +261,7 @@ class Stepper:
         r_theta = ((theta_act - theta_old[self.act]) / dt
                    + (lam_new[self.act] - lam_old[self.act]) / dt
                    + self.B_fd @ u[self.act] - g[self.act])
-        r_chi = ((chi_new - chi_old) / dt + self.A_fd @ chi_new + wp
+        r_chi = ((chi_new - chi_old) / dt + self.ws.A_fd @ chi_new + wp
                  + kappa * (chi_new - chi_old) - lhat * u)
         return r_theta, r_chi
 
@@ -376,19 +357,6 @@ def step(state, config, model, grid, bc, source):
     return Stepper(model, grid, bc, source).step(state, config)
 
 
-def discrete_energy(state, model, grid):
-    """Free energy of a state: int( |grad chi|^2/2 + W(chi) + j(theta) )."""
-    _require_inside("theta", state.theta.values, model.j.domain)
-    _require_inside("chi", state.chi.values, model.w.domain)
-    from .grids import quad_weights, stiffness_neumann
-    chi = state.chi.flat
-    grad = 0.5 * float(chi @ (stiffness_neumann(grid) @ chi))
-    bulk = float(np.dot(quad_weights(grid),
-                        np.asarray(model.w.value(chi))
-                        + np.asarray(model.j.value(state.theta.flat))))
-    return grad + bulk
-
-
 # ----------------------------------------------------------------------
 # trajectories
 # ----------------------------------------------------------------------
@@ -407,6 +375,35 @@ class OmegaVerdict:
     @property
     def converged(self):
         return self.status == "CONVERGED"
+
+
+class OmegaScan:
+    """Consecutive-rows convergence test over a trace, fed one row at a time.
+
+    A row passes when the phase velocity, the stationary residual and the
+    temperature distance are all below their thresholds; row 0 carries no
+    backward difference and never passes.  The verdict is the row that
+    completes the first run of ``consecutive`` passing rows.
+    """
+
+    def __init__(self, thresholds, consecutive=3):
+        self.thresholds = thresholds
+        self.consecutive = consecutive
+        self.rows = 0
+        self.run_len = 0
+        self.row = None
+
+    def push(self, chit, stat_res, dist_theta):
+        """Feed the next row; returns the converged row index, or None."""
+        row = self.rows
+        self.rows += 1
+        if self.row is None and row > 0:
+            tol1, tol2, tol3 = self.thresholds
+            ok = chit < tol1 and stat_res < tol2 and dist_theta < tol3
+            self.run_len = self.run_len + 1 if ok else 0
+            if self.run_len >= self.consecutive:
+                self.row = row
+        return self.row
 
 
 @dataclass
@@ -480,16 +477,11 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     prev_row_theta = None
     prev_row_chi = None
     prev_row_t = None
-    consecutive_ok = 0
+    omega = OmegaScan(config.omega_tols)
     verdict = OmegaVerdict("PENDING")
 
-    def stationary_residual(chi_flat):
-        wp = np.asarray(model.w.d1(chi_flat), dtype=float)
-        return ws.vstar_neumann_norm(stepper.A_fd @ chi_flat + wp)
-
     def emit_row(k, state, energy, iters):
-        nonlocal prev_row_theta, prev_row_chi, prev_row_t, consecutive_ok
-        nonlocal verdict
+        nonlocal prev_row_theta, prev_row_chi, prev_row_t, verdict
         th = state.theta.flat
         ch = state.chi.flat
         u = state.u.flat.copy()
@@ -504,7 +496,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             chit = ws.h_norm(ch - prev_row_chi) / dtr
             thetat = ws.h_norm(th - prev_row_theta) / dtr
         dist_theta = ws.h_norm(th - theta_inf)
-        stat_res = stationary_residual(ch)
+        stat_res = residual_stationary(ch, model, grid, ws)
         times.append(t)
         cols["energy"].append(energy)
         cols["norm_u_V"].append(ws.vcal_norm(u))
@@ -517,7 +509,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         aux["norm_theta_V"].append(ws.vcal_norm(th - theta_inf)
                                    if stepper.dirichlet
                                    else ws.r_norm(th - theta_inf))
-        aux["norm_chi_H2"].append(ws.h_norm(stepper.A_fd @ ch)
+        aux["norm_chi_H2"].append(ws.h_norm(ws.A_fd @ ch)
                                   + ws.v_norm(ch))
         aux["norm_wprime_H"].append(
             ws.h_norm(np.asarray(model.w.d1(ch), dtype=float)))
@@ -531,16 +523,9 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         prev_row_theta = th.copy()
         prev_row_chi = ch.copy()
         prev_row_t = t
-        # omega-limit detection over consecutive rows
-        if len(times) > 1:
-            tol1, tol2, tol3 = config.omega_tols
-            if chit < tol1 and stat_res < tol2 and dist_theta < tol3:
-                consecutive_ok += 1
-            else:
-                consecutive_ok = 0
-            if consecutive_ok >= 3 and not verdict.converged:
-                verdict = OmegaVerdict("CONVERGED", t, len(times) - 1,
-                                       stat_res)
+        if omega.push(chit, stat_res, dist_theta) is not None \
+                and not verdict.converged:
+            verdict = OmegaVerdict("CONVERGED", t, omega.row, stat_res)
 
     def write_snapshot(k, state):
         if out_dir is None:

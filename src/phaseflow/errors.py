@@ -57,6 +57,12 @@ class ParseError(PhaseflowError):
     """Malformed experiment configuration file."""
 
 
+class SnapshotError(ParseError, InvalidParameter):
+    """Truncated or corrupt field snapshot file (a malformed input, hence a
+    configuration error at the CLI, and an invalid parameter for callers
+    that catch those)."""
+
+
 class ValidationError(PhaseflowError):
     """Well-formed configuration violating one or more constraints."""
 

@@ -11,6 +11,8 @@ exact) together with the quadrature weights w; the pointwise action is
 diag(1/w) K.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
-from .errors import InvalidParameter, SingularSolve
+from .errors import InvalidParameter, SingularSolve, SnapshotError
 
 _INF = float("inf")
 
@@ -53,7 +55,7 @@ class Grid:
 
     @property
     def n_total(self):
-        return int(np.prod(self.nodes))
+        return math.prod(self.nodes)
 
     @property
     def spacing(self):
@@ -282,7 +284,13 @@ def nodal_gradient(grid, values, axis):
 class OperatorWorkspace:
     """All grid/bc-dependent machinery one solver run needs, with cached
     factorizations.  A workspace is owned by a single caller; independent
-    runs build their own (the factors carry internal scratch state)."""
+    runs build their own (the factors carry internal scratch state).
+
+    ``A_fd`` is the pointwise Neumann Laplacian diag(1/w) K.  With
+    ``bc=None`` the workspace serves the order parameter's Neumann problem
+    alone: it has no heat operator ``opB``, and only the norms that need
+    none are available.
+    """
 
     def __init__(self, grid, bc):
         self.grid = grid
@@ -292,7 +300,8 @@ class OperatorWorkspace:
         self.bmask = boundary_mask(grid)
         self.interior = np.flatnonzero(~self.bmask)
         self.opA = assemble(grid, None, "A")
-        self.opB = assemble(grid, bc, "B")
+        self.A_fd = (sps.diags(1.0 / self.w) @ self.opA.K).tocsr()
+        self.opB = assemble(grid, bc, "B") if bc is not None else None
         self._pivot_neumann = None
 
     # -- scalar reductions -------------------------------------------------
@@ -373,8 +382,7 @@ class OperatorWorkspace:
 
 def norm(grid, f, which, bc=None):
     """Discrete norms of a field: 'H', 'V', 'R', 'Vstar' or 'C0'."""
-    ws = OperatorWorkspace(grid, bc if bc is not None
-                           else BoundarySpec("dirichlet"))
+    ws = OperatorWorkspace(grid, bc)
     flat = f.flat if isinstance(f, Field) else np.asarray(f).ravel()
     if which == "H":
         return ws.h_norm(flat)
@@ -412,22 +420,38 @@ def _write_record(fh, fld, t):
     fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size, what):
+    # the size check comes first so a corrupt node count never turns into
+    # an oversized read
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise SnapshotError(f"truncated snapshot: {what} needs {size} "
+                            f"bytes, {left} left")
+    return fh.read(size)
+
+
 def _read_record(fh):
     head = fh.read(4)
     if not head:
         return None
     if head != _MAGIC:
-        raise InvalidParameter("not a field snapshot (bad magic bytes)")
-    version, dim = struct.unpack("<BB", fh.read(2))
+        raise SnapshotError("not a field snapshot (bad magic bytes)")
+    version, dim = struct.unpack("<BB", _read_exact(fh, 2, "header"))
     if version != _VERSION:
-        raise InvalidParameter(f"unsupported snapshot version {version}")
-    nodes = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-    extents = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-    (t,) = struct.unpack("<d", fh.read(8))
-    count = int(np.prod(nodes))
-    vals = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(nodes)
-    grid = Grid(extents, nodes)
-    return Field(grid, vals.copy()), t
+        raise SnapshotError(f"unsupported snapshot version {version}")
+    nodes = struct.unpack(f"<{dim}I", _read_exact(fh, 4 * dim, "node counts"))
+    extents = struct.unpack(f"<{dim}d", _read_exact(fh, 8 * dim, "extents"))
+    (t,) = struct.unpack("<d", _read_exact(fh, 8, "time"))
+    try:
+        grid = Grid(extents, nodes)
+    except InvalidParameter as exc:
+        raise SnapshotError(f"corrupt snapshot header: {exc}") from None
+    raw = _read_exact(fh, 8 * grid.n_total, "field values")
+    vals = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
+    try:
+        return Field(grid, vals.copy()), t
+    except InvalidParameter as exc:
+        raise SnapshotError(f"corrupt snapshot values: {exc}") from None
 
 
 def write_records(path, records):

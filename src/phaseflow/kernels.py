@@ -1,40 +1,12 @@
-"""Pointwise constitutive kernels for the built-in laws.
+"""Latent-heat secant of the stepping scheme.
 
-These are the innermost loops of the solver: every Newton iteration evaluates
-the heat-flux law j and its derivatives on the temperature field, the
-configuration potential W on the order parameter, and the latent-heat secant
-coupling the two equations.  Built-in laws are identified by small integer
-codes so the numba lane can dispatch without Python callbacks; the numpy lane
-implements the same formulas vectorized.  ``phaseflow.backend`` decides which
-lane runs.
-
-Law catalog (code, params):
-
-  J_CAGINALP           j(r) = r^2/2
-  J_PENROSE  (tau_c,)  j(r) = -log(r+tau_c) + log(tau_c) + r/tau_c
-  J_MIXED    (tau_c,)  j(r) = r^2/2 - log(r+tau_c) + log(tau_c) + r/tau_c
-  W_QUARTIC            W(r) = (r^2-1)^2/4
-  W_LOG   (t1,tc,c0)   W(r) = (t1/2)[(1+r)log(1+r)+(1-r)log(1-r)] - (tc/2)r^2 + c0
-  LAM_LINEAR (ell,)    lam(r) = ell*r
-  LAM_TANH   (a,b)     lam(r) = a*tanh(r/b)
-
-The Penrose-Fife law carries the additive constant log(tau_c) so that its
-minimum value is 0 (every flux law here is normalized to vanish at its
-equilibrium temperature); for tau_c = 1 this reduces to the classical
-expression.
+Every Newton iteration couples the two equations through the divided
+difference (lam(b) - lam(a)) / (b - a) of the latent heat between the old
+and the new order parameter, and its derivative with respect to b.  Near
+a = b the quotient is replaced by its analytic limit.
 """
 
 import numpy as np
-
-from .backend import HAS_NUMBA, njit
-
-J_CAGINALP = 0
-J_PENROSE = 1
-J_MIXED = 2
-W_QUARTIC = 3
-W_LOG = 4
-LAM_LINEAR = 5
-LAM_TANH = 6
 
 # Relative switching tolerance of the secant (lam(b)-lam(a))/(b-a) used in
 # the stepping kernels.  The quotient of nearly equal values carries
@@ -43,69 +15,6 @@ LAM_TANH = 6
 # in a run the per-step increments shrink far below that, and a smaller
 # switch would let quotient noise dominate the phase-equation residual.
 SECANT_RTOL = 1e-5
-
-
-# ----------------------------------------------------------------------
-# numpy lane
-# ----------------------------------------------------------------------
-
-def law_eval(code, params, r, order):
-    """Vectorized evaluation of a built-in law; order in {0, 1, 2}."""
-    r = np.asarray(r, dtype=float)
-    if code == J_CAGINALP:
-        if order == 0:
-            return 0.5 * r * r
-        if order == 1:
-            return r.copy()
-        return np.ones_like(r)
-    if code == J_PENROSE:
-        tc = params[0]
-        s = r + tc
-        if order == 0:
-            return -np.log(s) + np.log(tc) + r / tc
-        if order == 1:
-            return -1.0 / s + 1.0 / tc
-        return 1.0 / (s * s)
-    if code == J_MIXED:
-        tc = params[0]
-        s = r + tc
-        if order == 0:
-            return 0.5 * r * r - np.log(s) + np.log(tc) + r / tc
-        if order == 1:
-            return r - 1.0 / s + 1.0 / tc
-        return 1.0 + 1.0 / (s * s)
-    if code == W_QUARTIC:
-        if order == 0:
-            q = r * r - 1.0
-            return 0.25 * q * q
-        if order == 1:
-            return r * (r * r - 1.0)
-        return 3.0 * r * r - 1.0
-    if code == W_LOG:
-        t1, tc, c0 = params[0], params[1], params[2]
-        if order == 0:
-            return (0.5 * t1 * ((1.0 + r) * np.log1p(r)
-                                + (1.0 - r) * np.log1p(-r))
-                    - 0.5 * tc * r * r + c0)
-        if order == 1:
-            return 0.5 * t1 * (np.log1p(r) - np.log1p(-r)) - tc * r
-        return t1 / (1.0 - r * r) - tc
-    if code == LAM_LINEAR:
-        ell = params[0]
-        if order == 0:
-            return ell * r
-        if order == 1:
-            return np.full_like(r, ell)
-        return np.zeros_like(r)
-    if code == LAM_TANH:
-        a, b = params[0], params[1]
-        t = np.tanh(r / b)
-        if order == 0:
-            return a * t
-        if order == 1:
-            return (a / b) * (1.0 - t * t)
-        return -(2.0 * a / (b * b)) * t * (1.0 - t * t)
-    raise ValueError(f"unknown law code {code}")
 
 
 def secant_arrays(lam_d1, lam_d2, a, b, lam_a, lam_b, lam_p_b):
@@ -122,163 +31,3 @@ def secant_arrays(lam_d1, lam_d2, a, b, lam_a, lam_b, lam_p_b):
     lhat = np.where(wide, (lam_b - lam_a) / dsafe, lam_d1(mid))
     dlhat = np.where(wide, (lam_p_b - lhat) / dsafe, 0.5 * lam_d2(mid))
     return lhat, dlhat
-
-
-def constitutive_numpy(cj, pj, cw, pw, cl, pl, theta, chi_old, chi_new):
-    """All pointwise arrays one Newton iterate needs, numpy lane."""
-    u = law_eval(cj, pj, theta, 1)
-    jpp = law_eval(cj, pj, theta, 2)
-    wp = law_eval(cw, pw, chi_new, 1)
-    wpp = law_eval(cw, pw, chi_new, 2)
-    lam_old = law_eval(cl, pl, chi_old, 0)
-    lam_new = law_eval(cl, pl, chi_new, 0)
-    lam_p = law_eval(cl, pl, chi_new, 1)
-    lhat, dlhat = secant_arrays(
-        lambda r: law_eval(cl, pl, r, 1), lambda r: law_eval(cl, pl, r, 2),
-        chi_old, chi_new, lam_old, lam_new, lam_p)
-    return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
-
-
-def bulk_energy_numpy(cj, pj, cw, pw, theta, chi, wts):
-    """Quadrature of W(chi) + j(theta) (the non-gradient energy terms)."""
-    return float(np.sum(wts * (law_eval(cw, pw, chi, 0)
-                               + law_eval(cj, pj, theta, 0))))
-
-
-# ----------------------------------------------------------------------
-# numba lane
-# ----------------------------------------------------------------------
-
-@njit(cache=True)
-def _law_scalar(code, p0, p1, p2, r, order):
-    if code == 0:  # caginalp
-        if order == 0:
-            return 0.5 * r * r
-        if order == 1:
-            return r
-        return 1.0
-    if code == 1:  # penrose-fife
-        s = r + p0
-        if order == 0:
-            return -np.log(s) + np.log(p0) + r / p0
-        if order == 1:
-            return -1.0 / s + 1.0 / p0
-        return 1.0 / (s * s)
-    if code == 2:  # mixed
-        s = r + p0
-        if order == 0:
-            return 0.5 * r * r - np.log(s) + np.log(p0) + r / p0
-        if order == 1:
-            return r - 1.0 / s + 1.0 / p0
-        return 1.0 + 1.0 / (s * s)
-    if code == 3:  # quartic
-        if order == 0:
-            q = r * r - 1.0
-            return 0.25 * q * q
-        if order == 1:
-            return r * (r * r - 1.0)
-        return 3.0 * r * r - 1.0
-    if code == 4:  # logarithmic well
-        if order == 0:
-            return (0.5 * p0 * ((1.0 + r) * np.log(1.0 + r)
-                                + (1.0 - r) * np.log(1.0 - r))
-                    - 0.5 * p1 * r * r + p2)
-        if order == 1:
-            return 0.5 * p0 * (np.log(1.0 + r) - np.log(1.0 - r)) - p1 * r
-        return p0 / (1.0 - r * r) - p1
-    if code == 5:  # linear latent heat
-        if order == 0:
-            return p0 * r
-        if order == 1:
-            return p0
-        return 0.0
-    # code == 6: tanh latent heat
-    t = np.tanh(r / p1)
-    if order == 0:
-        return p0 * t
-    if order == 1:
-        return (p0 / p1) * (1.0 - t * t)
-    return -(2.0 * p0 / (p1 * p1)) * t * (1.0 - t * t)
-
-
-@njit(cache=True)
-def law_eval_numba(code, p0, p1, p2, r, order, out):
-    for i in range(r.size):
-        out[i] = _law_scalar(code, p0, p1, p2, r[i], order)
-    return out
-
-
-@njit(cache=True)
-def constitutive_numba(cj, j0, j1, j2, cw, w0, w1, w2, cl, l0, l1, l2,
-                       theta, chi_old, chi_new,
-                       u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat):
-    n = theta.size
-    for i in range(n):
-        th = theta[i]
-        u[i] = _law_scalar(cj, j0, j1, j2, th, 1)
-        jpp[i] = _law_scalar(cj, j0, j1, j2, th, 2)
-        a = chi_old[i]
-        b = chi_new[i]
-        wp[i] = _law_scalar(cw, w0, w1, w2, b, 1)
-        wpp[i] = _law_scalar(cw, w0, w1, w2, b, 2)
-        la = _law_scalar(cl, l0, l1, l2, a, 0)
-        lb = _law_scalar(cl, l0, l1, l2, b, 0)
-        lp = _law_scalar(cl, l0, l1, l2, b, 1)
-        lam_old[i] = la
-        lam_new[i] = lb
-        lam_p[i] = lp
-        d = b - a
-        if abs(d) > SECANT_RTOL * (1.0 + abs(a) + abs(b)):
-            lh = (lb - la) / d
-            lhat[i] = lh
-            dlhat[i] = (lp - lh) / d
-        else:
-            mid = 0.5 * (a + b)
-            lhat[i] = _law_scalar(cl, l0, l1, l2, mid, 1)
-            dlhat[i] = 0.5 * _law_scalar(cl, l0, l1, l2, mid, 2)
-
-
-@njit(cache=True)
-def bulk_energy_numba(cj, j0, j1, j2, cw, w0, w1, w2, theta, chi, wts):
-    acc = 0.0
-    for i in range(theta.size):
-        acc += wts[i] * (_law_scalar(cw, w0, w1, w2, chi[i], 0)
-                         + _law_scalar(cj, j0, j1, j2, theta[i], 0))
-    return acc
-
-
-def _pad3(params):
-    p = tuple(float(x) for x in params) + (0.0, 0.0, 0.0)
-    return p[0], p[1], p[2]
-
-
-class ConstitutiveKernel:
-    """Backend-dispatched fused evaluation for one (j, W, lam) code triple."""
-
-    def __init__(self, cj, pj, cw, pw, cl, pl, backend):
-        self.cj, self.pj = cj, tuple(float(x) for x in pj)
-        self.cw, self.pw = cw, tuple(float(x) for x in pw)
-        self.cl, self.pl = cl, tuple(float(x) for x in pl)
-        self.backend = backend
-        self._j3 = _pad3(pj)
-        self._w3 = _pad3(pw)
-        self._l3 = _pad3(pl)
-
-    def arrays(self, theta, chi_old, chi_new):
-        if self.backend == "numba" and HAS_NUMBA:
-            n = theta.size
-            out = tuple(np.empty(n) for _ in range(9))
-            constitutive_numba(self.cj, *self._j3, self.cw, *self._w3,
-                               self.cl, *self._l3, theta, chi_old, chi_new,
-                               *out)
-            return out
-        return constitutive_numpy(self.cj, self.pj, self.cw, self.pw,
-                                  self.cl, self.pl, theta, chi_old, chi_new)
-
-    def bulk_energy(self, theta, chi, wts):
-        if self.backend == "numba" and HAS_NUMBA:
-            return float(bulk_energy_numba(self.cj, *self._j3,
-                                           self.cw, *self._w3,
-                                           theta, chi, wts))
-        return bulk_energy_numpy(self.cj, self.pj, self.cw, self.pw,
-                                 theta, chi, wts)

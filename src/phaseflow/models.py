@@ -4,9 +4,27 @@ latent heats lam, structural-hypothesis validation, and Moreau smoothing.
 A model is the triple (j, W, lam).  j is uniformly convex with its minimum
 normalized to zero at the equilibrium temperature; W is a possibly singular
 double well, nonconvex at most up to a quadratic (W'' >= -kappa); lam has
-bounded curvature.  Built-in laws carry integer codes so the solver can run
-them through the compiled kernels; everything here also works for custom
-callables (which then take the numpy lane).
+bounded curvature.  Every law is a value/first/second derivative triple of
+vectorized callables; the built-ins are numpy closures, and custom callables
+are handled the same way.
+
+Built-in catalog (parameters):
+
+  caginalp_j                    j(r) = r^2/2
+  penrose_fife_j(tau_c)         j(r) = -log(r+tau_c) + log(tau_c) + r/tau_c
+  mixed_j(tau_c)                j(r) = r^2/2 - log(r+tau_c) + log(tau_c)
+                                       + r/tau_c
+  quartic_W                     W(r) = (r^2-1)^2/4
+  logarithmic_W(theta1, theta_c)
+                                W(r) = (theta1/2)[(1+r)log(1+r)
+                                       + (1-r)log(1-r)] - (theta_c/2)r^2 + c0
+  linear_lambda(ell)            lam(r) = ell*r
+  tanh_lambda(scale, width)     lam(r) = scale*tanh(r/width)
+
+The Penrose-Fife law carries the additive constant log(tau_c) so that its
+minimum value is 0 (every flux law here is normalized to vanish at its
+equilibrium temperature); for tau_c = 1 this reduces to the classical
+expression.  The constant c0 of the logarithmic well puts its minima at 0.
 
 All constants of the built-ins are derived from the closed forms and recorded
 where they are defined; none are fitted.
@@ -19,20 +37,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from . import kernels
 from .errors import DomainViolation, InvalidParameter, UnknownModel
 
 _INF = float("inf")
 
 #: cap on the measured ratio |j''| / (1 + |j'|^alpha) for the growth check
 GROWTH_RATIO_CAP = 1e6
-
-
-def _law_callables(code, params):
-    value = lambda r: kernels.law_eval(code, params, r, 0)
-    d1 = lambda r: kernels.law_eval(code, params, r, 1)
-    d2 = lambda r: kernels.law_eval(code, params, r, 2)
-    return value, d1, d2
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,6 @@ class ConvexPotential:
     theta_inf: float             # j'(theta_inf) = 0
     alpha: Optional[float] = None  # growth exponent for |j''| <= c(1+|j'|^a)
     tau_c: Optional[float] = None  # singularity offset of logarithmic laws
-    law: Optional[tuple] = None    # (kernel code, params) for built-ins
     meta: dict = field(default_factory=dict)
 
 
@@ -66,7 +75,6 @@ class NonconvexPotential:
     mu: float       # outer coercivity: W'(r)/r >= mu outside the core
     analytic_on_core: bool = False
     d1_zeros: Optional[tuple] = None  # known critical points, for range checks
-    law: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
 
 
@@ -80,7 +88,6 @@ class LatentHeat:
     d2: Callable
     curvature_bound: float
     domain: tuple = (-_INF, _INF)
-    law: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
 
 
@@ -98,18 +105,6 @@ class ModelSpec:
         if self.epsilon != 1.0 or self.delta != 1.0:
             raise InvalidParameter("relaxation constants are fixed at 1")
 
-    @property
-    def has_law_codes(self):
-        return (self.j.law is not None and self.w.law is not None
-                and self.lam.law is not None)
-
-    def kernel(self, backend):
-        """ConstitutiveKernel for this model, or None for custom laws."""
-        if not self.has_law_codes:
-            return None
-        return kernels.ConstitutiveKernel(*self.j.law, *self.w.law,
-                                          *self.lam.law, backend=backend)
-
 
 def evaluate(potential, order, r):
     """Uniform accessor for a potential and its first two derivatives.
@@ -122,7 +117,7 @@ def evaluate(potential, order, r):
         raise InvalidParameter(f"order must be 0, 1 or 2, got {order}")
     arr = np.asarray(r, dtype=float)
     lo, hi = potential.domain
-    if arr.size and not (np.all(arr > lo) and np.all(arr < hi)):
+    if arr.size and not ((arr > lo).all() and (arr < hi).all()):
         bad = arr[(arr <= lo) | (arr >= hi)].flat[0]
         raise DomainViolation(
             f"{potential.name}: argument {bad} outside open domain "
@@ -467,7 +462,6 @@ def regularize(potential, n):
             name=f"{potential.name}~smoothed(n={n})",
             domain=(-_INF, _INF), value=value, d1=d1, d2=d2,
             sigma=0.5 * sig, theta_inf=theta_inf, alpha=None, tau_c=None,
-            law=None,
             meta={"smoothed": True, "n": int(n), "rho": rho,
                   "threshold_index": 1, "parent": potential.name})
 
@@ -485,7 +479,7 @@ def regularize(potential, n):
             name=f"{potential.name}~smoothed(n={n})",
             domain=(-_INF, _INF), core=potential.core,
             value=value, d1=d1, d2=d2, kappa=kap, mu=0.5 * potential.mu,
-            analytic_on_core=False, d1_zeros=None, law=None,
+            analytic_on_core=False, d1_zeros=None,
             meta={"smoothed": True, "n": int(n), "rho": rho,
                   "threshold_index": 1, "parent": potential.name})
 
@@ -497,50 +491,65 @@ def regularize(potential, n):
 # built-in laws
 # ----------------------------------------------------------------------
 
+def _law(value, d1, d2):
+    """Value/first/second derivative closures over a float array argument."""
+    def on_array(fn):
+        return lambda r: fn(np.asarray(r, dtype=float))
+    return on_array(value), on_array(d1), on_array(d2)
+
+
 def _builtin_caginalp_j():
-    value, d1, d2 = _law_callables(kernels.J_CAGINALP, ())
+    value, d1, d2 = _law(lambda r: 0.5 * r * r, lambda r: r.copy(),
+                         np.ones_like)
     # j'' = 1 exactly, minimum at 0, ratio |j''|/(1+|j'|^0) = 1/2... bounded
     return ConvexPotential("caginalp_j", (-_INF, _INF), value, d1, d2,
-                           sigma=1.0, theta_inf=0.0, alpha=0.0, tau_c=None,
-                           law=(kernels.J_CAGINALP, ()))
+                           sigma=1.0, theta_inf=0.0, alpha=0.0, tau_c=None)
 
 
 def _builtin_penrose_fife_j(tau_c=1.0, sigma=0.5):
     if tau_c <= 0:
         raise InvalidParameter("tau_c must be positive")
-    params = (float(tau_c),)
-    value, d1, d2 = _law_callables(kernels.J_PENROSE, params)
+    tc = float(tau_c)
+    value, d1, d2 = _law(
+        lambda r: -np.log(r + tc) + np.log(tc) + r / tc,
+        lambda r: -1.0 / (r + tc) + 1.0 / tc,
+        lambda r: 1.0 / ((r + tc) * (r + tc)))
     # j'' = (r+tau_c)^-2 decays to zero, so no positive modulus actually
     # holds on the unbounded domain: the declared sigma is a nominal claim
     # that validate_hypotheses is expected to refute.  Near the singular
     # wall j'' ~ (r+tau_c)^-2 and |j'| ~ (r+tau_c)^-1, hence alpha = 2.
-    return ConvexPotential("penrose_fife_j", (-float(tau_c), _INF),
+    return ConvexPotential("penrose_fife_j", (-tc, _INF),
                            value, d1, d2, sigma=float(sigma), theta_inf=0.0,
-                           alpha=2.0, tau_c=float(tau_c),
-                           law=(kernels.J_PENROSE, params))
+                           alpha=2.0, tau_c=tc)
 
 
 def _builtin_mixed_j(tau_c=1.0):
     if tau_c <= 0:
         raise InvalidParameter("tau_c must be positive")
-    params = (float(tau_c),)
-    value, d1, d2 = _law_callables(kernels.J_MIXED, params)
+    tc = float(tau_c)
+    value, d1, d2 = _law(
+        lambda r: 0.5 * r * r - np.log(r + tc) + np.log(tc) + r / tc,
+        lambda r: r - 1.0 / (r + tc) + 1.0 / tc,
+        lambda r: 1.0 + 1.0 / ((r + tc) * (r + tc)))
     # j'' = 1 + (r+tau_c)^-2 >= 1, minimum at 0 since both parts vanish
     # there; near the wall j''/(1+|j'|^2) -> 1, so alpha = 2.
-    return ConvexPotential("mixed_j", (-float(tau_c), _INF), value, d1, d2,
-                           sigma=1.0, theta_inf=0.0, alpha=2.0,
-                           tau_c=float(tau_c),
-                           law=(kernels.J_MIXED, params))
+    return ConvexPotential("mixed_j", (-tc, _INF), value, d1, d2,
+                           sigma=1.0, theta_inf=0.0, alpha=2.0, tau_c=tc)
+
+
+def _quartic_value(r):
+    q = r * r - 1.0
+    return 0.25 * q * q
 
 
 def _builtin_quartic_w():
-    value, d1, d2 = _law_callables(kernels.W_QUARTIC, ())
+    value, d1, d2 = _law(_quartic_value, lambda r: r * (r * r - 1.0),
+                         lambda r: 3.0 * r * r - 1.0)
     # W'' = 3r^2 - 1 >= -1 -> kappa = 1; W'(r)/r = r^2 - 1 >= 3 for |r| >= 2
     return NonconvexPotential("quartic_W", (-_INF, _INF), (-2.0, 2.0),
                               value, d1, d2, kappa=1.0, mu=3.0,
                               analytic_on_core=True,
-                              d1_zeros=(-1.0, 0.0, 1.0),
-                              law=(kernels.W_QUARTIC, ()))
+                              d1_zeros=(-1.0, 0.0, 1.0))
 
 
 def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
@@ -553,8 +562,13 @@ def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
     w0_min = (0.5 * t1 * ((1 + rstar) * np.log1p(rstar)
                           + (1 - rstar) * np.log1p(-rstar))
               - 0.5 * tc * rstar * rstar)
-    params = (t1, tc, -w0_min)  # additive shift puts the minima at 0
-    value, d1, d2 = _law_callables(kernels.W_LOG, params)
+    c0 = -w0_min  # additive shift puts the minima at 0
+    value, d1, d2 = _law(
+        lambda r: (0.5 * t1 * ((1.0 + r) * np.log1p(r)
+                               + (1.0 - r) * np.log1p(-r))
+                   - 0.5 * tc * r * r + c0),
+        lambda r: 0.5 * t1 * (np.log1p(r) - np.log1p(-r)) - tc * r,
+        lambda r: t1 / (1.0 - r * r) - tc)
     core = (-0.5 * (1.0 + rstar), 0.5 * (1.0 + rstar))
     # W'(r)/r = t1 artanh(r)/r - tc is increasing in |r|, so its infimum
     # over the tails is attained at the core edge
@@ -563,28 +577,35 @@ def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
                               value, d1, d2, kappa=tc - t1, mu=mu,
                               analytic_on_core=True,
                               d1_zeros=(-rstar, 0.0, rstar),
-                              law=(kernels.W_LOG, params),
                               meta={"rstar": rstar})
 
 
 def _builtin_linear_lambda(ell=1.0):
-    params = (float(ell),)
-    value, d1, d2 = _law_callables(kernels.LAM_LINEAR, params)
+    ell = float(ell)
+    value, d1, d2 = _law(lambda r: ell * r, lambda r: np.full_like(r, ell),
+                         np.zeros_like)
     # lam'' = 0, any positive bound works; 1 is recorded for definiteness
-    return LatentHeat("linear_lambda", value, d1, d2, curvature_bound=1.0,
-                      law=(kernels.LAM_LINEAR, params))
+    return LatentHeat("linear_lambda", value, d1, d2, curvature_bound=1.0)
 
 
 def _builtin_tanh_lambda(scale=1.0, width=1.0):
     if width <= 0:
         raise InvalidParameter("width must be positive")
-    params = (float(scale), float(width))
-    value, d1, d2 = _law_callables(kernels.LAM_TANH, params)
+    a, b = float(scale), float(width)
+
+    def d1(r):
+        t = np.tanh(r / b)
+        return (a / b) * (1.0 - t * t)
+
+    def d2(r):
+        t = np.tanh(r / b)
+        return -(2.0 * a / (b * b)) * t * (1.0 - t * t)
+
+    value, d1, d2 = _law(lambda r: a * np.tanh(r / b), d1, d2)
     # |lam''| = (2|scale|/width^2) |t|(1-t^2), t=tanh, maximized at
     # t = 1/sqrt(3): bound = 4|scale| / (3 sqrt(3) width^2)
     bound = 4.0 * abs(scale) / (3.0 * math.sqrt(3.0) * width * width)
-    return LatentHeat("tanh_lambda", value, d1, d2, curvature_bound=bound,
-                      law=(kernels.LAM_TANH, params))
+    return LatentHeat("tanh_lambda", value, d1, d2, curvature_bound=bound)
 
 
 _BUILTINS = {

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (DegenerateJacobian, DomainViolation, InvalidParameter,
                      NewtonDiverged)
-from .grids import (BoundarySpec, Field, OperatorWorkspace, quad_weights,
+from .grids import (Field, OperatorWorkspace, quad_weights,
                     stiffness_neumann, write_records)
 from .models import evaluate
 
@@ -72,18 +72,18 @@ def stationary_energy(chi_flat, model, grid, K=None, w=None):
         + float(np.dot(w, evaluate(model.w, 0, chi_flat)))
 
 
-def residual_stationary(chi, model, grid, bc=None):
+def residual_stationary(chi, model, grid, ws=None):
     """Dual-norm size of A chi + W'(chi).
 
     The stationary problem lives under Neumann conditions whatever the
-    temperature boundary treatment was, so the Neumann pivot is used; the
-    bc argument is accepted for interface symmetry and ignored.
+    temperature boundary treatment was, so the Neumann pivot is used.  A
+    caller that evaluates the residual repeatedly passes its own workspace,
+    which keeps the pivot factorization across calls.
     """
-    ws = OperatorWorkspace(grid, BoundarySpec("dirichlet"))
+    if ws is None:
+        ws = OperatorWorkspace(grid, None)
     flat = chi.flat if isinstance(chi, Field) else np.asarray(chi).ravel()
-    wp = evaluate(model.w, 1, flat)
-    r = ws.opA.apply(flat).ravel() + wp
-    return ws.vstar_neumann_norm(r)
+    return ws.vstar_neumann_norm(ws.A_fd @ flat + evaluate(model.w, 1, flat))
 
 
 def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
@@ -96,10 +96,7 @@ def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
     """
     if tol <= 0:
         raise InvalidParameter("tolerance must be positive")
-    ws = OperatorWorkspace(grid, BoundarySpec("dirichlet"))
-    K = ws.opA.K
-    w = ws.w
-    A_fd = sps.diags(1.0 / w) @ K
+    ws = OperatorWorkspace(grid, None)
     chi = guess.flat.copy()
     ilo, ihi = model.w.domain
 
@@ -117,17 +114,16 @@ def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
     iters = 0
     for it in range(1, max_iter + 1):
         iters = it
-        wp = evaluate(model.w, 1, chi)
-        r = A_fd @ chi + wp
-        res = ws.vstar_neumann_norm(r)
+        res = residual_stationary(chi, model, grid, ws)
         if res <= tol:
             break
         if it == max_iter:
             raise NewtonDiverged(
                 f"stationary residual {res:.3e} above {tol:.1e} after "
                 f"{max_iter} iterations", residual=res)
+        r = ws.A_fd @ chi + evaluate(model.w, 1, chi)
         wpp = evaluate(model.w, 2, chi)
-        jac = (A_fd + sps.diags(wpp)).tocsc()
+        jac = (ws.A_fd + sps.diags(wpp)).tocsc()
         try:
             lu = splu(jac)
         except RuntimeError as exc:
@@ -157,7 +153,7 @@ def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
         chi=fld, residual=float(res),
         observed_range=(float(np.min(chi)), float(np.max(chi))),
         confinement=conf if conf is not None else model.w.domain,
-        energy=stationary_energy(chi, model, grid, K=K, w=w),
+        energy=stationary_energy(chi, model, grid, K=ws.opA.K, w=ws.w),
         newton_iters=iters)
 
 

@@ -3,21 +3,6 @@ import pytest
 
 from phaseflow import (BoundarySpec, Field, Grid, ModelSpec, State,
                        builtin)
-from phaseflow.backend import HAS_NUMBA
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile (or load from cache) the jitted kernels once so individual
-    tests measure solve time, not JIT time."""
-    if not HAS_NUMBA:
-        return
-    model = ModelSpec(builtin("caginalp_j"), builtin("quartic_W"),
-                      builtin("linear_lambda"))
-    kern = model.kernel("numba")
-    r = np.linspace(-0.5, 0.5, 8)
-    kern.arrays(r, r, r)
-    kern.bulk_energy(r, r, np.ones(8))
 
 
 @pytest.fixture
@@ -48,12 +33,6 @@ def cosine_state(grid, model, amp=0.1, theta_value=0.0, mode=1):
     chi = Field(grid, amp * np.cos(mode * np.pi * x / length))
     theta = Field.full(grid, theta_value)
     return State.make(0.0, theta, chi, model)
-
-
-@pytest.fixture
-def backend_pair():
-    """Both backends when numba is present, else just numpy."""
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
 
 
 __all__ = ["cosine_state"]

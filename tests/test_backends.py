@@ -1,123 +1,10 @@
-import subprocess
-import sys
+"""The latent-heat secant of the stepping scheme."""
 
 import numpy as np
 import pytest
 
-from phaseflow import (Grid, ModelSpec, TrajectoryConfig, builtin, run,
-                       use_backend, zero_source)
-from phaseflow.backend import HAS_NUMBA, active_backend
+from phaseflow import builtin
 from phaseflow import kernels
-
-from conftest import cosine_state
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-
-
-def _models():
-    return [
-        ModelSpec(builtin("caginalp_j"), builtin("quartic_W"),
-                  builtin("linear_lambda", ell=1.3)),
-        ModelSpec(builtin("mixed_j", tau_c=1.0), builtin("logarithmic_W"),
-                  builtin("tanh_lambda", scale=0.7, width=1.2)),
-        ModelSpec(builtin("penrose_fife_j", tau_c=2.0),
-                  builtin("quartic_W"), builtin("linear_lambda")),
-    ]
-
-
-class TestSelection:
-    def test_override_context(self):
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-        if HAS_NUMBA:
-            with use_backend("numba"):
-                assert active_backend() == "numba"
-
-    def test_env_flag(self, monkeypatch):
-        monkeypatch.setenv("PHASEFLOW_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-
-    def test_unknown_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("PHASEFLOW_BACKEND", "gpu")
-        with pytest.warns(UserWarning):
-            active_backend()
-
-
-@needs_numba
-class TestLaneAgreement:
-    def test_constitutive_arrays_match(self):
-        rng = np.random.default_rng(9)
-        for model in _models():
-            jlo = model.j.domain[0]
-            ilo, ihi = model.w.domain
-            theta = rng.uniform(max(jlo + 0.05, -2.0), 2.0, 257)
-            lo = max(ilo + 0.05, -3.0)
-            hi = min(ihi - 0.05, 3.0)
-            chi_old = rng.uniform(lo, hi, 257)
-            signs = rng.choice([-1.0, 1.0], 257)
-            chi_new = chi_old + signs * rng.uniform(1e-4, 1e-3, 257)
-            chi_new = np.clip(chi_new, lo, hi)
-            chi_new[:5] = chi_old[:5]   # exercise the secant switch
-            fast = model.kernel("numba").arrays(theta, chi_old, chi_new)
-            ref = model.kernel("numpy").arrays(theta, chi_old, chi_new)
-            # plain arrays agree to rounding; the two difference quotients
-            # divide one-ulp disagreements between the lanes' tanh/log
-            # implementations by |b-a| (squared for the second one), so
-            # they get the correspondingly amplified tolerances
-            for a, b in zip(fast[:7], ref[:7]):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-14)
-            np.testing.assert_allclose(fast[7], ref[7], atol=1e-11)
-            np.testing.assert_allclose(fast[8], ref[8], atol=1e-7)
-
-    def test_bulk_energy_matches(self):
-        rng = np.random.default_rng(10)
-        wts = rng.uniform(0.1, 1.0, 257)
-        for model in _models():
-            theta = rng.uniform(max(model.j.domain[0] + 0.1, -2.0), 2.0,
-                                257)
-            lo = max(model.w.domain[0] + 0.05, -3.0)
-            hi = min(model.w.domain[1] - 0.05, 3.0)
-            chi = rng.uniform(lo, hi, 257)
-            fast = model.kernel("numba").bulk_energy(theta, chi, wts)
-            ref = model.kernel("numpy").bulk_energy(theta, chi, wts)
-            assert fast == pytest.approx(ref, rel=1e-13)
-
-    def test_trajectories_agree_across_lanes(self, caginalp_model,
-                                             dirichlet_bc):
-        g = Grid((1.0,), (48,))
-        st = cosine_state(g, caginalp_model)
-        cfg = TrajectoryConfig(dt=1e-3, t_end=0.05)
-        results = {}
-        for lane in ("numba", "numpy"):
-            with use_backend(lane):
-                results[lane] = run(st, cfg, caginalp_model, g,
-                                    dirichlet_bc, zero_source())
-        a, b = results["numba"], results["numpy"]
-        assert np.max(np.abs(a.final_state.chi.values
-                             - b.final_state.chi.values)) < 1e-12
-        np.testing.assert_allclose(a.energies, b.energies, rtol=1e-12)
-
-
-class TestNumpyLaneAlone:
-    def test_forced_numpy_run(self, caginalp_model, unit_grid,
-                              dirichlet_bc):
-        st = cosine_state(unit_grid, caginalp_model)
-        cfg = TrajectoryConfig(dt=1e-3, t_end=0.02)
-        with use_backend("numpy"):
-            traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
-                       zero_source())
-        assert np.max(np.diff(traj.energies)) <= 1e-9
-
-    def test_env_flag_reaches_subprocess(self):
-        code = ("import phaseflow.backend as b; "
-                "print(b.active_backend())")
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True,
-                             env={"PHASEFLOW_BACKEND": "numpy",
-                                  "PYTHONPATH": "src",
-                                  "PATH": "/usr/bin:/bin"},
-                             cwd=".", check=True)
-        assert out.stdout.strip() == "numpy"
 
 
 class TestSecantKernel:

@@ -6,6 +6,7 @@ import pytest
 
 from phaseflow.cli import main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
+from phaseflow.dynamics import TRACE_HEADER
 from phaseflow.errors import ParseError, ValidationError
 from phaseflow.grids import read_records, write_records
 
@@ -96,6 +97,17 @@ class TestValidation:
         raw["bc.eta"] = "0.5"
         assert build_config(raw).bc.eta == 0.5
 
+    def test_truncated_snapshot_initial_data(self, tmp_path):
+        path = tmp_path / "init.pfld"
+        write_records(path, [(build_config(minimal_raw()).initial_chi, 0.0)])
+        path.write_bytes(path.read_bytes()[:-8])
+        raw = minimal_raw(**{"initial.chi": "snapshot",
+                             "initial.chi.path": str(path)})
+        with pytest.raises(ValidationError) as err:
+            build_config(raw)
+        assert "cannot load snapshot" in str(err.value)
+        assert "truncated" in str(err.value)
+
     def test_snapshot_initial_data(self, tmp_path):
         cfg0 = build_config(minimal_raw())
         path = tmp_path / "init.pfld"
@@ -183,6 +195,18 @@ class TestCliEntry:
         p = tmp_path / "c.cfg"
         p.write_text("model.j = martian_law\n")
         assert main(["validate", str(p)]) == 2
+
+    def test_fit_truncated_snapshot_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")
+        steady = tmp_path / "steady.pfld"
+        write_records(steady,
+                      [(build_config(minimal_raw()).initial_chi, 0.0)])
+        blob = steady.read_bytes()
+        for cut in (10, len(blob) - 3):      # in the header, in the values
+            steady.write_bytes(blob[:cut])
+            assert main(["--quiet", "fit", str(trace), str(steady)]) == 2
+            assert "truncated snapshot" in capsys.readouterr().err
 
     def test_run_with_out_flag(self, tmp_path):
         p = tmp_path / "c.cfg"

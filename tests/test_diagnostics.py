@@ -97,6 +97,21 @@ class TestOmegaDetection:
         assert verdict.certified_residual < 1e-6
         assert steady.residual < 1e-10
 
+    def test_in_loop_verdict_matches_post_hoc_scan(self, caginalp_model,
+                                                   unit_grid, dirichlet_bc):
+        # the run keeps going past convergence, so later rows must leave
+        # the first verdict alone in both scans
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=4.0, stop_on_converged=False)
+        traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
+                   zero_source())
+        verdict = detect_omega_limit(traj, caginalp_model, unit_grid,
+                                     thresholds=cfg.omega_tols)
+        assert traj.verdict.converged and verdict.converged
+        assert traj.verdict.row < traj.times.size - 1
+        assert (traj.verdict.status, traj.verdict.row) \
+            == (verdict.status, verdict.row)
+
 
 class TestFitRate:
     def test_exact_power_law(self):

@@ -3,8 +3,7 @@ import pytest
 
 from phaseflow import (BoundarySpec, Field, Grid, ModelSpec, SourceSpec,
                        State, Stepper, TrajectoryConfig, builtin,
-                       discrete_energy, integrate, oracle_step, run, step,
-                       zero_source)
+                       integrate, oracle_step, run, step, zero_source)
 from phaseflow import dynamics as dyn
 from phaseflow.errors import (DomainExhausted, DomainViolation,
                               InvalidParameter, NewtonDiverged)
@@ -31,25 +30,32 @@ class TestState:
         np.testing.assert_allclose(st.u.values, expected, atol=1e-14)
 
 
+def _energy(st, model, grid, bc):
+    return Stepper(model, grid, bc, zero_source()).energy(st.theta.flat,
+                                                          st.chi.flat)
+
+
 class TestDiscreteEnergy:
-    def test_equilibrium_is_zero(self, caginalp_model, unit_grid):
+    def test_equilibrium_is_zero(self, caginalp_model, unit_grid,
+                                 dirichlet_bc):
         st = State.make(0.0, Field.full(unit_grid, 0.0),
                         Field.full(unit_grid, 1.0), caginalp_model)
-        assert discrete_energy(st, caginalp_model, unit_grid) == 0.0
+        assert _energy(st, caginalp_model, unit_grid, dirichlet_bc) == 0.0
 
-    def test_constant_well_value(self, caginalp_model, unit_grid):
+    def test_constant_well_value(self, caginalp_model, unit_grid,
+                                 dirichlet_bc):
         st = State.make(0.0, Field.full(unit_grid, 0.0),
                         Field.full(unit_grid, 0.0), caginalp_model)
-        assert discrete_energy(st, caginalp_model,
-                               unit_grid) == pytest.approx(0.25)
+        assert _energy(st, caginalp_model, unit_grid,
+                       dirichlet_bc) == pytest.approx(0.25)
 
-    def test_linear_profile(self, caginalp_model):
+    def test_linear_profile(self, caginalp_model, dirichlet_bc):
         g = Grid((1.0,), (101,))
         x = g.axes()[0]
         st = State.make(0.0, Field.full(g, 0.0), Field(g, x.copy()),
                         caginalp_model)
         expected = 0.5 + 0.25 * (1.0 / 5.0 - 2.0 / 3.0 + 1.0)
-        assert discrete_energy(st, caginalp_model, g) \
+        assert _energy(st, caginalp_model, g, dirichlet_bc) \
             == pytest.approx(expected, abs=1e-4)
 
 
@@ -422,7 +428,6 @@ class TestCustomPotentials:
                          lambda r: np.zeros_like(np.asarray(r)),
                          curvature_bound=1.0)
         custom = ModelSpec(j, w, lam)
-        assert not custom.has_law_codes
         g = Grid((1.0,), (33,))
         st = cosine_state(g, custom)
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.02)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phaseflow import (BoundarySpec, Field, Grid, assemble, integrate, norm)
-from phaseflow.errors import InvalidParameter
+from phaseflow.errors import InvalidParameter, ParseError, SnapshotError
 from phaseflow.grids import (OperatorWorkspace, boundary_measure,
                              quad_weights, read_records, write_records)
 
@@ -267,4 +267,28 @@ class TestSnapshots:
         path = tmp_path / "bad.pfld"
         path.write_bytes(b"NOPE" + b"\0" * 40)
         with pytest.raises(InvalidParameter):
+            read_records(path)
+
+    @pytest.mark.parametrize("cut", [5, 12, 20, 30, 57])
+    def test_truncated_file_is_a_typed_error(self, tmp_path, cut):
+        # 26 header bytes and 32 value bytes per record; cut inside the
+        # header, the extents, the time and the values
+        path = tmp_path / "cut.pfld"
+        write_records(path, [(Field(Grid((1.0,), (4,)), np.ones(4)), 0.0)])
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(SnapshotError, match="truncated"):
+            read_records(path)
+
+    def test_bad_version_and_header(self, tmp_path):
+        path = tmp_path / "v.pfld"
+        write_records(path, [(Field(Grid((1.0,), (4,)), np.ones(4)), 0.0)])
+        blob = bytearray(path.read_bytes())
+        blob[4] = 9
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="version"):
+            read_records(path)
+        blob[4] = 1
+        blob[6:10] = struct.pack("<I", 2)     # fewer than 3 nodes
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="header"):
             read_records(path)
