@@ -17,10 +17,10 @@ snapshot file), 3 solver failure, 4 diagnostic assertion failed.
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
                      InsufficientDecay, InsufficientSamples, NewtonDiverged,
                      OracleFailed, ParseError, PhaseflowError, SingularSolve,
                      ValidationError)
-from .grids import Field, read_records
+from .grids import Field, OperatorWorkspace, read_records
 from .models import validate_hypotheses
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def run_experiment(config, quiet=False):
         verdict = diag.detect_omega_limit(
             traj, config.model, config.grid,
             thresholds=config.run.omega_tols)
-        report["omega"] = verdict.as_dict()
+        report["omega"] = asdict(verdict)
         _say(quiet, f"omega verdict: {verdict.status}")
         if opts["assert_converged"] and not verdict.converged:
             failed_assertions.append("omega limit not reached")
@@ -99,7 +99,7 @@ def run_experiment(config, quiet=False):
         row_dt = traj.row_dt()
         dis = diag.check_dissipation(traj.energies, traj.g_dual, row_dt,
                                      opts["dissipation_tol"])
-        report["dissipation"] = dis.as_dict()
+        report["dissipation"] = asdict(dis)
         _say(quiet, f"dissipation check: "
                     f"{'pass' if dis.passed else 'FAIL'} "
                     f"(max excess {dis.max_excess:.3e})")
@@ -109,7 +109,7 @@ def run_experiment(config, quiet=False):
     if opts["monitors"]:
         mon = diag.monitor_bounds(traj, opts["s"],
                                   q_tag=config.source.q_tag)
-        report["monitors"] = mon.as_dict()
+        report["monitors"] = asdict(mon)
         _say(quiet, f"monitors finite: {mon.finite()}, "
                     f"unbounded trend: {mon.unbounded}")
         if opts["assert_bounded"] and (mon.unbounded or not mon.finite()):
@@ -119,7 +119,7 @@ def run_experiment(config, quiet=False):
             or not config.source.is_zero:
         src = diag.source_report(traj, config.model, config.grid, config.bc,
                                  config.source)
-        report["source"] = src.as_dict()
+        report["source"] = asdict(src)
 
     ref_path = opts.get("reference_steady")
     if ref_path:
@@ -128,11 +128,9 @@ def run_experiment(config, quiet=False):
         except Exception as exc:  # noqa: BLE001
             report["reference_error"] = str(exc)
         else:
-            from .grids import quad_weights
-            w = quad_weights(config.grid)
-            diffv = traj.final_state.chi.flat - ref_field.flat
-            report["distance_to_reference"] = math.sqrt(
-                float(np.dot(w, diffv ** 2)))
+            report["distance_to_reference"] = OperatorWorkspace(
+                config.grid, None).h_norm(traj.final_state.chi.flat
+                                          - ref_field.flat)
 
     _write_json(os.path.join(config.out_dir, "diagnostics.json"), report)
     _say(quiet, f"wrote {os.path.join(config.out_dir, 'diagnostics.json')}")
@@ -144,8 +142,8 @@ def run_experiment(config, quiet=False):
 
 
 def _steady_guesses(config):
-    kind = config.raw.get("steady.guesses", "constants")
-    n_layers = int(config.raw.get("steady.layers", "3"))
+    kind = config.steady["guesses"]
+    n_layers = config.steady["layers"]
     grid = config.grid
     guesses = []
     zeros = config.model.w.d1_zeros or (0.0,)
@@ -164,11 +162,11 @@ def _steady_guesses(config):
 
 
 def steady_command(config, quiet=False):
-    tol = float(config.raw.get("steady.tol", "1e-10"))
     try:
         found = steady_mod.solve_catalog(_steady_guesses(config),
                                          config.model, config.grid,
-                                         tol=tol, out_dir=config.out_dir)
+                                         tol=config.steady["tol"],
+                                         out_dir=config.out_dir)
     except _SOLVER_ERRORS as exc:
         _say(quiet, f"solver failure: {exc}")
         return EXIT_SOLVER
@@ -195,21 +193,19 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
               "run.snapshot_every > 0", file=sys.stderr)
         return EXIT_CONFIG
 
-    from .grids import quad_weights
-    w = quad_weights(ref_field.grid)
+    ws = OperatorWorkspace(ref_field.grid, None)
     times, dists, chis = [], [], []
     for name in snaps:
         records = read_records(os.path.join(run_dir, name))
         chi, t = records[1] if len(records) > 1 else records[0]
         times.append(t)
         chis.append(chi)
-        dists.append(math.sqrt(float(np.dot(
-            w, (chi.flat - ref_field.flat) ** 2))))
+        dists.append(ws.h_norm(chi.flat - ref_field.flat))
     payload = {"files": [os.path.basename(trace_path)] + snaps}
     code = EXIT_OK
     try:
         rate = diag.fit_rate(np.asarray(times), np.asarray(dists))
-        payload["rate_fit"] = rate.as_dict()
+        payload["rate_fit"] = asdict(rate)
         _say(quiet, f"decay fit: beta={rate.beta:.4g} "
                     f"(window from t={rate.t_star:.4g}, "
                     f"{rate.n_points} points)")
@@ -221,9 +217,8 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
     if config_path is not None:
         cfg = _load_config(config_path)
         energies = np.array([steady_mod.stationary_energy(
-            chi.flat, cfg.model, ref_field.grid) for chi in chis])
-        e_inf = steady_mod.stationary_energy(ref_field.flat, cfg.model,
-                                             ref_field.grid)
+            chi.flat, cfg.model, ws) for chi in chis])
+        e_inf = steady_mod.stationary_energy(ref_field.flat, cfg.model, ws)
         # admission by the plain distance series; the sup part of the norm
         # is bounded by it on these uniform grids only up to a constant,
         # so eps_loj here is a practical radius, not the theory's
@@ -232,7 +227,7 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
             loj = diag.estimate_lojasiewicz(energies, resid,
                                             np.asarray(dists), e_inf,
                                             eps_loj=eps_loj)
-            payload["loj_fit"] = loj.as_dict()
+            payload["loj_fit"] = asdict(loj)
             _say(quiet, f"exponent fit: zeta={loj.zeta:.4g} "
                         f"({loj.n_admitted} samples)")
         except InsufficientSamples as exc:

@@ -22,7 +22,7 @@ objects and reports every constraint violation at once (ValidationError).
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,8 +272,8 @@ class ExperimentConfig:
     run: TrajectoryConfig
     allow_unstable: bool
     diagnostics: dict
+    steady: dict
     out_dir: str
-    raw: dict = field(default_factory=dict)
 
     def initial_state(self):
         return State.make(0.0, self.initial_theta, self.initial_chi,
@@ -376,8 +376,7 @@ def build_config(raw, base_dir="."):
                 max_newton=rd.int_("run.max_newton", 50),
                 trace_every=rd.int_("run.trace_every", 1),
                 snapshot_every=rd.int_("run.snapshot_every", 0),
-                stop_on_converged=rd.bool_("run.stop_on_converged", False),
-                keep_states=rd.bool_("run.keep_states", False))
+                stop_on_converged=rd.bool_("run.stop_on_converged", False))
     except InvalidParameter as exc:
         rd.violations.append(f"run: {exc}")
 
@@ -413,18 +412,19 @@ def build_config(raw, base_dir="."):
         "monitors": rd.bool_("diagnostics.monitors", False),
         "assert_bounded": rd.bool_("diagnostics.assert_bounded", False),
         "s": rd.float_("diagnostics.s", 1.0),
-        "eps_loj": rd.float_("diagnostics.eps_loj", 0.1),
         "validate_model": rd.bool_("diagnostics.validate_model", True),
         "reference_steady": rd.str_("diagnostics.reference_steady", None),
     }
 
     out_dir = rd.str_("output.dir", "out")
 
-    # steady-solve section keys are consumed by the steady entry point
-    rd.str_("steady.guesses", "constants",
-            choices={"constants", "layers", "both"})
-    rd.float_("steady.tol", 1e-10)
-    rd.int_("steady.layers", 3)
+    # settings of the steady entry point
+    steady = {
+        "guesses": rd.str_("steady.guesses", "constants",
+                           choices={"constants", "layers", "both"}),
+        "tol": rd.float_("steady.tol", 1e-10),
+        "layers": rd.int_("steady.layers", 3),
+    }
 
     for key in rd.unknown_keys():
         rd.violations.append(f"unknown key '{key}'")
@@ -447,10 +447,9 @@ def build_config(raw, base_dir="."):
         model=model, grid=grid, bc=bc, source=source,
         initial_theta=initial_theta, initial_chi=initial_chi,
         run=run_cfg, allow_unstable=allow_unstable,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics, steady=steady,
         out_dir=os.path.join(base_dir, out_dir) if not os.path.isabs(out_dir)
-        else out_dir,
-        raw=dict(raw))
+        else out_dir)
 
 
 def parse_config(path):

@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import OmegaScan, source_density
+from .dynamics import TRACE_COLUMNS, TRACE_HEADER, OmegaScan, source_density
 from .errors import (ConfigMismatch, InsufficientDecay, InsufficientSamples,
-                     InvalidParameter)
-from .grids import OperatorWorkspace, quad_weights
+                     InvalidParameter, ParseError)
+from .grids import OperatorWorkspace
 from . import steady as steady_mod
 
 
@@ -36,8 +36,7 @@ class EnergyTrace:
 
     def __post_init__(self):
         n = self.t.size
-        for name in ("energy", "norm_u_V", "norm_chit_H", "dist_theta_H",
-                     "stationary_residual", "newton_iters"):
+        for name in TRACE_COLUMNS[1:]:
             if getattr(self, name).size != n:
                 raise InvalidParameter(f"trace column {name} has wrong "
                                        "length")
@@ -46,18 +45,22 @@ class EnergyTrace:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        """Read a trace.csv; a missing, malformed or truncated file is a
+        ParseError."""
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"{path}: unreadable trace ({exc})") from None
+        if data.dtype.names != TRACE_COLUMNS:
+            raise ParseError(f"{path}: trace header is not {TRACE_HEADER}")
         data = np.atleast_1d(data)
-        return cls(*(np.asarray(data[name], dtype=float) for name in (
-            "t", "energy", "norm_u_V", "norm_chit_H", "dist_theta_H",
-            "stationary_residual", "newton_iters")))
-
-    @classmethod
-    def from_trajectory(cls, traj):
-        c = traj.columns
-        return cls(traj.times, c["energy"], c["norm_u_V"],
-                   c["norm_chit_H"], c["dist_theta_H"],
-                   c["stationary_residual"], c["newton_iters"])
+        cols = [np.asarray(data[name], dtype=float) for name in TRACE_COLUMNS]
+        if not all(np.isfinite(c).all() for c in cols):
+            raise ParseError(f"{path}: trace has empty or non-finite fields")
+        try:
+            return cls(*cols)
+        except InvalidParameter as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -70,11 +73,6 @@ class DissipationReport:
     violations: tuple          # (row index, excess) pairs
     max_excess: float          # worst E(k)-E(k-1) minus its allowance
     tol: float
-
-    def as_dict(self):
-        return {"passed": self.passed, "max_excess": self.max_excess,
-                "tol": self.tol,
-                "violations": [list(v) for v in self.violations]}
 
 
 def check_dissipation(energies, g_dual_norms, dt, tol):
@@ -128,11 +126,6 @@ class OmegaReport:
     def converged(self):
         return self.status == "CONVERGED"
 
-    def as_dict(self):
-        return {"status": self.status, "t": self.t, "row": self.row,
-                "theta_limit": self.theta_limit,
-                "certified_residual": self.certified_residual}
-
 
 def detect_omega_limit(traj, model, grid, thresholds=(1e-7, 1e-6, 1e-6),
                        consecutive=3):
@@ -167,11 +160,6 @@ class RateFit:
     predicted_beta: Optional[float] = None   # zeta/(1-2 zeta) when supplied
     consistency_gap: Optional[float] = None
     exp_rate: Optional[float] = None         # fallback rate when beta = inf
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "beta", "c_star", "t_star", "fit_residual", "n_points",
-            "predicted_beta", "consistency_gap", "exp_rate")}
 
 
 def fit_rate(times, distances, zeta=None, min_points=10):
@@ -230,10 +218,6 @@ class LojFit:
     n_admitted: int
     fit_residual: float
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "zeta", "c_l", "eps_loj", "n_admitted", "fit_residual")}
-
 
 def estimate_lojasiewicz(energies, residuals, distances, e_inf,
                          eps_loj=0.1, min_samples=10):
@@ -267,11 +251,10 @@ def chi_distance_series(traj, chi_inf):
     """||chi(t) - chi_inf||_H over the kept states of a trajectory."""
     if not traj.states:
         raise InvalidParameter("trajectory kept no states; rerun with "
-                               "keep_states enabled")
-    w = quad_weights(traj.grid)
+                               "TrajectoryConfig(keep_states=True)")
+    ws = OperatorWorkspace(traj.grid, None)
     ref = chi_inf.flat
-    return np.array([math.sqrt(float(np.dot(w, (chi.flat - ref) ** 2)))
-                     for _, _, chi in traj.states])
+    return np.array([ws.h_norm(chi.flat - ref) for _, _, chi in traj.states])
 
 
 def chi_admission_series(traj, chi_inf):
@@ -292,8 +275,8 @@ def stationary_energy_series(traj, model):
     """E(chi(t)) (gradient plus well terms only) over kept states."""
     if not traj.states:
         raise InvalidParameter("trajectory kept no states")
-    return np.array([steady_mod.stationary_energy(chi.flat, model,
-                                                  traj.grid)
+    ws = OperatorWorkspace(traj.grid, None)
+    return np.array([steady_mod.stationary_energy(chi.flat, model, ws)
                      for _, _, chi in traj.states])
 
 
@@ -305,7 +288,8 @@ def estimate_lojasiewicz_trajectory(traj, chi_inf, model, eps_loj=0.1,
     if len(traj.states) != traj.times.size:
         raise InvalidParameter("states were not kept at trace cadence")
     energies = stationary_energy_series(traj, model)
-    e_inf = steady_mod.stationary_energy(chi_inf.flat, model, traj.grid)
+    e_inf = steady_mod.stationary_energy(chi_inf.flat, model,
+                                         OperatorWorkspace(traj.grid, None))
     distances = chi_admission_series(traj, chi_inf)
     return estimate_lojasiewicz(energies,
                                 traj.columns["stationary_residual"],
@@ -335,14 +319,6 @@ class MonitorReport:
     thetat_l2_tail: Optional[float]   # ||theta_t||_{L2(s,inf;H)} slot
     trend_flags: tuple
     unbounded: bool
-
-    def as_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "s", "sup_thetat_window_H", "sup_theta_V", "sup_u_V",
-            "sup_chit_H", "sup_chi_H2", "sup_wprime_H", "thetat_l2_tail",
-            "unbounded")}
-        d["trend_flags"] = list(self.trend_flags)
-        return d
 
     def finite(self):
         vals = [self.sup_thetat_window_H, self.sup_theta_V, self.sup_u_V,
@@ -452,15 +428,12 @@ def stability_gap(traj_a, traj_b):
         raise ConfigMismatch("different step size or horizon")
     if len(traj_a.states) != len(traj_b.states) or not traj_a.states:
         raise ConfigMismatch("states not kept at matching cadence")
-    w = quad_weights(ga)
-
-    def h(a, b):
-        return math.sqrt(float(np.dot(w, (a - b) ** 2)))
-
+    ws = OperatorWorkspace(ga, None)
     gaps = []
     running = 0.0
     for (_, tha, cha), (_, thb, chb) in zip(traj_a.states, traj_b.states):
-        running = max(running, h(tha.flat, thb.flat) + h(cha.flat, chb.flat))
+        running = max(running, ws.h_norm(tha.flat - thb.flat)
+                      + ws.h_norm(cha.flat - chb.flat))
         gaps.append(running)
     return np.asarray(gaps)
 
@@ -476,11 +449,6 @@ class SourceReport:
     delta_src: Optional[float]
     windowed_gt_sup: Optional[float]  # sup_t ||g_t||_{Lp(t,t+1; dual)}
     p_tag: float
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "tail_statistic", "tail_finite", "delta_src",
-            "windowed_gt_sup", "p_tag")}
 
 
 def tail_statistic(times, g_dual_norms, delta):

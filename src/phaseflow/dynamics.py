@@ -31,20 +31,10 @@ from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
                      NewtonDiverged)
 from .grids import (Field, OperatorWorkspace, check_dirichlet_consistency,
                     write_records)
-from .models import evaluate
-from .steady import residual_stationary
+from .models import DOMAIN_MARGIN, evaluate, inside
+from .steady import residual_stationary, stationary_energy
 
 _INF = float("inf")
-
-
-def _require_inside(name, arr, domain, margin=0.0):
-    lo, hi = domain
-    amin = float(np.min(arr))
-    amax = float(np.max(arr))
-    if amin <= lo + margin or amax >= hi - margin:
-        raise DomainViolation(
-            f"{name} leaves the open interval ({lo}, {hi}): "
-            f"range [{amin}, {amax}]")
 
 
 @dataclass
@@ -60,9 +50,12 @@ class State:
 
     @classmethod
     def make(cls, t, theta, chi, model):
-        _require_inside("theta", theta.values, model.j.domain)
-        _require_inside("chi", chi.values, model.w.domain)
         u = Field(theta.grid, evaluate(model.j, 1, theta.values))
+        if not inside(model.w, chi.values):
+            lo, hi = model.w.domain
+            raise DomainViolation(
+                f"chi leaves the open interval ({lo}, {hi}): range "
+                f"[{float(np.min(chi.values))}, {float(np.max(chi.values))}]")
         e = Field(theta.grid,
                   theta.values + evaluate(model.lam, 0, chi.values))
         return cls(float(t), theta, chi, u, e)
@@ -139,7 +132,6 @@ class TrajectoryConfig:
     stop_on_converged: bool = False
     omega_tols: tuple = (1e-7, 1e-6, 1e-6)
     keep_states: bool = False
-    domain_margin: float = 1e-8
     max_halvings: int = 30
 
     def __post_init__(self):
@@ -210,13 +202,10 @@ class Stepper:
         return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
 
     def energy(self, theta_flat, chi_flat):
-        """Discrete free energy: gradient term by the exact stiffness
-        quadratic form, bulk terms by trapezoid quadrature."""
-        grad = 0.5 * self.ws.opA.quad_form(chi_flat)
-        bulk = float(np.dot(self.ws.w,
-                            np.asarray(self.model.w.value(chi_flat))
-                            + np.asarray(self.model.j.value(theta_flat))))
-        return grad + bulk
+        """Discrete free energy: the stationary energy of chi plus the
+        trapezoid quadrature of j(theta)."""
+        return stationary_energy(chi_flat, self.model, self.ws) + float(
+            np.dot(self.ws.w, np.asarray(self.model.j.value(theta_flat))))
 
     def g_density(self, t):
         return source_density(self.model, self.ws, self.bc, self.source, t)
@@ -235,22 +224,6 @@ class Stepper:
         full = np.full(self.n, self.bc.theta_inf)
         full[self.act] = theta_act
         return full
-
-    def _violates(self, theta_full, chi, margin):
-        if not (np.all(np.isfinite(theta_full)) and
-                np.all(np.isfinite(chi))):
-            return True
-        jlo, jhi = self.model.j.domain
-        ilo, ihi = self.model.w.domain
-        if math.isfinite(jlo) and np.min(theta_full) <= jlo + margin:
-            return True
-        if math.isfinite(jhi) and np.max(theta_full) >= jhi - margin:
-            return True
-        if math.isfinite(ilo) and np.min(chi) <= ilo + margin:
-            return True
-        if math.isfinite(ihi) and np.max(chi) >= ihi - margin:
-            return True
-        return False
 
     def _residual(self, arrays, theta_act, chi_new, theta_old, chi_old,
                   dt, g):
@@ -333,22 +306,25 @@ class Stepper:
                                      residual=res)
             d_theta = delta[:self.m]
             d_chi = delta[self.m:]
+            # fraction-to-the-boundary damping: halve until the trial
+            # iterate keeps DOMAIN_MARGIN off both domain walls
             alpha = 1.0
-            halvings = 0
-            while halvings < config.max_halvings and self._violates(
-                    self.theta_full(theta_act + alpha * d_theta),
-                    chi_new + alpha * d_chi, config.domain_margin):
+            for _ in range(config.max_halvings + 1):
+                theta_try = theta_act + alpha * d_theta
+                chi_try = chi_new + alpha * d_chi
+                if (inside(self.model.j, self.theta_full(theta_try),
+                           DOMAIN_MARGIN)
+                        and inside(self.model.w, chi_try, DOMAIN_MARGIN)):
+                    break
                 alpha *= 0.5
-                halvings += 1
                 damping_events += 1
-            if self._violates(self.theta_full(theta_act + alpha * d_theta),
-                              chi_new + alpha * d_chi, config.domain_margin):
+            else:
                 raise DomainExhausted(
                     "step damping exhausted: iterates cannot stay inside "
                     "the admissible set (reduce dt or move data away from "
                     "the potential wall)")
-            theta_act = theta_act + alpha * d_theta
-            chi_new = chi_new + alpha * d_chi
+            theta_act = theta_try
+            chi_new = chi_try
         raise AssertionError("unreachable")
 
 
@@ -361,8 +337,11 @@ def step(state, config, model, grid, bc, source):
 # trajectories
 # ----------------------------------------------------------------------
 
-TRACE_HEADER = ("t,energy,norm_u_V,norm_chit_H,dist_theta_H,"
-                "stationary_residual,newton_iters")
+#: trace.csv columns, in file order; ``t`` is Trajectory.times, the rest
+#: are Trajectory.columns
+TRACE_COLUMNS = ("t", "energy", "norm_u_V", "norm_chit_H", "dist_theta_H",
+                 "stationary_residual", "newton_iters")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 
 @dataclass
@@ -468,11 +447,10 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         csv_fh = open(os.path.join(out_dir, "trace.csv"), "w", newline="\n")
         csv_fh.write(TRACE_HEADER + "\n")
 
-    times, cols, aux, g_dual, states = [], {k: [] for k in (
-        "energy", "norm_u_V", "norm_chit_H", "dist_theta_H",
-        "stationary_residual", "newton_iters")}, {k: [] for k in (
-            "norm_thetat_H", "norm_theta_V", "norm_chi_H2",
-            "norm_wprime_H")}, [], []
+    times, g_dual, states = [], [], []
+    cols = {k: [] for k in TRACE_COLUMNS[1:]}
+    aux = {k: [] for k in ("norm_thetat_H", "norm_theta_V", "norm_chi_H2",
+                           "norm_wprime_H")}
 
     prev_row_theta = None
     prev_row_chi = None
@@ -497,13 +475,12 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             thetat = ws.h_norm(th - prev_row_theta) / dtr
         dist_theta = ws.h_norm(th - theta_inf)
         stat_res = residual_stationary(ch, model, grid, ws)
+        row = {"energy": energy, "norm_u_V": ws.vcal_norm(u),
+               "norm_chit_H": chit, "dist_theta_H": dist_theta,
+               "stationary_residual": stat_res, "newton_iters": iters}
         times.append(t)
-        cols["energy"].append(energy)
-        cols["norm_u_V"].append(ws.vcal_norm(u))
-        cols["norm_chit_H"].append(chit)
-        cols["dist_theta_H"].append(dist_theta)
-        cols["stationary_residual"].append(stat_res)
-        cols["newton_iters"].append(iters)
+        for k, v in row.items():
+            cols[k].append(v)
         g_dual.append(stepper.g_dual_norm(t))
         aux["norm_thetat_H"].append(thetat)
         aux["norm_theta_V"].append(ws.vcal_norm(th - theta_inf)
@@ -514,10 +491,9 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         aux["norm_wprime_H"].append(
             ws.h_norm(np.asarray(model.w.d1(ch), dtype=float)))
         if csv_fh is not None:
-            csv_fh.write(",".join([_fmt(t), _fmt(energy),
-                                   _fmt(cols["norm_u_V"][-1]), _fmt(chit),
-                                   _fmt(dist_theta), _fmt(stat_res),
-                                   str(iters)]) + "\n")
+            csv_fh.write(",".join([_fmt(t)] + [_fmt(row[k])
+                                               for k in TRACE_COLUMNS[1:-1]]
+                                  + [str(iters)]) + "\n")
         if config.keep_states:
             states.append((t, state.theta.copy(), state.chi.copy()))
         prev_row_theta = th.copy()

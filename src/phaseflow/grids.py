@@ -298,7 +298,6 @@ class OperatorWorkspace:
         self.w = quad_weights(grid)
         self.gamma = boundary_measure(grid)
         self.bmask = boundary_mask(grid)
-        self.interior = np.flatnonzero(~self.bmask)
         self.opA = assemble(grid, None, "A")
         self.A_fd = (sps.diags(1.0 / self.w) @ self.opA.K).tocsr()
         self.opB = assemble(grid, bc, "B") if bc is not None else None
@@ -355,13 +354,8 @@ class OperatorWorkspace:
         """Dual norm via the elliptic pivot: the Dirichlet Laplacian for
         Dirichlet problems, Neumann Laplacian plus identity otherwise."""
         if self.bc is not None and self.bc.kind == "dirichlet":
-            rhs = (self.w * flat)[self.interior]
-            sol = self._checked_solve(self.opB.lu(), self.opB.K, rhs)
-            return float(np.sqrt(max(np.dot(rhs, sol), 0.0)))
-        lu, K = self.pivot_neumann_lu()
-        rhs = self.w * flat
-        sol = self._checked_solve(lu, K, rhs)
-        return float(np.sqrt(max(np.dot(rhs, sol), 0.0)))
+            return self.dual_norm_weak(self.w * flat)
+        return self.vstar_neumann_norm(flat)
 
     def vstar_neumann_norm(self, flat):
         """Dual norm with the Neumann pivot regardless of bc (used for the

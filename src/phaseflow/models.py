@@ -31,11 +31,10 @@ where they are defined; none are fitted.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainViolation, InvalidParameter, UnknownModel
 
@@ -43,6 +42,9 @@ _INF = float("inf")
 
 #: cap on the measured ratio |j''| / (1 + |j'|^alpha) for the growth check
 GROWTH_RATIO_CAP = 1e6
+
+#: distance by which damped Newton iterates are kept off the domain walls
+DOMAIN_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,13 @@ class ModelSpec:
             raise InvalidParameter("relaxation constants are fixed at 1")
 
 
+def inside(potential, arr, margin=0.0):
+    """True iff every entry of ``arr`` lies in the open domain of the
+    potential shrunk by ``margin``; NaN and +-inf are never inside."""
+    lo, hi = potential.domain
+    return bool((arr > lo + margin).all() and (arr < hi - margin).all())
+
+
 def evaluate(potential, order, r):
     """Uniform accessor for a potential and its first two derivatives.
 
@@ -116,9 +125,9 @@ def evaluate(potential, order, r):
     if order not in (0, 1, 2):
         raise InvalidParameter(f"order must be 0, 1 or 2, got {order}")
     arr = np.asarray(r, dtype=float)
-    lo, hi = potential.domain
-    if arr.size and not ((arr > lo).all() and (arr < hi).all()):
-        bad = arr[(arr <= lo) | (arr >= hi)].flat[0]
+    if not inside(potential, arr):
+        lo, hi = potential.domain
+        bad = arr[~((arr > lo) & (arr < hi))].flat[0]
         raise DomainViolation(
             f"{potential.name}: argument {bad} outside open domain "
             f"({lo}, {hi})")
@@ -163,13 +172,6 @@ class HypothesisCheck:
     severity: str = "required"   # or "warning"
     note: str = ""
 
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "worst_point": self.worst_point,
-                "worst_value": self.worst_value,
-                "threshold": self.threshold, "severity": self.severity,
-                "note": self.note}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -188,7 +190,7 @@ class ValidationReport:
 
     def as_dict(self):
         return {"passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks],
+                "checks": [asdict(c) for c in self.checks],
                 "suggestions": list(self.suggestions)}
 
     def summary(self):
@@ -329,7 +331,7 @@ def validate_hypotheses(spec, sample_count=1000):
 
 def _prox(d1, domain, rho, r, wall_gap=1e-13):
     """argmin_s f(s) + (s-r)^2/(2 rho) for convex f, via the monotone
-    optimality equation s + rho f'(s) = r (bisection plus Newton polish).
+    optimality equation s + rho f'(s) = r (bisection).
 
     Finite domain walls where f' stays bounded act as clamps, which realizes
     the closed (lower semicontinuous) extension of f.
@@ -365,9 +367,15 @@ def _prox(d1, domain, rho, r, wall_gap=1e-13):
             if step > 1e12:
                 raise InvalidParameter("proximal bracketing failed (right)")
 
+    return _bisect(psi, a, b)
+
+
+def _bisect(fn, a, b):
+    """Root of fn in [a, b] by bisection, for fn(a) < 0 <= fn(b) with a
+    single sign change; stops at a relative width of 1e-15."""
     for _ in range(90):
         m = 0.5 * (a + b)
-        if psi(m) < 0.0:
+        if fn(m) < 0.0:
             a = m
         else:
             b = m
@@ -457,7 +465,7 @@ def regularize(potential, n):
         width = 1.0
         while g(t0 - width) > 0 or g(t0 + width) < 0:
             width *= 2.0
-        theta_inf = brentq(g, t0 - width, t0 + width, xtol=1e-14)
+        theta_inf = _bisect(g, t0 - width, t0 + width)
         return ConvexPotential(
             name=f"{potential.name}~smoothed(n={n})",
             domain=(-_INF, _INF), value=value, d1=d1, d2=d2,
@@ -558,7 +566,12 @@ def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
     t1, tc = float(theta1), float(theta_c)
     # minima +-rstar solve t1 * artanh(r) = tc * r
     f = lambda r: t1 * np.arctanh(r) - tc * r
-    rstar = brentq(f, 1e-3, 1.0 - 1e-12, xtol=1e-15)
+    if f(1.0 - 1e-12) <= 0.0:
+        raise InvalidParameter("logarithmic well minima closer than 1e-12 "
+                               "to the walls; raise the ratio theta1/theta_c")
+    # bisection to a relative 1e-15, then one Newton step to the last bit
+    rstar = _bisect(f, 1e-3, 1.0 - 1e-12)
+    rstar = float(rstar - f(rstar) / (t1 / (1.0 - rstar * rstar) - tc))
     w0_min = (0.5 * t1 * ((1 + rstar) * np.log1p(rstar)
                           + (1 - rstar) * np.log1p(-rstar))
               - 0.5 * tc * rstar * rstar)

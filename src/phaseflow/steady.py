@@ -10,7 +10,6 @@ DegenerateJacobian: it marks a bifurcation point and hiding it would mask
 exactly the degenerate regime the slow-convergence diagnostics care about.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -20,9 +19,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import (DegenerateJacobian, DomainViolation, InvalidParameter,
                      NewtonDiverged)
-from .grids import (Field, OperatorWorkspace, quad_weights,
-                    stiffness_neumann, write_records)
-from .models import evaluate
+from .grids import Field, OperatorWorkspace, write_records
+from .models import DOMAIN_MARGIN, evaluate, inside
 
 
 @dataclass
@@ -62,14 +60,16 @@ def default_confinement(model, inflate=0.01):
     return (mid - half, mid + half)
 
 
-def stationary_energy(chi_flat, model, grid, K=None, w=None):
-    """E(v) = int( |grad v|^2/2 + W(v) ), the energy the flow minimizes."""
-    if K is None:
-        K = stiffness_neumann(grid)
-    if w is None:
-        w = quad_weights(grid)
-    return 0.5 * float(chi_flat @ (K @ chi_flat)) \
-        + float(np.dot(w, evaluate(model.w, 0, chi_flat)))
+def stationary_energy(chi_flat, model, ws):
+    """E(v) = int( |grad v|^2/2 + W(v) ), the energy the flow minimizes:
+    the exact stiffness quadratic form plus trapezoid quadrature of W."""
+    return 0.5 * ws.opA.quad_form(chi_flat) \
+        + float(np.dot(ws.w, evaluate(model.w, 0, chi_flat)))
+
+
+def _stationary_vector(chi_flat, model, ws):
+    """Nodal residual A chi + W'(chi) of the stationary equation."""
+    return ws.A_fd @ chi_flat + evaluate(model.w, 1, chi_flat)
 
 
 def residual_stationary(chi, model, grid, ws=None):
@@ -83,45 +83,32 @@ def residual_stationary(chi, model, grid, ws=None):
     if ws is None:
         ws = OperatorWorkspace(grid, None)
     flat = chi.flat if isinstance(chi, Field) else np.asarray(chi).ravel()
-    return ws.vstar_neumann_norm(ws.A_fd @ flat + evaluate(model.w, 1, flat))
+    return ws.vstar_neumann_norm(_stationary_vector(flat, model, ws))
 
 
-def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
-                     damping_margin=1e-8):
+def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60):
     """Damped Newton for the stationary problem from a given guess.
 
     Which solution is found depends on the guess.  The residual is measured
     in the Neumann dual norm; fraction-to-the-boundary damping keeps the
-    iterates strictly inside the domain of W.
+    iterates models.DOMAIN_MARGIN inside the domain of W.
     """
     if tol <= 0:
         raise InvalidParameter("tolerance must be positive")
     ws = OperatorWorkspace(grid, None)
     chi = guess.flat.copy()
-    ilo, ihi = model.w.domain
-
-    def inside(v):
-        ok = np.all(np.isfinite(v))
-        if math.isfinite(ilo):
-            ok = ok and np.min(v) > ilo + damping_margin
-        if math.isfinite(ihi):
-            ok = ok and np.max(v) < ihi - damping_margin
-        return bool(ok)
-
-    if not inside(chi):
+    if not inside(model.w, chi, DOMAIN_MARGIN):
         raise DomainViolation("guess leaves the domain of W")
 
-    iters = 0
     for it in range(1, max_iter + 1):
-        iters = it
-        res = residual_stationary(chi, model, grid, ws)
+        r = _stationary_vector(chi, model, ws)
+        res = ws.vstar_neumann_norm(r)
         if res <= tol:
             break
         if it == max_iter:
             raise NewtonDiverged(
                 f"stationary residual {res:.3e} above {tol:.1e} after "
                 f"{max_iter} iterations", residual=res)
-        r = ws.A_fd @ chi + evaluate(model.w, 1, chi)
         wpp = evaluate(model.w, 2, chi)
         jac = (ws.A_fd + sps.diags(wpp)).tocsc()
         try:
@@ -138,14 +125,15 @@ def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
                 "stationary linearization is numerically singular; this "
                 "marks a bifurcation point")
         alpha = 1.0
-        halvings = 0
-        while halvings < 40 and not inside(chi + alpha * delta):
+        for _ in range(41):                  # alpha = 1, 1/2, ..., 2^-40
+            trial = chi + alpha * delta
+            if inside(model.w, trial, DOMAIN_MARGIN):
+                break
             alpha *= 0.5
-            halvings += 1
-        if not inside(chi + alpha * delta):
+        else:
             raise NewtonDiverged("damping exhausted in stationary solve",
                                  residual=res)
-        chi = chi + alpha * delta
+        chi = trial
 
     fld = Field(grid, chi.reshape(grid.shape))
     conf = default_confinement(model)
@@ -153,8 +141,7 @@ def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60,
         chi=fld, residual=float(res),
         observed_range=(float(np.min(chi)), float(np.max(chi))),
         confinement=conf if conf is not None else model.w.domain,
-        energy=stationary_energy(chi, model, grid, K=ws.opA.K, w=ws.w),
-        newton_iters=iters)
+        energy=stationary_energy(chi, model, ws), newton_iters=it)
 
 
 def check_range(steady, interval=None):
@@ -174,18 +161,14 @@ def solve_catalog(guesses, model, grid, tol=1e-10, out_dir=None,
                   dedupe_tol=1e-8):
     """Solve from each guess, keep distinct solutions, optionally write the
     snapshot-per-solution catalog plus its CSV index."""
-    ws_w = quad_weights(grid)
-
-    def h_dist(a, b):
-        return math.sqrt(float(np.dot(ws_w, (a - b) ** 2)))
-
+    ws = OperatorWorkspace(grid, None)
     found = []
     for guess in guesses:
         try:
             st = solve_stationary(guess, model, grid, tol=tol)
         except (NewtonDiverged, DegenerateJacobian):
             continue
-        if all(h_dist(st.chi.flat, other.chi.flat) > dedupe_tol
+        if all(ws.h_norm(st.chi.flat - other.chi.flat) > dedupe_tol
                for other in found):
             found.append(st)
 

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phaseflow
 from phaseflow.cli import main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
 from phaseflow.dynamics import TRACE_HEADER
@@ -61,12 +64,15 @@ class TestValidation:
         raw = minimal_raw(**{"model.w": "no_such_well",
                              "run.dt": "10.0",
                              "run.t_end": "20.0",
-                             "mystery.key": "1"})
+                             "mystery.key": "1",
+                             "run.keep_states": "true",
+                             "diagnostics.eps_loj": "0.1"})
         with pytest.raises(ValidationError) as err:
             build_config(raw)
         text = str(err.value)
         assert "no_such_well" in text
-        assert "mystery.key" in text
+        for key in ("mystery.key", "run.keep_states", "diagnostics.eps_loj"):
+            assert f"unknown key '{key}'" in text
 
     def test_stability_bound(self):
         raw = minimal_raw(**{"run.dt": "10.0", "run.t_end": "20.0"})
@@ -207,6 +213,29 @@ class TestCliEntry:
             steady.write_bytes(blob[:cut])
             assert main(["--quiet", "fit", str(trace), str(steady)]) == 2
             assert "truncated snapshot" in capsys.readouterr().err
+
+    def test_fit_bad_trace_exit_2(self, tmp_path, capsys):
+        steady = tmp_path / "steady.pfld"
+        write_records(steady,
+                      [(build_config(minimal_raw()).initial_chi, 0.0)])
+        trace = tmp_path / "trace.csv"
+        good = TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n"
+        for text in (good[:-9],                  # row cut to 3 fields
+                     good[:-2],                  # last field empty
+                     good.replace("norm_u_V", "norm_u"),
+                     good.replace("\n1,", "\n-1,")):   # times decrease
+            trace.write_text(text)
+            assert main(["--quiet", "fit", str(trace), str(steady)]) == 2
+            assert "trace" in capsys.readouterr().err
+        missing = str(tmp_path / "missing.csv")
+        assert main(["--quiet", "fit", missing, str(steady)]) == 2
+
+    def test_import_skips_scipy_optimize(self):
+        code = ("import sys, phaseflow.cli; "
+                "assert 'scipy.optimize' not in sys.modules")
+        src = os.path.dirname(os.path.dirname(phaseflow.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
     def test_run_with_out_flag(self, tmp_path):
         p = tmp_path / "c.cfg"

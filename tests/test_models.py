@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from phaseflow import (ModelSpec, builtin, builtin_names,
+from phaseflow import (Grid, ModelSpec, builtin, builtin_names,
                        divided_difference_lambda, evaluate, regularize,
-                       validate_hypotheses)
+                       residual_stationary, validate_hypotheses)
 from phaseflow.errors import (DomainViolation, InvalidParameter,
                               UnknownModel)
 
@@ -35,6 +35,18 @@ class TestEvaluate:
             evaluate(j, 0, -1.0)
         with pytest.raises(DomainViolation):
             evaluate(j, 1, np.array([0.0, -1.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_domain_violation(self, caginalp_model, bad):
+        with pytest.raises(DomainViolation):
+            evaluate(builtin("caginalp_j"), 1, bad)
+        with pytest.raises(DomainViolation):
+            evaluate(builtin("quartic_W"), 0, np.array([0.0, bad]))
+        g = Grid((1.0,), (9,))
+        chi = np.zeros(9)
+        chi[4] = bad
+        with pytest.raises(DomainViolation):
+            residual_stationary(chi, caginalp_model, g)
 
     def test_array_evaluation(self):
         j = builtin("caginalp_j")
@@ -91,6 +103,15 @@ class TestBuiltins:
         assert abs(evaluate(w, 0, rstar)) < 1e-14
         vals = evaluate(w, 0, np.linspace(-0.99, 0.99, 500))
         assert np.min(vals) > -1e-12
+
+    def test_logarithmic_well_root_matches_brentq(self):
+        rstar = builtin("logarithmic_W").meta["rstar"]
+        assert rstar == brentq(lambda r: np.arctanh(r) - 2.0 * r, 1e-3,
+                               1.0 - 1e-12, xtol=1e-15)
+
+    def test_logarithmic_well_unresolvable_minima(self):
+        with pytest.raises(InvalidParameter):
+            builtin("logarithmic_W", theta1=0.1, theta_c=2.0)
 
     def test_model_spec_fixes_relaxation_constants(self):
         j, w, lam = (builtin("caginalp_j"), builtin("quartic_W"),
