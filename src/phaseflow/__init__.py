@@ -3,8 +3,8 @@ generalized phase-field systems with convex heat-flux laws."""
 
 from .dynamics import (SourceSpec, State, StepReport, Stepper, Trajectory,
                        TrajectoryConfig, run, step, zero_source)
-from .grids import (BoundarySpec, DiscreteOperator, Field, Grid,
-                    OperatorWorkspace, assemble, integrate, norm)
+from .grids import (BoundarySpec, Field, Grid, OperatorWorkspace, integrate,
+                    norm)
 from .models import (ConvexPotential, LatentHeat, ModelSpec,
                      NonconvexPotential, ValidationReport, builtin,
                      builtin_names, divided_difference_lambda, evaluate,
@@ -16,12 +16,12 @@ from .steady import (SteadyState, check_range, residual_stationary,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "ConvexPotential", "DiscreteOperator", "Field", "Grid",
-    "LatentHeat", "ModelSpec", "NonconvexPotential", "OperatorWorkspace",
-    "SourceSpec", "State", "StepReport", "SteadyState", "Stepper",
-    "Trajectory", "TrajectoryConfig", "ValidationReport", "assemble",
-    "builtin", "builtin_names", "check_range", "divided_difference_lambda",
-    "evaluate", "integrate", "norm", "oracle_step", "regularize",
-    "residual_stationary", "run", "solve_catalog", "solve_stationary",
-    "step", "validate_hypotheses", "zero_source",
+    "BoundarySpec", "ConvexPotential", "Field", "Grid", "LatentHeat",
+    "ModelSpec", "NonconvexPotential", "OperatorWorkspace", "SourceSpec",
+    "State", "StepReport", "SteadyState", "Stepper", "Trajectory",
+    "TrajectoryConfig", "ValidationReport", "builtin", "builtin_names",
+    "check_range", "divided_difference_lambda", "evaluate", "integrate",
+    "norm", "oracle_step", "regularize", "residual_stationary", "run",
+    "solve_catalog", "solve_stationary", "step", "validate_hypotheses",
+    "zero_source",
 ]

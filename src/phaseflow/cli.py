@@ -31,7 +31,7 @@ from .dynamics import run as run_trajectory
 from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
                      InsufficientDecay, InsufficientSamples, NewtonDiverged,
                      OracleFailed, ParseError, PhaseflowError, SingularSolve,
-                     ValidationError)
+                     SnapshotError, ValidationError)
 from .grids import Field, OperatorWorkspace, read_records
 from .models import validate_hypotheses
 
@@ -54,6 +54,11 @@ def _load_config(path, out_override=None):
     if out_override:
         raw["output.dir"] = out_override
     return build_config(raw, base_dir=os.getcwd())
+
+
+def _grid_mismatch(path, grid, other):
+    return (f"the grid of '{path}' ({grid.nodes} nodes on {grid.extents}) "
+            f"does not match {other.nodes} nodes on {other.extents}")
 
 
 def _write_json(path, payload):
@@ -125,7 +130,10 @@ def run_experiment(config, quiet=False):
     if ref_path:
         try:
             ref_field, _ = read_records(ref_path)[0]
-        except Exception as exc:  # noqa: BLE001
+            if ref_field.grid != config.grid:
+                raise SnapshotError(_grid_mismatch(ref_path, ref_field.grid,
+                                                   config.grid))
+        except SnapshotError as exc:
             report["reference_error"] = str(exc)
         else:
             report["distance_to_reference"] = OperatorWorkspace(
@@ -198,6 +206,10 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
     for name in snaps:
         records = read_records(os.path.join(run_dir, name))
         chi, t = records[1] if len(records) > 1 else records[0]
+        if chi.grid != ref_field.grid:
+            print(_grid_mismatch(steady_path, ref_field.grid, chi.grid)
+                  + f" of the snapshot {name}", file=sys.stderr)
+            return EXIT_CONFIG
         times.append(t)
         chis.append(chi)
         dists.append(ws.h_norm(chi.flat - ref_field.flat))

@@ -36,24 +36,29 @@ _INF = float("inf")
 
 
 def parse_raw(path):
-    """Read the flat dotted-key tree of a config file."""
+    """Read the flat dotted-key tree of a UTF-8 config file; a file that
+    cannot be opened or decoded is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config '{path}': {exc}") from None
     raw = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value', "
-                                 f"got {stripped!r}")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ParseError(f"{path}:{lineno}: empty key or value")
-            if key in raw:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value', "
+                             f"got {stripped!r}")
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ParseError(f"{path}:{lineno}: empty key or value")
+        if key in raw:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
     return raw
 
 
@@ -245,7 +250,7 @@ def make_initial_field(rd, prefix, grid, default_value=0.0):
         try:
             records = read_records(path)
             fld, _ = records[index]
-        except (OSError, IndexError, SnapshotError) as exc:
+        except (IndexError, SnapshotError) as exc:
             rd.violations.append(f"cannot load snapshot '{path}': {exc}")
             return None
         if fld.grid.nodes != grid.nodes or fld.grid.extents != grid.extents:

@@ -26,12 +26,11 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
-from . import kernels
 from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
                      NewtonDiverged)
 from .grids import (Field, OperatorWorkspace, check_dirichlet_consistency,
                     write_records)
-from .models import DOMAIN_MARGIN, evaluate, inside
+from .models import DOMAIN_MARGIN, evaluate, inside, secant_arrays
 from .steady import residual_stationary, stationary_energy
 
 _INF = float("inf")
@@ -160,18 +159,16 @@ class Stepper:
         self.source = source
         self.ws = OperatorWorkspace(grid, bc)
         self.n = grid.n_total
-        self.act = self.ws.opB.active           # theta unknowns
+        self.act = self.ws.active               # theta unknowns
         self.m = self.act.size
         self.dirichlet = bc.kind == "dirichlet"
-        self.B_fd = (sps.diags(1.0 / self.ws.w[self.act])
-                     @ self.ws.opB.K).tocsr()
         self._build_jacobian_structure()
 
     def _build_jacobian_structure(self):
         """Static sparsity of the coupled Newton matrix; per-iteration work
         then only fills a data vector (duplicate diagonal entries sum)."""
         m, n = self.m, self.n
-        btt = self.B_fd.tocoo()
+        btt = self.ws.B_fd.tocoo()
         acc = self.ws.A_fd.tocoo()
         am = np.arange(m)
         an = np.arange(n)
@@ -197,7 +194,7 @@ class Stepper:
         lam_old = np.asarray(m.lam.value(chi_old), dtype=float)
         lam_new = np.asarray(m.lam.value(chi_new), dtype=float)
         lam_p = np.asarray(m.lam.d1(chi_new), dtype=float)
-        lhat, dlhat = kernels.secant_arrays(
+        lhat, dlhat = secant_arrays(
             m.lam.d1, m.lam.d2, chi_old, chi_new, lam_old, lam_new, lam_p)
         return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
 
@@ -233,7 +230,7 @@ class Stepper:
         kappa = self.model.w.kappa
         r_theta = ((theta_act - theta_old[self.act]) / dt
                    + (lam_new[self.act] - lam_old[self.act]) / dt
-                   + self.B_fd @ u[self.act] - g[self.act])
+                   + self.ws.B_fd @ u[self.act] - g[self.act])
         r_chi = ((chi_new - chi_old) / dt + self.ws.A_fd @ chi_new + wp
                  + kappa * (chi_new - chi_old) - lhat * u)
         return r_theta, r_chi
@@ -462,9 +459,6 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         nonlocal prev_row_theta, prev_row_chi, prev_row_t, verdict
         th = state.theta.flat
         ch = state.chi.flat
-        u = state.u.flat.copy()
-        if stepper.dirichlet:
-            u[ws.bmask] = 0.0
         t = state.t
         if prev_row_t is None:
             chit = 0.0
@@ -475,7 +469,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             thetat = ws.h_norm(th - prev_row_theta) / dtr
         dist_theta = ws.h_norm(th - theta_inf)
         stat_res = residual_stationary(ch, model, grid, ws)
-        row = {"energy": energy, "norm_u_V": ws.vcal_norm(u),
+        row = {"energy": energy, "norm_u_V": ws.vcal_norm(state.u.flat),
                "norm_chit_H": chit, "dist_theta_H": dist_theta,
                "stationary_residual": stat_res, "newton_iters": iters}
         times.append(t)
@@ -483,9 +477,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             cols[k].append(v)
         g_dual.append(stepper.g_dual_norm(t))
         aux["norm_thetat_H"].append(thetat)
-        aux["norm_theta_V"].append(ws.vcal_norm(th - theta_inf)
-                                   if stepper.dirichlet
-                                   else ws.r_norm(th - theta_inf))
+        aux["norm_theta_V"].append(ws.vcal_norm(th - theta_inf))
         aux["norm_chi_H2"].append(ws.h_norm(ws.A_fd @ ch)
                                   + ws.v_norm(ch))
         aux["norm_wprime_H"].append(

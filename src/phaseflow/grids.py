@@ -5,16 +5,18 @@ Everything is mass-lumped piecewise-linear on a tensor grid, which in flat
 (finite-difference) form reproduces the classical second-order stencils:
 the Neumann Laplacian uses reflected ghost nodes at the boundary, the
 Dirichlet variant acts on interior nodes, and the Robin operator adds the
-boundary-mass term eta * integral_Gamma u v.  Operators are kept in their
-symmetric variational form K (so quadratic forms and Green identities are
-exact) together with the quadrature weights w; the pointwise action is
-diag(1/w) K.
+boundary-mass term eta * integral_Gamma u v.  ``OperatorWorkspace`` is the
+one place that assembles, scales, factors and measures with them: each
+operator is kept in its symmetric variational form K (``K_A``, ``K_B``), so
+quadratic forms and Green identities are exact, beside its pointwise action
+diag(1/w) K (``A_fd``, ``B_fd``) with the quadrature weights w; the heat
+operator acts on the ``active`` nodes, and ``bc=None`` means Neumann-only.
 """
 
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -214,64 +216,6 @@ def stiffness_neumann(grid):
     return (sps.kron(kx, my) + sps.kron(mx, ky)).tocsr()
 
 
-@dataclass
-class DiscreteOperator:
-    """Second-order elliptic operator on the grid.
-
-    ``K`` is the symmetric variational matrix over the active nodes
-    (all nodes for the Neumann and Robin kinds, interior nodes for the
-    Dirichlet kind, where boundary values are taken as zero); ``weights``
-    are the full quadrature weights.  ``apply`` returns the pointwise
-    (finite-difference) action diag(1/w) K, zero on inactive nodes.
-    """
-
-    kind: str
-    grid: Grid
-    K: sps.csr_matrix
-    weights: np.ndarray
-    active: np.ndarray           # flat indices of active nodes
-    eta: Optional[float] = None
-    _lu: object = field(default=None, repr=False)
-
-    def apply(self, values):
-        flat = np.asarray(values).ravel()
-        out = np.zeros_like(flat)
-        out[self.active] = (self.K @ flat[self.active]) \
-            / self.weights[self.active]
-        return out.reshape(self.grid.shape)
-
-    def quad_form(self, u, v=None):
-        uu = np.asarray(u).ravel()[self.active]
-        vv = uu if v is None else np.asarray(v).ravel()[self.active]
-        return float(uu @ (self.K @ vv))
-
-    def lu(self):
-        if self._lu is None:
-            self._lu = splu(self.K.tocsc())
-        return self._lu
-
-
-def assemble(grid, bc, kind):
-    """Assemble the requested operator; kind 'B' resolves to the Dirichlet
-    Laplacian or the Robin operator depending on the boundary spec."""
-    w = quad_weights(grid)
-    ka = stiffness_neumann(grid)
-    all_idx = np.arange(grid.n_total)
-    if kind == "A":
-        return DiscreteOperator("A", grid, ka, w, all_idx)
-    if kind == "R" or (kind == "B" and bc is not None and bc.kind == "robin"):
-        if bc is None or bc.eta is None:
-            raise InvalidParameter("Robin operator needs a boundary spec "
-                                   "with eta")
-        kr = (ka + bc.eta * sps.diags(boundary_measure(grid))).tocsr()
-        return DiscreteOperator("R", grid, kr, w, all_idx, eta=bc.eta)
-    if kind == "B":
-        interior = np.flatnonzero(~boundary_mask(grid))
-        kb = ka[interior][:, interior].tocsr()
-        return DiscreteOperator("B_dirichlet", grid, kb, w, interior)
-    raise InvalidParameter(f"unknown operator kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # norms
 # ----------------------------------------------------------------------
@@ -282,14 +226,17 @@ def nodal_gradient(grid, values, axis):
 
 
 class OperatorWorkspace:
-    """All grid/bc-dependent machinery one solver run needs, with cached
-    factorizations.  A workspace is owned by a single caller; independent
-    runs build their own (the factors carry internal scratch state).
+    """The one owner of the discrete operators of a (grid, bc) problem: it
+    assembles, scales and factors them and measures fields with them.  A
+    workspace is owned by a single caller; independent runs build their own
+    (the cached factors carry internal scratch state).
 
-    ``A_fd`` is the pointwise Neumann Laplacian diag(1/w) K.  With
-    ``bc=None`` the workspace serves the order parameter's Neumann problem
-    alone: it has no heat operator ``opB``, and only the norms that need
-    none are available.
+    ``K_A`` is the variational Neumann stiffness, ``A_fd`` = diag(1/w) K_A
+    its pointwise action.  ``active`` holds the heat unknowns (the interior
+    nodes for Dirichlet conditions, all nodes for Robin), ``K_B`` the heat
+    operator on them (the interior block of K_A, or K_A + eta diag(gamma))
+    and ``B_fd`` = diag(1/w[active]) K_B.  ``bc=None`` means Neumann-only:
+    those three are None, and only the norms without a heat operator work.
     """
 
     def __init__(self, grid, bc):
@@ -298,10 +245,19 @@ class OperatorWorkspace:
         self.w = quad_weights(grid)
         self.gamma = boundary_measure(grid)
         self.bmask = boundary_mask(grid)
-        self.opA = assemble(grid, None, "A")
-        self.A_fd = (sps.diags(1.0 / self.w) @ self.opA.K).tocsr()
-        self.opB = assemble(grid, bc, "B") if bc is not None else None
-        self._pivot_neumann = None
+        self.K_A = stiffness_neumann(grid)
+        self.A_fd = (sps.diags(1.0 / self.w) @ self.K_A).tocsr()
+        self._factors = {}
+        self.active = self.K_B = self.B_fd = None
+        if bc is None:
+            return
+        if bc.kind == "dirichlet":
+            self.active = np.flatnonzero(~self.bmask)
+            self.K_B = self.K_A[self.active][:, self.active].tocsr()
+        else:
+            self.active = np.arange(grid.n_total)
+            self.K_B = (self.K_A + bc.eta * sps.diags(self.gamma)).tocsr()
+        self.B_fd = (sps.diags(1.0 / self.w[self.active]) @ self.K_B).tocsr()
 
     # -- scalar reductions -------------------------------------------------
     def h_norm(self, flat):
@@ -318,82 +274,70 @@ class OperatorWorkspace:
             total += np.dot(self.w, np.square(g).ravel())
         return float(np.sqrt(total))
 
-    def r_norm(self, flat):
-        if self.bc is None or self.bc.eta is None:
-            raise InvalidParameter("R-norm needs a Robin boundary spec")
-        q = self.opA.quad_form(flat) \
-            + self.bc.eta * float(np.dot(self.gamma, np.square(flat)))
-        return float(np.sqrt(max(q, 0.0)))
-
     def vcal_norm(self, flat):
-        """Norm of the solution space the heat operator acts on: the
-        Dirichlet gradient norm, or the Robin norm."""
-        if self.bc.kind == "dirichlet":
-            return float(np.sqrt(max(self.opB.quad_form(flat), 0.0)))
-        return self.r_norm(flat)
+        """Norm of the solution space the heat operator acts on,
+        sqrt(u . K_B u) over the active nodes: the Dirichlet gradient norm,
+        or the Robin norm."""
+        u = np.asarray(flat).ravel()[self.active]
+        return float(np.sqrt(max(float(u @ (self.K_B @ u)), 0.0)))
 
-    def _checked_solve(self, lu, K, rhs):
-        sol = lu.solve(rhs)
-        scale = 1.0 + float(np.linalg.norm(rhs))
-        res = float(np.linalg.norm(K @ sol - rhs))
+    def r_norm(self, flat):
+        if self.bc is None or self.bc.kind != "robin":
+            raise InvalidParameter("R-norm needs a Robin boundary spec")
+        return self.vcal_norm(flat)
+
+    def _pivot_dual_norm(self, pivot, g):
+        """sqrt(g . K^-1 g) for the pivot 'B' (K_B) or 'neumann'
+        (K_A + diag(w)), factored once per workspace; one step of
+        iterative refinement, then SingularSolve above tolerance."""
+        if pivot not in self._factors:
+            K = self.K_B if pivot == "B" \
+                else (self.K_A + sps.diags(self.w)).tocsc()
+            self._factors[pivot] = (splu(K.tocsc()), K)
+        lu, K = self._factors[pivot]
+        sol = lu.solve(g)
+        scale = 1.0 + float(np.linalg.norm(g))
+        res = float(np.linalg.norm(K @ sol - g))
         if res > 1e-12 * scale:
-            sol = sol + lu.solve(rhs - K @ sol)
-            res = float(np.linalg.norm(K @ sol - rhs))
+            sol = sol + lu.solve(g - K @ sol)
+            res = float(np.linalg.norm(K @ sol - g))
             if res > 1e-10 * scale:
                 raise SingularSolve(
                     f"pivot solve residual {res:.3e} exceeds tolerance")
-        return sol
-
-    def pivot_neumann_lu(self):
-        if self._pivot_neumann is None:
-            K = (self.opA.K + sps.diags(self.w)).tocsc()
-            self._pivot_neumann = (splu(K), K)
-        return self._pivot_neumann
+        return float(np.sqrt(max(np.dot(g, sol), 0.0)))
 
     def vstar_norm(self, flat):
         """Dual norm via the elliptic pivot: the Dirichlet Laplacian for
-        Dirichlet problems, Neumann Laplacian plus identity otherwise."""
-        if self.bc is not None and self.bc.kind == "dirichlet":
+        Dirichlet problems, Neumann Laplacian plus identity for Robin."""
+        if self.bc is None:
+            raise InvalidParameter("Vstar norm needs a boundary spec to "
+                                   "pick the dual pivot")
+        if self.bc.kind == "dirichlet":
             return self.dual_norm_weak(self.w * flat)
         return self.vstar_neumann_norm(flat)
 
     def vstar_neumann_norm(self, flat):
         """Dual norm with the Neumann pivot regardless of bc (used for the
         stationary residual, whose natural space has Neumann conditions)."""
-        lu, K = self.pivot_neumann_lu()
-        rhs = self.w * flat
-        sol = self._checked_solve(lu, K, rhs)
-        return float(np.sqrt(max(np.dot(rhs, sol), 0.0)))
+        return self._pivot_dual_norm("neumann", self.w * flat)
 
     def dual_norm_weak(self, weak_vec):
         """Exact dual norm of a weak-form functional against the heat
         operator's own energy norm (the norm the energy estimate pairs the
         source with)."""
-        g = np.asarray(weak_vec).ravel()[self.opB.active]
-        sol = self._checked_solve(self.opB.lu(), self.opB.K, g)
-        return float(np.sqrt(max(np.dot(g, sol), 0.0)))
+        return self._pivot_dual_norm(
+            "B", np.asarray(weak_vec).ravel()[self.active])
 
 
 def norm(grid, f, which, bc=None):
     """Discrete norms of a field: 'H', 'V', 'R', 'Vstar' or 'C0'."""
     ws = OperatorWorkspace(grid, bc)
-    flat = f.flat if isinstance(f, Field) else np.asarray(f).ravel()
-    if which == "H":
-        return ws.h_norm(flat)
-    if which == "C0":
-        return ws.c0_norm(flat)
-    if which == "V":
-        return ws.v_norm(flat)
-    if which == "R":
-        if bc is None:
-            raise InvalidParameter("R-norm needs a Robin boundary spec")
-        return ws.r_norm(flat)
-    if which == "Vstar":
-        if bc is None:
-            raise InvalidParameter("Vstar norm needs a boundary spec to "
-                                   "pick the dual pivot")
-        return ws.vstar_norm(flat)
-    raise InvalidParameter(f"unknown norm kind {which!r}")
+    norms = {"H": ws.h_norm, "C0": ws.c0_norm, "V": ws.v_norm,
+             "R": ws.r_norm, "Vstar": ws.vstar_norm}
+    if which not in norms:
+        raise InvalidParameter(f"unknown norm kind {which!r}")
+    return norms[which](f.flat if isinstance(f, Field)
+                        else np.asarray(f).ravel())
 
 
 # ----------------------------------------------------------------------
@@ -456,11 +400,17 @@ def write_records(path, records):
 
 
 def read_records(path):
-    """Read all (field, time) records from a snapshot file."""
+    """Read all (field, time) records from a snapshot file; a file that
+    cannot be opened or holds no record is a SnapshotError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise SnapshotError(f"cannot open snapshot '{path}': "
+                            f"{exc.strerror}") from None
     out = []
-    with open(path, "rb") as fh:
-        while True:
-            rec = _read_record(fh)
-            if rec is None:
-                return out
+    with fh:
+        while (rec := _read_record(fh)) is not None:
             out.append(rec)
+    if not out:
+        raise SnapshotError(f"empty snapshot file '{path}'")
+    return out

@@ -1,5 +1,6 @@
 """Constitutive model library: heat-flux laws j, configuration potentials W,
-latent heats lam, structural-hypothesis validation, and Moreau smoothing.
+latent heats lam and their secant, structural-hypothesis validation, and
+Moreau smoothing.
 
 A model is the triple (j, W, lam).  j is uniformly convex with its minimum
 normalized to zero at the equilibrium temperature; W is a possibly singular
@@ -137,8 +138,8 @@ def evaluate(potential, order, r):
 
 
 #: switching tolerance of the public divided difference (its documented
-#: contract); the stepping kernels use the coarser, noise-balanced
-#: kernels.SECANT_RTOL instead
+#: contract); the stepper uses the coarser, noise-balanced SECANT_RTOL
+#: of secant_arrays instead
 DIVIDED_DIFFERENCE_RTOL = 1e-12
 
 
@@ -156,6 +157,31 @@ def divided_difference_lambda(lam, a, b):
         return (float(lam.value(np.float64(b)))
                 - float(lam.value(np.float64(a)))) / (b - a)
     return float(lam.d1(np.float64(0.5 * (a + b))))
+
+
+# Relative switching tolerance of the secant (lam(b)-lam(a))/(b-a) used in
+# the stepping kernels.  The quotient of nearly equal values carries
+# rounding noise of order eps/|b-a|, while the midpoint-derivative limit is
+# off by |lam'''| (b-a)^2 / 24, so 1e-5 balances the two near 1e-11; late
+# in a run the per-step increments shrink far below that, and a smaller
+# switch would let quotient noise dominate the phase-equation residual.
+SECANT_RTOL = 1e-5
+
+
+def secant_arrays(lam_d1, lam_d2, a, b, lam_a, lam_b, lam_p_b):
+    """Secant (lam(b)-lam(a))/(b-a) and its derivative w.r.t. b, vectorized.
+
+    Below the switching tolerance the secant degenerates to lam'(mid) and the
+    derivative to lam''(mid)/2 (the analytic limits).
+    """
+    d = b - a
+    tol = SECANT_RTOL * (1.0 + np.abs(a) + np.abs(b))
+    wide = np.abs(d) > tol
+    mid = 0.5 * (a + b)
+    dsafe = np.where(wide, d, 1.0)
+    lhat = np.where(wide, (lam_b - lam_a) / dsafe, lam_d1(mid))
+    dlhat = np.where(wide, (lam_p_b - lhat) / dsafe, 0.5 * lam_d2(mid))
+    return lhat, dlhat
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,7 @@ def default_confinement(model, inflate=0.01):
 def stationary_energy(chi_flat, model, ws):
     """E(v) = int( |grad v|^2/2 + W(v) ), the energy the flow minimizes:
     the exact stiffness quadratic form plus trapezoid quadrature of W."""
-    return 0.5 * ws.opA.quad_form(chi_flat) \
+    return 0.5 * float(chi_flat @ (ws.K_A @ chi_flat)) \
         + float(np.dot(ws.w, evaluate(model.w, 0, chi_flat)))
 
 

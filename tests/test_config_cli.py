@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import phaseflow
-from phaseflow.cli import main, run_experiment
+from phaseflow.cli import fit_command, main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
 from phaseflow.dynamics import TRACE_HEADER
 from phaseflow.errors import ParseError, ValidationError
@@ -179,6 +179,18 @@ class TestRunExperiment:
                              "diagnostics.assert_converged": "true"})
         assert run_experiment(build_config(raw), quiet=True) == 4
 
+    def test_reference_steady_on_other_grid(self, tmp_path):
+        ref = tmp_path / "ref.pfld"
+        write_records(ref, [(build_config(minimal_raw(**{
+            "grid.nodes": "17"})).initial_chi, 0.0)])
+        raw = minimal_raw(**{"output.dir": str(tmp_path / "r"),
+                             "diagnostics.reference_steady": str(ref)})
+        assert run_experiment(build_config(raw), quiet=True) == 0
+        payload = json.loads((tmp_path / "r" /
+                              "diagnostics.json").read_text())
+        assert "does not match" in payload["reference_error"]
+        assert "distance_to_reference" not in payload
+
     def test_solver_failure_exit_code(self, tmp_path):
         raw = minimal_raw(**{
             "model.w": "logarithmic_W",
@@ -229,6 +241,50 @@ class TestCliEntry:
             assert "trace" in capsys.readouterr().err
         missing = str(tmp_path / "missing.csv")
         assert main(["--quiet", "fit", missing, str(steady)]) == 2
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")
+        steady = tmp_path / "steady.pfld"
+        fld = build_config(minimal_raw()).initial_chi
+        write_records(steady, [(fld, 0.0)])
+        write_records(tmp_path / "snap_00000000.pfld", [(fld, 0.0)])
+        missing = str(tmp_path / "missing.cfg")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("model.j = caginalp_j # \xe9t\xe9\n"
+                           .encode("latin-1"))
+        for path in (missing, str(latin1)):
+            for argv in (["validate", path], ["run", path],
+                         ["sweep", path, "run.dt", "1e-3"],
+                         ["fit", str(trace), str(steady), "--config", path]):
+                assert main(["--quiet"] + argv) == 2
+                assert "cannot read config" in capsys.readouterr().err
+
+    def test_fit_missing_snapshot_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")
+        missing = str(tmp_path / "missing.pfld")
+        assert main(["--quiet", "fit", str(trace), missing]) == 2
+        assert "cannot open snapshot" in capsys.readouterr().err
+
+    def test_fit_empty_snapshot_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")
+        empty = tmp_path / "empty.pfld"
+        empty.write_bytes(b"")
+        assert main(["--quiet", "fit", str(trace), str(empty)]) == 2
+        assert "empty snapshot" in capsys.readouterr().err
+
+    def test_fit_grid_mismatch_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")
+        steady = tmp_path / "steady.pfld"
+        write_records(steady, [(build_config(minimal_raw(**{
+            "grid.nodes": "17"})).initial_chi, 0.0)])
+        write_records(tmp_path / "snap_00000000.pfld",
+                      [(build_config(minimal_raw()).initial_chi, 0.0)])
+        assert fit_command(str(trace), str(steady), quiet=True) == 2
+        assert "does not match" in capsys.readouterr().err
 
     def test_import_skips_scipy_optimize(self):
         code = ("import sys, phaseflow.cli; "
@@ -305,3 +361,14 @@ class TestCliEntry:
         assert "rate_fit" in payload
         assert "loj_fit" in payload
         assert 0 < payload["loj_fit"]["zeta"] <= 0.5
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        for name in phaseflow.__all__:
+            assert hasattr(phaseflow, name), name
+
+    def test_star_import(self):
+        ns = {}
+        exec("from phaseflow import *", ns)
+        assert set(phaseflow.__all__) <= set(ns)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from phaseflow import (BoundarySpec, Field, Grid, assemble, integrate, norm)
+from phaseflow import BoundarySpec, Field, Grid, integrate, norm
 from phaseflow.errors import InvalidParameter, ParseError, SnapshotError
 from phaseflow.grids import (OperatorWorkspace, boundary_measure,
                              quad_weights, read_records, write_records)
@@ -63,14 +63,14 @@ class TestQuadrature:
 class TestOperators:
     def test_neumann_kills_constants(self):
         g = Grid((1.0,), (33,))
-        op = assemble(g, None, "A")
-        out = op.apply(np.full(g.shape, 4.2))
+        ws = OperatorWorkspace(g, None)
+        out = ws.A_fd @ np.full(g.n_total, 4.2)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_neumann_row_sums_vanish(self):
         g = Grid((1.0, 1.0), (9, 7))
-        op = assemble(g, None, "A")
-        rows = np.asarray(op.K.sum(axis=1)).ravel()
+        ws = OperatorWorkspace(g, None)
+        rows = np.asarray(ws.K_A.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-12
 
     def test_sine_eigenfunction_interior(self):
@@ -78,73 +78,76 @@ class TestOperators:
         # so the reflected-ghost boundary rows see a kink there
         g = Grid((1.0,), (101,))
         x = g.axes()[0]
-        out = assemble(g, None, "A").apply(np.sin(np.pi * x))
+        out = OperatorWorkspace(g, None).A_fd @ np.sin(np.pi * x)
         err = np.abs(out - np.pi ** 2 * np.sin(np.pi * x))
         assert np.max(err[1:-1]) < 1e-2
 
     def test_robin_on_constant_field(self):
         g = Grid((1.0,), (33,))
         bc = BoundarySpec("robin", eta=2.0)
-        op = assemble(g, bc, "R")
-        ones = np.ones(g.shape)
-        out = op.apply(ones).ravel()
+        ws = OperatorWorkspace(g, bc)
+        ones = np.ones(g.n_total)
+        out = ws.B_fd @ ones
         w = quad_weights(g)
         gamma = boundary_measure(g)
         np.testing.assert_allclose(out, 2.0 * gamma / w, atol=1e-12)
-        assert op.quad_form(ones) == pytest.approx(4.0)  # eta * |Gamma|
+        assert ones @ ws.K_B @ ones == pytest.approx(4.0)  # eta * |Gamma|
 
     def test_robin_on_constant_field_2d(self):
         g = Grid((1.0, 2.0), (9, 11))
         bc = BoundarySpec("robin", eta=0.5)
-        op = assemble(g, bc, "R")
-        ones = np.ones(g.shape)
-        out = op.apply(ones).ravel()
+        ws = OperatorWorkspace(g, bc)
+        ones = np.ones(g.n_total)
+        out = ws.B_fd @ ones
         w = quad_weights(g)
         gamma = boundary_measure(g)
         np.testing.assert_allclose(out, 0.5 * gamma / w, atol=1e-12)
         # quadratic form equals eta times the boundary perimeter
-        assert op.quad_form(ones) == pytest.approx(0.5 * 2 * (1.0 + 2.0))
+        assert ones @ ws.K_B @ ones == pytest.approx(0.5 * 2 * (1.0 + 2.0))
 
     def test_symmetry_in_weighted_product(self):
         rng = np.random.default_rng(0)
         g = Grid((1.0, 2.0), (9, 11))
         w = quad_weights(g)
-        bc = BoundarySpec("robin", eta=0.7)
-        for kind in ("A", "R"):
-            op = assemble(g, bc, kind)
+        ws = OperatorWorkspace(g, BoundarySpec("robin", eta=0.7))
+        for kind, op_fd, K in (("A", ws.A_fd, ws.K_A),
+                               ("R", ws.B_fd, ws.K_B)):
             u = rng.standard_normal(g.n_total)
             v = rng.standard_normal(g.n_total)
-            left = np.dot(w * op.apply(u).ravel(), v)
-            right = np.dot(w * op.apply(v).ravel(), u)
+            left = np.dot(w * (op_fd @ u), v)
+            right = np.dot(w * (op_fd @ v), u)
             assert left == pytest.approx(right, abs=1e-12 * max(1, abs(left)))
-            assert op.quad_form(u) >= 0.0
+            assert u @ K @ u >= 0.0
             if kind == "R":
-                assert op.quad_form(u) > 0.0
+                assert u @ K @ u > 0.0
 
     def test_dirichlet_positive_definite(self):
         rng = np.random.default_rng(1)
         g = Grid((1.0,), (17,))
-        op = assemble(g, BoundarySpec("dirichlet"), "B")
+        ws = OperatorWorkspace(g, BoundarySpec("dirichlet"))
         for _ in range(5):
-            u = np.zeros(g.n_total)
-            u[op.active] = rng.standard_normal(op.active.size)
-            assert op.quad_form(u) > 0
+            u = rng.standard_normal(ws.active.size)
+            assert u @ ws.K_B @ u > 0
 
     def test_kind_b_resolves_by_bc(self):
         g = Grid((1.0,), (9,))
-        assert assemble(g, BoundarySpec("dirichlet"), "B").kind \
-            == "B_dirichlet"
-        assert assemble(g, BoundarySpec("robin", eta=1.0), "B").kind == "R"
+        ws_d = OperatorWorkspace(g, BoundarySpec("dirichlet"))
+        ws_r = OperatorWorkspace(g, BoundarySpec("robin", eta=1.0))
+        np.testing.assert_array_equal(ws_d.active, np.arange(1, 8))
+        np.testing.assert_array_equal(ws_r.active, np.arange(9))
+        assert ws_d.K_B.shape == (7, 7)
+        assert ws_r.K_B.shape == (9, 9)
+        assert OperatorWorkspace(g, None).active is None
 
     def test_green_identity(self):
         rng = np.random.default_rng(2)
         g = Grid((1.0,), (41,))
-        op = assemble(g, None, "A")
+        ws = OperatorWorkspace(g, None)
         w = quad_weights(g)
         h = g.spacing[0]
         u = rng.standard_normal(g.n_total)
         v = rng.standard_normal(g.n_total)
-        lhs = np.dot(w * op.apply(u).ravel(), v)
+        lhs = np.dot(w * (ws.A_fd @ u), v)
         du = np.diff(u) / h
         dv = np.diff(v) / h
         rhs = np.sum(du * dv * h)
@@ -156,7 +159,7 @@ class TestOperators:
         for n in (33, 65):
             g = Grid((1.0,), (n,))
             x = g.axes()[0]
-            out = assemble(g, None, "A").apply(np.cos(2 * np.pi * x))
+            out = OperatorWorkspace(g, None).A_fd @ np.cos(2 * np.pi * x)
             exact = (2 * np.pi) ** 2 * np.cos(2 * np.pi * x)
             errs.append(np.max(np.abs(out - exact)))
         ratio = errs[0] / errs[1]
@@ -172,11 +175,33 @@ class TestOperators:
             u = rng.standard_normal(g.n_total)
             u_int = u.copy()
             u_int[ws_d.bmask] = 0.0
-            c_d = min(c_d, ws_d.opB.quad_form(u_int)
+            u_act = u_int[ws_d.active]
+            c_d = min(c_d, u_act @ ws_d.K_B @ u_act
                       / ws_d.v_norm(u_int) ** 2)
-            c_r = min(c_r, ws_r.opB.quad_form(u) / ws_r.v_norm(u) ** 2)
+            c_r = min(c_r, u @ ws_r.K_B @ u / ws_r.v_norm(u) ** 2)
         assert c_d > 0
         assert c_r > 0
+
+    def test_pivot_factors_interleaved(self):
+        # a run's workspace serves both pivots on every trace row: each
+        # answer must match a dense solve whatever the call order
+        rng = np.random.default_rng(4)
+        g = Grid((1.0, 2.0), (7, 9))
+        for bc in (BoundarySpec("robin", eta=0.8), BoundarySpec("dirichlet")):
+            ws = OperatorWorkspace(g, bc)
+            K_B = ws.K_B.toarray()
+            K_N = ws.K_A.toarray() + np.diag(ws.w)
+            for _ in range(4):
+                weak = rng.standard_normal(g.n_total)
+                flat = rng.standard_normal(g.n_total)
+                gb = weak[ws.active]
+                gn = ws.w * flat
+                want_b = np.sqrt(gb @ np.linalg.solve(K_B, gb))
+                want_n = np.sqrt(gn @ np.linalg.solve(K_N, gn))
+                assert ws.dual_norm_weak(weak) == pytest.approx(
+                    want_b, rel=1e-12)
+                assert ws.vstar_neumann_norm(flat) == pytest.approx(
+                    want_n, rel=1e-12)
 
 
 class TestNorms:
