@@ -29,9 +29,9 @@ from . import steady as steady_mod
 from .config import build_config, parse_raw
 from .dynamics import run as run_trajectory
 from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
-                     InsufficientDecay, InsufficientSamples, NewtonDiverged,
-                     OracleFailed, ParseError, PhaseflowError, SingularSolve,
-                     SnapshotError, ValidationError)
+                     InsufficientDecay, InsufficientSamples, InvalidParameter,
+                     NewtonDiverged, OracleFailed, ParseError, PhaseflowError,
+                     SingularSolve, SnapshotError, ValidationError)
 from .grids import Field, OperatorWorkspace, read_records
 from .models import validate_hypotheses
 
@@ -101,8 +101,8 @@ def run_experiment(config, quiet=False):
             failed_assertions.append("omega limit not reached")
 
     if opts["dissipation"]:
-        row_dt = traj.row_dt()
-        dis = diag.check_dissipation(traj.energies, traj.g_dual, row_dt,
+        dis = diag.check_dissipation(traj.energies, traj.g_dual,
+                                     np.diff(traj.times),
                                      opts["dissipation_tol"])
         report["dissipation"] = asdict(dis)
         _say(quiet, f"dissipation check: "
@@ -112,13 +112,21 @@ def run_experiment(config, quiet=False):
             failed_assertions.append("energy inequality violated")
 
     if opts["monitors"]:
-        mon = diag.monitor_bounds(traj, opts["s"],
-                                  q_tag=config.source.q_tag)
-        report["monitors"] = asdict(mon)
-        _say(quiet, f"monitors finite: {mon.finite()}, "
-                    f"unbounded trend: {mon.unbounded}")
-        if opts["assert_bounded"] and (mon.unbounded or not mon.finite()):
-            failed_assertions.append("regularity monitor unbounded")
+        # build_config checks the horizon; a run stopped at convergence
+        # can still end before s + 2
+        try:
+            mon = diag.monitor_bounds(traj, opts["s"],
+                                      q_tag=config.source.q_tag)
+        except InvalidParameter as exc:
+            report["monitors_error"] = str(exc)
+            failed_assertions.append(f"regularity monitors: {exc}")
+        else:
+            report["monitors"] = asdict(mon)
+            _say(quiet, f"monitors finite: {mon.finite()}, "
+                        f"unbounded trend: {mon.unbounded}")
+            if opts["assert_bounded"] and (mon.unbounded
+                                           or not mon.finite()):
+                failed_assertions.append("regularity monitor unbounded")
 
     if config.source.delta_src is not None or config.bc.kind == "robin" \
             or not config.source.is_zero:

@@ -249,10 +249,15 @@ def make_initial_field(rd, prefix, grid, default_value=0.0):
             return None
         try:
             records = read_records(path)
-            fld, _ = records[index]
-        except (IndexError, SnapshotError) as exc:
+        except SnapshotError as exc:
             rd.violations.append(f"cannot load snapshot '{path}': {exc}")
             return None
+        if not 0 <= index < len(records):
+            rd.violations.append(
+                f"'{prefix}.index' = {index} is out of range: snapshot "
+                f"'{path}' holds {len(records)} record(s)")
+            return None
+        fld, _ = records[index]
         if fld.grid.nodes != grid.nodes or fld.grid.extents != grid.extents:
             rd.violations.append(
                 f"snapshot '{path}' grid {fld.grid.nodes} does not match "
@@ -420,6 +425,13 @@ def build_config(raw, base_dir="."):
         "validate_model": rd.bool_("diagnostics.validate_model", True),
         "reference_steady": rd.str_("diagnostics.reference_steady", None),
     }
+
+    # the monitors read two unit windows from s on
+    if diagnostics["monitors"] and run_cfg is not None \
+            and run_cfg.t_end < diagnostics["s"] + 2.0 - 1e-12:
+        rd.violations.append(
+            f"diagnostics.monitors needs run.t_end >= diagnostics.s + 2, "
+            f"got t_end = {run_cfg.t_end} and s = {diagnostics['s']}")
 
     out_dir = rd.str_("output.dir", "out")
 

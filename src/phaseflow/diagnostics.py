@@ -78,8 +78,9 @@ class DissipationReport:
 def check_dissipation(energies, g_dual_norms, dt, tol):
     """Per-row energy inequality E(k) - E(k-1) <= dt/2 ||g(t_k)||_*^2 + tol.
 
-    ``dt`` is the spacing between consecutive rows; with a trace cadence of
-    one row per step this is the step size and the check is exact.
+    ``dt`` is the spacing between consecutive rows: a scalar, or one value
+    per row gap (``np.diff(times)`` of a trajectory).  With one row per
+    step this is the step size and the check is exact.
     """
     energies = np.asarray(energies, dtype=float)
     g = np.asarray(g_dual_norms, dtype=float)
@@ -94,17 +95,24 @@ def check_dissipation(energies, g_dual_norms, dt, tol):
         tol=tol)
 
 
-def phi_series(energies, g_dual_norms, row_dt, e_inf):
-    """The decreasing comparison quantity of the convergence-rate argument:
-    total energy above the limit plus half the remaining source budget
-    (tail integral truncated at the horizon, so this is a lower bound)."""
-    g2 = np.asarray(g_dual_norms, dtype=float) ** 2
-    tail = np.concatenate([np.cumsum((row_dt * g2)[::-1])[::-1][1:], [0.0]])
-    return np.asarray(energies, dtype=float) - e_inf + 0.5 * tail
+def _source_tail(times, g_dual_norms):
+    """Remaining source budget int_t^horizon ||g||_*^2 at each row time:
+    right-point quadrature over the actual row gaps, 0 at the last row."""
+    contrib = np.diff(np.asarray(times, dtype=float)) * np.asarray(
+        g_dual_norms, dtype=float)[1:] ** 2
+    return np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
 
 
-def check_phi_monotone(energies, g_dual_norms, row_dt, e_inf, tol):
-    phi = phi_series(energies, g_dual_norms, row_dt, e_inf)
+def phi_series(times, energies, g_dual_norms, e_inf):
+    """The decreasing comparison quantity of the convergence-rate argument
+    at the row times: energy above the limit plus half the remaining source
+    budget (truncated at the horizon, so a lower bound)."""
+    return (np.asarray(energies, dtype=float) - e_inf
+            + 0.5 * _source_tail(times, g_dual_norms))
+
+
+def check_phi_monotone(times, energies, g_dual_norms, e_inf, tol):
+    phi = phi_series(times, energies, g_dual_norms, e_inf)
     diffs = np.diff(phi)
     worst = float(np.max(diffs)) if diffs.size else 0.0
     return worst <= tol, worst
@@ -247,50 +255,35 @@ def estimate_lojasiewicz(energies, residuals, distances, e_inf,
                   fit_residual=rms)
 
 
-def chi_distance_series(traj, chi_inf):
-    """||chi(t) - chi_inf||_H over the kept states of a trajectory."""
-    if not traj.states:
+def _kept_states(traj):
+    """The flat order parameters of a run's kept states, one per row."""
+    if len(traj.states) != traj.times.size:
         raise InvalidParameter("trajectory kept no states; rerun with "
                                "TrajectoryConfig(keep_states=True)")
+    return [chi.flat for _, _, chi in traj.states]
+
+
+def chi_distance_series(traj, chi_inf):
+    """||chi(t) - chi_inf||_H over the kept states of a trajectory."""
     ws = OperatorWorkspace(traj.grid, None)
-    ref = chi_inf.flat
-    return np.array([ws.h_norm(chi.flat - ref) for _, _, chi in traj.states])
-
-
-def chi_admission_series(traj, chi_inf):
-    """||chi(t) - chi_inf|| in the V-and-sup sense used to admit samples
-    into the Lojasiewicz fit (the max of the two norms)."""
-    if not traj.states:
-        raise InvalidParameter("trajectory kept no states")
-    ws = OperatorWorkspace(traj.grid, traj.bc)
-    ref = chi_inf.flat
-    out = []
-    for _, _, chi in traj.states:
-        diff = chi.flat - ref
-        out.append(max(ws.v_norm(diff), ws.c0_norm(diff)))
-    return np.array(out)
-
-
-def stationary_energy_series(traj, model):
-    """E(chi(t)) (gradient plus well terms only) over kept states."""
-    if not traj.states:
-        raise InvalidParameter("trajectory kept no states")
-    ws = OperatorWorkspace(traj.grid, None)
-    return np.array([steady_mod.stationary_energy(chi.flat, model, ws)
-                     for _, _, chi in traj.states])
+    return np.array([ws.h_norm(chi - chi_inf.flat)
+                     for chi in _kept_states(traj)])
 
 
 def estimate_lojasiewicz_trajectory(traj, chi_inf, model, eps_loj=0.1,
                                     min_samples=10):
     """Exponent estimate along a finished run against a reference
-    stationary state; the run must have kept its states at trace cadence
-    (the residual column then lines up with the state list)."""
-    if len(traj.states) != traj.times.size:
-        raise InvalidParameter("states were not kept at trace cadence")
-    energies = stationary_energy_series(traj, model)
-    e_inf = steady_mod.stationary_energy(chi_inf.flat, model,
-                                         OperatorWorkspace(traj.grid, None))
-    distances = chi_admission_series(traj, chi_inf)
+    stationary state, from the stationary energies of the kept states and
+    their max(V, C0) distances to it (the admission radius); the residual
+    column lines up with the kept states."""
+    chis = _kept_states(traj)
+    ws = OperatorWorkspace(traj.grid, None)
+    ref = chi_inf.flat
+    energies = np.array([steady_mod.stationary_energy(chi, model, ws)
+                         for chi in chis])
+    e_inf = steady_mod.stationary_energy(ref, model, ws)
+    distances = np.array([max(ws.v_norm(chi - ref), ws.c0_norm(chi - ref))
+                          for chi in chis])
     return estimate_lojasiewicz(energies,
                                 traj.columns["stationary_residual"],
                                 distances, e_inf, eps_loj=eps_loj,
@@ -326,18 +319,23 @@ class MonitorReport:
         return all(math.isfinite(v) for v in vals)
 
 
-def _window_series(times, s, reducer):
-    """Reduce a row series over unit windows [s+k, s+k+1); the reducer is
-    handed the row slice of each window."""
+def _window_norms(times, s, series, p):
+    """L^p norms of a row series over the unit windows [s+k, s+k+1) inside
+    the trace, each row weighted by its gap to the previous row; p = inf
+    gives the window maximum."""
+    gaps = np.diff(times, prepend=times[0])
     out = []
     k = 0
     while s + k + 1.0 <= times[-1] + 1e-12:
         lo = np.searchsorted(times, s + k - 1e-12)
         hi = np.searchsorted(times, s + k + 1.0 - 1e-12)
         if hi > lo:
-            out.append(reducer(slice(lo, hi)))
+            x = series[lo:hi]
+            out.append(np.max(x) if math.isinf(p)
+                       else np.sum(gaps[lo:hi] * x ** p))
         k += 1
-    return np.asarray(out)
+    out = np.asarray(out, dtype=float)
+    return out if math.isinf(p) else out ** (1.0 / p)
 
 
 def _growing_trend(window_values, per_window=0.10, span=10):
@@ -367,44 +365,26 @@ def monitor_bounds(traj, s, q_tag=None):
         raise InvalidParameter("trace must cover [0, s+2] for monitors")
     mask = times >= s - 1e-12
     thetat = traj.aux["norm_thetat_H"]
-    dts = np.diff(times, prepend=times[0])
-
-    def window_l2(sl):
-        return math.sqrt(float(np.sum(dts[sl] * thetat[sl] ** 2)))
-
-    quantities = {
-        "thetat_window_H": _window_series(times, s, window_l2),
-        "theta_V": _window_series(
-            times, s,
-            lambda sl: float(np.max(traj.aux["norm_theta_V"][sl]))),
-        "u_V": _window_series(
-            times, s,
-            lambda sl: float(np.max(traj.columns["norm_u_V"][sl]))),
-        "chit_H": _window_series(
-            times, s,
-            lambda sl: float(np.max(traj.columns["norm_chit_H"][sl]))),
-        "chi_H2": _window_series(
-            times, s,
-            lambda sl: float(np.max(traj.aux["norm_chi_H2"][sl]))),
-        "wprime_H": _window_series(
-            times, s,
-            lambda sl: float(np.max(traj.aux["norm_wprime_H"][sl]))),
-    }
-    flags = tuple(name for name, series in quantities.items()
-                  if _growing_trend(series))
+    sup_series = {"theta_V": traj.aux["norm_theta_V"],
+                  "u_V": traj.columns["norm_u_V"],
+                  "chit_H": traj.columns["norm_chit_H"],
+                  "chi_H2": traj.aux["norm_chi_H2"],
+                  "wprime_H": traj.aux["norm_wprime_H"]}
+    windows = {"thetat_window_H": _window_norms(times, s, thetat, 2.0)}
+    windows.update((name, _window_norms(times, s, x, math.inf))
+                   for name, x in sup_series.items())
+    flags = tuple(name for name, w in windows.items() if _growing_trend(w))
 
     tail = None
     if q_tag is not None and q_tag <= 2.0:
-        tail = math.sqrt(float(np.sum((dts * thetat ** 2)[mask])))
+        gaps = np.diff(times, prepend=times[0])
+        tail = math.sqrt(float(np.sum((gaps * thetat ** 2)[mask])))
 
     return MonitorReport(
         s=s,
-        sup_thetat_window_H=float(np.max(quantities["thetat_window_H"])),
-        sup_theta_V=float(np.max(traj.aux["norm_theta_V"][mask])),
-        sup_u_V=float(np.max(traj.columns["norm_u_V"][mask])),
-        sup_chit_H=float(np.max(traj.columns["norm_chit_H"][mask])),
-        sup_chi_H2=float(np.max(traj.aux["norm_chi_H2"][mask])),
-        sup_wprime_H=float(np.max(traj.aux["norm_wprime_H"][mask])),
+        sup_thetat_window_H=float(np.max(windows["thetat_window_H"])),
+        **{f"sup_{name}": float(np.max(x[mask]))
+           for name, x in sup_series.items()},
         thetat_l2_tail=tail,
         trend_flags=flags,
         unbounded=bool(flags))
@@ -455,12 +435,8 @@ def tail_statistic(times, g_dual_norms, delta):
     """sup over rows of t^(1+delta) * int_t^horizon ||g||_*^2 (right-point
     quadrature on the row grid)."""
     t = np.asarray(times, dtype=float)
-    g2 = np.asarray(g_dual_norms, dtype=float) ** 2
-    dts = np.diff(t)
-    contrib = dts * g2[1:]
-    tail = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
-    stat = np.max(np.where(t > 0, t, 0.0) ** (1.0 + delta) * tail)
-    return float(stat)
+    tail = _source_tail(t, g_dual_norms)
+    return float(np.max(np.where(t > 0, t, 0.0) ** (1.0 + delta) * tail))
 
 
 def source_report(traj, model, grid, bc, source):
@@ -485,14 +461,7 @@ def source_report(traj, model, grid, bc, source):
             ws.dual_norm_weak((g(t + eps) - g(max(t - eps, 0.0))) * ws.w
                               / (eps + min(eps, t)))
             for t in times])
-        dts = np.diff(times, prepend=times[0])
-
-        def reducer(sl):
-            if math.isinf(p):
-                return float(np.max(gt[sl]))
-            return float(np.sum(dts[sl] * gt[sl] ** p) ** (1.0 / p))
-
-        series = _window_series(times, 0.0, reducer)
+        series = _window_norms(times, 0.0, gt, p)
         if series.size:
             windowed = float(np.max(series))
     return SourceReport(tail_statistic=stat, tail_finite=finite,

@@ -39,13 +39,12 @@ _INF = float("inf")
 @dataclass
 class State:
     """Trajectory state: time, fields, and the cached flux variable
-    u = j'(theta) plus the internal energy density e = theta + lam(chi)."""
+    u = j'(theta)."""
 
     t: float
     theta: Field
     chi: Field
     u: Field
-    e: Field
 
     @classmethod
     def make(cls, t, theta, chi, model):
@@ -55,9 +54,7 @@ class State:
             raise DomainViolation(
                 f"chi leaves the open interval ({lo}, {hi}): range "
                 f"[{float(np.min(chi.values))}, {float(np.max(chi.values))}]")
-        e = Field(theta.grid,
-                  theta.values + evaluate(model.lam, 0, chi.values))
-        return cls(float(t), theta, chi, u, e)
+        return cls(float(t), theta, chi, u)
 
 
 @dataclass(frozen=True)
@@ -384,10 +381,11 @@ class OmegaScan:
 
 @dataclass
 class Trajectory:
+    """A finished run; ``times`` is its only time axis, and every row
+    diagnostic weights by the actual row gaps ``np.diff(times)``."""
+
     grid: object
-    bc: object
     dt: float
-    trace_every: int
     times: np.ndarray
     columns: dict                # csv columns, parallel arrays
     aux: dict                    # extra per-row series (monitor inputs)
@@ -396,15 +394,11 @@ class Trajectory:
     final_state: State
     verdict: OmegaVerdict
     wall_time: float
-    out_dir: Optional[str] = None
     snapshot_files: tuple = ()
 
     @property
     def energies(self):
         return self.columns["energy"]
-
-    def row_dt(self):
-        return self.dt * self.trace_every
 
 
 def _fmt(x):
@@ -414,9 +408,10 @@ def _fmt(x):
 def run(initial, config, model, grid, bc, source, out_dir=None):
     """Drive a trajectory to the horizon (or to detected convergence).
 
-    Emits one trace row per ``trace_every`` steps with the energy, flux and
-    decay norms, and the stationary residual of the order parameter; writes
-    ``trace.csv`` plus two-record field snapshots when ``out_dir`` is given.
+    Emits one trace row per ``trace_every`` steps and one at the horizon,
+    with the energy, flux and decay norms and the stationary residual of
+    the order parameter; writes ``trace.csv`` plus two-record field
+    snapshots when ``out_dir`` is given.
     A step whose Newton solve diverges is retried once as two half steps
     before the error propagates.
     """
@@ -538,12 +533,10 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         if csv_fh is not None:
             csv_fh.close()
 
-    return Trajectory(grid=grid, bc=bc, dt=config.dt,
-                      trace_every=config.trace_every,
-                      times=np.asarray(times),
+    return Trajectory(grid=grid, dt=config.dt, times=np.asarray(times),
                       columns={k: np.asarray(v) for k, v in cols.items()},
                       aux={k: np.asarray(v) for k, v in aux.items()},
                       g_dual=np.asarray(g_dual), states=states,
                       final_state=state, verdict=verdict,
                       wall_time=_time.perf_counter() - t0_wall,
-                      out_dir=out_dir, snapshot_files=tuple(snapshot_files))
+                      snapshot_files=tuple(snapshot_files))

@@ -9,11 +9,28 @@ import pytest
 import phaseflow
 from phaseflow.cli import fit_command, main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
-from phaseflow.dynamics import TRACE_HEADER
+from phaseflow.diagnostics import check_dissipation
+from phaseflow.dynamics import TRACE_HEADER, run
 from phaseflow.errors import ParseError, ValidationError
 from phaseflow.grids import read_records, write_records
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def write_cfg(path, raw):
+    path.write_text("\n".join(f"{k} = {v}" for k, v in raw.items()) + "\n")
+    return str(path)
+
+
+def early_stop_raw(**overrides):
+    """Monitors on a run that converges at once and stops long before the
+    two windows the monitors read."""
+    return minimal_raw(**{"initial.chi": "constant",
+                          "initial.chi.value": "1.0",
+                          "run.dt": "1e-2", "run.t_end": "2.0",
+                          "run.stop_on_converged": "true",
+                          "diagnostics.monitors": "true",
+                          "diagnostics.s": "0.0"}, **overrides)
 
 
 def minimal_raw(**overrides):
@@ -128,6 +145,37 @@ class TestValidation:
         np.testing.assert_array_equal(cfg.initial_chi.values,
                                       cfg0.initial_chi.values)
 
+    def test_snapshot_index_out_of_range(self, tmp_path, capsys):
+        cfg0 = build_config(minimal_raw())
+        path = tmp_path / "init.pfld"
+        write_records(path, [(cfg0.initial_theta, 0.0),
+                             (cfg0.initial_chi, 0.0)])
+        for index in ("-1", "5"):
+            raw = minimal_raw(**{"initial.chi": "snapshot",
+                                 "initial.chi.path": str(path),
+                                 "initial.chi.index": index})
+            with pytest.raises(ValidationError) as err:
+                build_config(raw)
+            text = str(err.value)
+            assert f"'initial.chi.index' = {index} is out of range" in text
+            assert "holds 2 record(s)" in text
+            p = write_cfg(tmp_path / "c.cfg", raw)
+            assert main(["--quiet", "run", p]) == 2
+            assert "out of range" in capsys.readouterr().err
+
+    def test_monitors_need_two_windows(self, tmp_path, capsys):
+        raw = minimal_raw(**{"diagnostics.monitors": "true",
+                             "diagnostics.s": "1.0", "run.t_end": "2.9"})
+        with pytest.raises(ValidationError) as err:
+            build_config(raw)
+        assert "run.t_end >= diagnostics.s + 2" in str(err.value)
+        out = tmp_path / "m"
+        assert main(["--quiet", "--out", str(out), "run",
+                     write_cfg(tmp_path / "c.cfg", raw)]) == 2
+        assert not out.exists()       # rejected before running
+        raw["run.t_end"] = "3.0"
+        assert build_config(raw).run.t_end == 3.0
+
     def test_shipped_configs_are_valid(self):
         for name in os.listdir(CONFIG_DIR):
             parse_config(os.path.join(CONFIG_DIR, name))
@@ -190,6 +238,37 @@ class TestRunExperiment:
                               "diagnostics.json").read_text())
         assert "does not match" in payload["reference_error"]
         assert "distance_to_reference" not in payload
+
+    def test_monitors_after_early_stop(self, tmp_path):
+        raw = early_stop_raw(**{"output.dir": str(tmp_path / "e")})
+        assert run_experiment(build_config(raw), quiet=True) == 4
+        payload = json.loads((tmp_path / "e" /
+                              "diagnostics.json").read_text())
+        assert "s+2" in payload["monitors_error"]
+        assert "monitors" not in payload
+        assert payload["omega"]["status"] == "CONVERGED"
+
+    def test_partial_final_row_allowance(self, tmp_path):
+        # 105 steps at one row per 10: the last row gap is 5 steps, and
+        # its source allowance must use that gap, not 10 steps
+        raw = minimal_raw(**{"source.profile": "sin_pi",
+                             "source.envelope": "constant",
+                             "run.t_end": "0.105", "run.trace_every": "10",
+                             "output.dir": str(tmp_path / "p")})
+        assert main(["--quiet", "run",
+                     write_cfg(tmp_path / "c.cfg", raw)]) == 0
+        payload = json.loads((tmp_path / "p" /
+                              "diagnostics.json").read_text())
+        cfg = build_config(raw)
+        traj = run(cfg.initial_state(), cfg.run, cfg.model, cfg.grid,
+                   cfg.bc, cfg.source)
+        gaps = np.diff(traj.times)
+        assert gaps[-1] == pytest.approx(5e-3, abs=1e-12)
+        tol = cfg.diagnostics["dissipation_tol"]
+        expected = check_dissipation(traj.energies, traj.g_dual, gaps, tol)
+        assert payload["dissipation"]["max_excess"] == expected.max_excess
+        uniform = check_dissipation(traj.energies, traj.g_dual, 1e-2, tol)
+        assert expected.max_excess != uniform.max_excess
 
     def test_solver_failure_exit_code(self, tmp_path):
         raw = minimal_raw(**{
@@ -335,6 +414,18 @@ class TestCliEntry:
             sub = out / f"sweep_{k:03d}"
             assert (sub / "trace.csv").exists()
             assert (sub / "config.cfg").exists()
+
+    def test_sweep_survives_monitors_error(self, tmp_path, capsys):
+        p = write_cfg(tmp_path / "c.cfg", early_stop_raw())
+        out = tmp_path / "sw"
+        code = main(["--out", str(out), "sweep", str(p),
+                     "run.stop_on_converged", "true", "false"])
+        assert code == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert "[0] run.stop_on_converged = true: exit 4" in lines
+        assert "[1] run.stop_on_converged = false: exit 0" in lines
+        for k in range(2):
+            assert (out / f"sweep_{k:03d}" / "diagnostics.json").exists()
 
     def test_fit_pipeline(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -8,7 +8,8 @@ from phaseflow.diagnostics import (EnergyTrace, check_dissipation,
                                    detect_omega_limit, estimate_lojasiewicz,
                                    estimate_lojasiewicz_trajectory,
                                    fit_rate, fit_rate_trajectory,
-                                   monitor_bounds, source_report,
+                                   monitor_bounds, phi_series,
+                                   source_report,
                                    stability_gap, tail_statistic)
 from phaseflow.errors import (ConfigMismatch, InsufficientDecay,
                               InsufficientSamples, InvalidParameter)
@@ -47,8 +48,8 @@ class TestPhi:
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.2)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        ok, worst = check_phi_monotone(traj.energies, traj.g_dual, 1e-3,
-                                       0.0, tol=1e-9)
+        ok, worst = check_phi_monotone(traj.times, traj.energies,
+                                       traj.g_dual, 0.0, tol=1e-9)
         assert ok, worst
 
     def test_monotone_with_decaying_source(self, caginalp_model,
@@ -59,9 +60,25 @@ class TestPhi:
         st = cosine_state(g, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.5)
         traj = run(st, cfg, caginalp_model, g, dirichlet_bc, src)
-        ok, worst = check_phi_monotone(traj.energies, traj.g_dual, 1e-3,
-                                       0.0, tol=1e-9)
+        ok, worst = check_phi_monotone(traj.times, traj.energies,
+                                       traj.g_dual, 0.0, tol=1e-9)
         assert ok, worst
+
+
+    def test_partial_last_row_right_point_sum(self):
+        # one row per 10 steps of 1e-3 and a horizon of 25 steps
+        times = np.array([0.0, 0.01, 0.02, 0.025])
+        energies = np.array([1.0, 0.9, 0.85, 0.84])
+        g = np.array([0.3, 0.5, 0.7, 1.1])
+        expected = [
+            1.0 - 0.1 + 0.5 * (0.01 * 0.5 ** 2 + 0.01 * 0.7 ** 2
+                               + 0.005 * 1.1 ** 2),
+            0.9 - 0.1 + 0.5 * (0.01 * 0.7 ** 2 + 0.005 * 1.1 ** 2),
+            0.85 - 0.1 + 0.5 * (0.005 * 1.1 ** 2),
+            0.84 - 0.1,
+        ]
+        np.testing.assert_allclose(phi_series(times, energies, g, 0.1),
+                                   expected, rtol=1e-14)
 
 
 class TestOmegaDetection:

@@ -16,8 +16,6 @@ class TestState:
     def test_caches(self, caginalp_model, unit_grid):
         st = cosine_state(unit_grid, caginalp_model, theta_value=0.3)
         np.testing.assert_allclose(st.u.values, 0.3, atol=1e-14)
-        np.testing.assert_allclose(
-            st.e.values, 0.3 + st.chi.values, atol=1e-14)
 
     def test_domain_enforced(self, mixed_model, unit_grid):
         with pytest.raises(DomainViolation):
