@@ -26,7 +26,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import steady as steady_mod
-from .config import build_config, parse_raw
+from .config import build_config, parse_config, parse_raw
 from .dynamics import run as run_trajectory
 from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
                      InsufficientDecay, InsufficientSamples, InvalidParameter,
@@ -47,13 +47,6 @@ _SOLVER_ERRORS = (NewtonDiverged, DomainExhausted, DegenerateJacobian,
 def _say(quiet, *msg):
     if not quiet:
         print(*msg)
-
-
-def _load_config(path, out_override=None):
-    raw = parse_raw(path)
-    if out_override:
-        raw["output.dir"] = out_override
-    return build_config(raw, base_dir=os.getcwd())
 
 
 def _grid_mismatch(path, grid, other):
@@ -93,8 +86,7 @@ def run_experiment(config, quiet=False):
 
     if opts["omega"]:
         verdict = diag.detect_omega_limit(
-            traj, config.model, config.grid,
-            thresholds=config.run.omega_tols)
+            traj, config.model, thresholds=config.run.omega_tols)
         report["omega"] = asdict(verdict)
         _say(quiet, f"omega verdict: {verdict.status}")
         if opts["assert_converged"] and not verdict.converged:
@@ -130,7 +122,7 @@ def run_experiment(config, quiet=False):
 
     if config.source.delta_src is not None or config.bc.kind == "robin" \
             or not config.source.is_zero:
-        src = diag.source_report(traj, config.model, config.grid, config.bc,
+        src = diag.source_report(traj, config.model, config.bc,
                                  config.source)
         report["source"] = asdict(src)
 
@@ -235,7 +227,7 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
         code = EXIT_DIAGNOSTIC
 
     if config_path is not None:
-        cfg = _load_config(config_path)
+        cfg = parse_config(config_path)
         energies = np.array([steady_mod.stationary_energy(
             chi.flat, cfg.model, ws) for chi in chis])
         e_inf = steady_mod.stationary_energy(ref_field.flat, cfg.model, ws)
@@ -331,14 +323,14 @@ def main(argv=None):
 
     try:
         if args.command == "validate":
-            _load_config(args.config, out_override)
+            parse_config(args.config, out_override)
             _say(args.quiet, "OK")
             return EXIT_OK
         if args.command == "run":
-            cfg = _load_config(args.config, out_override)
+            cfg = parse_config(args.config, out_override)
             return run_experiment(cfg, quiet=args.quiet)
         if args.command == "steady":
-            cfg = _load_config(args.config, out_override)
+            cfg = parse_config(args.config, out_override)
             return steady_command(cfg, quiet=args.quiet)
         if args.command == "fit":
             return fit_command(args.trace, args.steady,

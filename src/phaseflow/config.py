@@ -187,7 +187,9 @@ def make_envelope(kind, rd, prefix):
 
 
 def make_profile(kind, amplitude, grid_extents):
-    if kind in (None, "zero"):
+    """Spatial source profile of a ``source.profile`` kind (read with its
+    choices, so an invalid kind arrives here as "zero")."""
+    if kind == "zero":
         return None
     if kind == "constant":
         return lambda *xs: amplitude * np.ones_like(xs[0])
@@ -198,16 +200,15 @@ def make_profile(kind, amplitude, grid_extents):
                 out = out * np.sin(np.pi * xs[1] / grid_extents[1])
             return out
         return prof
-    if kind == "bump":
-        def prof(*xs):
-            out = np.ones_like(xs[0]) * amplitude
-            for ax, x in enumerate(xs):
-                c = 0.5 * grid_extents[ax]
-                wdt = grid_extents[ax] / 8.0
-                out = out * np.exp(-((x - c) / wdt) ** 2)
-            return out
-        return prof
-    return "unknown"
+
+    def bump(*xs):
+        out = np.ones_like(xs[0]) * amplitude
+        for ax, x in enumerate(xs):
+            c = 0.5 * grid_extents[ax]
+            wdt = grid_extents[ax] / 8.0
+            out = out * np.exp(-((x - c) / wdt) ** 2)
+        return out
+    return bump
 
 
 def make_initial_field(rd, prefix, grid, default_value=0.0):
@@ -341,8 +342,7 @@ def build_config(raw, base_dir="."):
     bc_kind = rd.str_("bc.kind", "dirichlet", choices={"dirichlet", "robin"})
     if bc_kind == "dirichlet":
         rd.float_("bc.eta", None)  # tolerated but unused
-        if model is not None:
-            bc = BoundarySpec("dirichlet", theta_inf=model.j.theta_inf)
+        bc = BoundarySpec("dirichlet")
     elif bc_kind == "robin":
         eta = rd.float_("bc.eta", required=True)
         amp = rd.float_("bc.theta_gamma.amplitude", 0.0)
@@ -352,8 +352,7 @@ def build_config(raw, base_dir="."):
         trace = _make_trace_schedule(theta_inf, amp, env)
         try:
             if eta is not None:
-                bc = BoundarySpec("robin", theta_inf=theta_inf, eta=eta,
-                                  theta_gamma=trace)
+                bc = BoundarySpec("robin", eta=eta, theta_gamma=trace)
         except InvalidParameter as exc:
             rd.violations.append(f"bc: {exc}")
 
@@ -364,9 +363,6 @@ def build_config(raw, base_dir="."):
     env_kind = rd.str_("source.envelope", "zero")
     env = make_envelope(env_kind, rd, "source")
     prof = make_profile(prof_kind, amp, grid.extents if grid else (1.0, 1.0))
-    if prof == "unknown":
-        rd.violations.append(f"unknown source profile '{prof_kind}'")
-        prof = None
     p_tag = rd.float_("source.p", _INF)
     q_tag = rd.float_("source.q", None)
     delta_src = rd.float_("source.delta_src", None)
@@ -469,7 +465,10 @@ def build_config(raw, base_dir="."):
         else out_dir)
 
 
-def parse_config(path):
-    """Parse and validate a config file into an ExperimentConfig."""
+def parse_config(path, out_dir=None):
+    """Parse and validate a config file into an ExperimentConfig;
+    ``out_dir``, when given, overrides ``output.dir``."""
     raw = parse_raw(path)
+    if out_dir:
+        raw["output.dir"] = out_dir
     return build_config(raw, base_dir=os.getcwd())

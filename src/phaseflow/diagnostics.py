@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import TRACE_COLUMNS, TRACE_HEADER, OmegaScan, source_density
+from .dynamics import (OMEGA_THRESHOLDS, TRACE_COLUMNS, TRACE_HEADER,
+                       OmegaScan, source_density)
 from .errors import (ConfigMismatch, InsufficientDecay, InsufficientSamples,
                      InvalidParameter, ParseError)
 from .grids import OperatorWorkspace
@@ -135,20 +136,19 @@ class OmegaReport:
         return self.status == "CONVERGED"
 
 
-def detect_omega_limit(traj, model, grid, thresholds=(1e-7, 1e-6, 1e-6),
-                       consecutive=3):
+def detect_omega_limit(traj, model, thresholds=OMEGA_THRESHOLDS):
     """Scan a trace for simultaneous smallness of the phase velocity, the
     stationary residual and the temperature distance over consecutive rows;
     on success the stationary residual of the final order parameter is
     recomputed independently as the certificate."""
     c = traj.columns
-    scan = OmegaScan(thresholds, consecutive)
+    scan = OmegaScan(thresholds)
     for row in zip(c["norm_chit_H"], c["stationary_residual"],
                    c["dist_theta_H"]):
         i = scan.push(*row)
         if i is not None:
             cert = steady_mod.residual_stationary(traj.final_state.chi,
-                                                  model, grid)
+                                                  model, traj.grid)
             return OmegaReport("CONVERGED", float(traj.times[i]), int(i),
                                model.j.theta_inf, float(cert))
     return OmegaReport("PENDING", None, None, model.j.theta_inf, None)
@@ -157,6 +157,13 @@ def detect_omega_limit(traj, model, grid, thresholds=(1e-7, 1e-6, 1e-6),
 # ----------------------------------------------------------------------
 # decay-rate and Lojasiewicz fits
 # ----------------------------------------------------------------------
+
+#: fewest samples a decay-rate fit window may hold
+MIN_FIT_POINTS = 10
+
+#: fewest admitted samples of an exponent estimate
+MIN_LOJ_SAMPLES = 10
+
 
 @dataclass
 class RateFit:
@@ -170,7 +177,7 @@ class RateFit:
     exp_rate: Optional[float] = None         # fallback rate when beta = inf
 
 
-def fit_rate(times, distances, zeta=None, min_points=10):
+def fit_rate(times, distances, zeta=None):
     """Fit the tail decay of a distance series.
 
     Least squares of log-distance against log-time over the final decade of
@@ -182,7 +189,7 @@ def fit_rate(times, distances, zeta=None, min_points=10):
     t = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
     mask = (t > 0) & (d > 0)
-    if mask.sum() < min_points:
+    if mask.sum() < MIN_FIT_POINTS:
         raise InsufficientDecay("not enough positive samples")
     t, d = t[mask], d[mask]
     span = np.max(d) / np.min(d)
@@ -190,9 +197,9 @@ def fit_rate(times, distances, zeta=None, min_points=10):
         raise InsufficientDecay(
             f"distance series spans only a factor {span:.3g}; need a decade")
     window = t >= np.max(t) / 10.0
-    if window.sum() < min_points:
+    if window.sum() < MIN_FIT_POINTS:
         window = np.zeros_like(t, dtype=bool)
-        window[-min_points:] = True
+        window[-MIN_FIT_POINTS:] = True
     tw, dw = t[window], d[window]
     log_t, log_d = np.log(tw), np.log(dw)
 
@@ -228,7 +235,7 @@ class LojFit:
 
 
 def estimate_lojasiewicz(energies, residuals, distances, e_inf,
-                         eps_loj=0.1, min_samples=10):
+                         eps_loj=0.1):
     """Estimate the gradient-inequality exponent along a trajectory tail.
 
     Fits log(residual) against log|E - E_inf| over the samples admitted by
@@ -242,9 +249,9 @@ def estimate_lojasiewicz(energies, residuals, distances, e_inf,
     d = np.asarray(distances, dtype=float)
     de = np.abs(e - e_inf)
     admit = (d <= eps_loj) & (de > 1e-13) & (r > 0)
-    if admit.sum() < min_samples:
+    if admit.sum() < MIN_LOJ_SAMPLES:
         raise InsufficientSamples(
-            f"{int(admit.sum())} admitted samples, need {min_samples}")
+            f"{int(admit.sum())} admitted samples, need {MIN_LOJ_SAMPLES}")
     x = np.log(de[admit])
     y = np.log(r[admit])
     slope, intercept = np.polyfit(x, y, 1)
@@ -270,8 +277,7 @@ def chi_distance_series(traj, chi_inf):
                      for chi in _kept_states(traj)])
 
 
-def estimate_lojasiewicz_trajectory(traj, chi_inf, model, eps_loj=0.1,
-                                    min_samples=10):
+def estimate_lojasiewicz_trajectory(traj, chi_inf, model, eps_loj=0.1):
     """Exponent estimate along a finished run against a reference
     stationary state, from the stationary energies of the kept states and
     their max(V, C0) distances to it (the admission radius); the residual
@@ -286,14 +292,13 @@ def estimate_lojasiewicz_trajectory(traj, chi_inf, model, eps_loj=0.1,
                           for chi in chis])
     return estimate_lojasiewicz(energies,
                                 traj.columns["stationary_residual"],
-                                distances, e_inf, eps_loj=eps_loj,
-                                min_samples=min_samples)
+                                distances, e_inf, eps_loj=eps_loj)
 
 
-def fit_rate_trajectory(traj, chi_inf, zeta=None, min_points=10):
+def fit_rate_trajectory(traj, chi_inf, zeta=None):
     """Decay fit of ||chi(t) - chi_inf||_H over the kept states."""
     return fit_rate(traj.times, chi_distance_series(traj, chi_inf),
-                    zeta=zeta, min_points=min_points)
+                    zeta=zeta)
 
 
 # ----------------------------------------------------------------------
@@ -439,9 +444,9 @@ def tail_statistic(times, g_dual_norms, delta):
     return float(np.max(np.where(t > 0, t, 0.0) ** (1.0 + delta) * tail))
 
 
-def source_report(traj, model, grid, bc, source):
+def source_report(traj, model, bc, source):
     """Numerical checks of the declared source integrability tags."""
-    ws = OperatorWorkspace(grid, bc)
+    ws = OperatorWorkspace(traj.grid, bc)
 
     def g(t):
         return source_density(model, ws, bc, source, t)

@@ -28,12 +28,22 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
                      NewtonDiverged)
-from .grids import (Field, OperatorWorkspace, check_dirichlet_consistency,
-                    write_records)
+from .grids import Field, OperatorWorkspace, write_records
 from .models import DOMAIN_MARGIN, evaluate, inside, secant_arrays
 from .steady import residual_stationary, stationary_energy
 
 _INF = float("inf")
+
+#: step halvings of the fraction-to-the-boundary damping before a Newton
+#: iterate counts as stuck at a domain wall
+MAX_HALVINGS = 30
+
+#: default thresholds of the convergence (omega-limit) test on the phase
+#: velocity, the stationary residual and the temperature distance
+OMEGA_THRESHOLDS = (1e-7, 1e-6, 1e-6)
+
+#: consecutive passing rows that make a convergence verdict
+OMEGA_CONSECUTIVE = 3
 
 
 @dataclass
@@ -99,10 +109,13 @@ def zero_source():
 
 def source_density(model, ws, bc, source, t):
     """Right-hand side g(t) as a nodal density: the volumetric source plus,
-    for Robin conditions, the boundary exchange term."""
+    for Robin conditions, the boundary exchange term with the exterior
+    temperature (theta_gamma(t), or model.j.theta_inf without a schedule)."""
     g = source.f_values(ws.grid, t)
     if bc.kind == "robin":
-        jp_gamma = float(evaluate(model.j, 1, bc.trace_value(t)))
+        exterior = model.j.theta_inf if bc.theta_gamma is None \
+            else float(bc.theta_gamma(t))
+        jp_gamma = float(evaluate(model.j, 1, exterior))
         g = g + bc.eta * jp_gamma * ws.gamma / ws.w
     return g
 
@@ -126,9 +139,8 @@ class TrajectoryConfig:
     trace_every: int = 1
     snapshot_every: int = 0
     stop_on_converged: bool = False
-    omega_tols: tuple = (1e-7, 1e-6, 1e-6)
+    omega_tols: tuple = OMEGA_THRESHOLDS
     keep_states: bool = False
-    max_halvings: int = 30
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -149,7 +161,6 @@ class Stepper:
     """
 
     def __init__(self, model, grid, bc, source):
-        check_dirichlet_consistency(bc, model)
         self.model = model
         self.grid = grid
         self.bc = bc
@@ -215,7 +226,7 @@ class Stepper:
     def theta_full(self, theta_act):
         if not self.dirichlet:
             return theta_act
-        full = np.full(self.n, self.bc.theta_inf)
+        full = np.full(self.n, self.model.j.theta_inf)
         full[self.act] = theta_act
         return full
 
@@ -303,7 +314,7 @@ class Stepper:
             # fraction-to-the-boundary damping: halve until the trial
             # iterate keeps DOMAIN_MARGIN off both domain walls
             alpha = 1.0
-            for _ in range(config.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 theta_try = theta_act + alpha * d_theta
                 chi_try = chi_new + alpha * d_chi
                 if (inside(self.model.j, self.theta_full(theta_try),
@@ -356,12 +367,11 @@ class OmegaScan:
     A row passes when the phase velocity, the stationary residual and the
     temperature distance are all below their thresholds; row 0 carries no
     backward difference and never passes.  The verdict is the row that
-    completes the first run of ``consecutive`` passing rows.
+    completes the first run of ``OMEGA_CONSECUTIVE`` passing rows.
     """
 
-    def __init__(self, thresholds, consecutive=3):
+    def __init__(self, thresholds):
         self.thresholds = thresholds
-        self.consecutive = consecutive
         self.rows = 0
         self.run_len = 0
         self.row = None
@@ -374,7 +384,7 @@ class OmegaScan:
             tol1, tol2, tol3 = self.thresholds
             ok = chit < tol1 and stat_res < tol2 and dist_theta < tol3
             self.run_len = self.run_len + 1 if ok else 0
-            if self.run_len >= self.consecutive:
+            if self.run_len >= OMEGA_CONSECUTIVE:
                 self.row = row
         return self.row
 
@@ -409,9 +419,10 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     """Drive a trajectory to the horizon (or to detected convergence).
 
     Emits one trace row per ``trace_every`` steps and one at the horizon,
-    with the energy, flux and decay norms and the stationary residual of
-    the order parameter; writes ``trace.csv`` plus two-record field
-    snapshots when ``out_dir`` is given.
+    at the time k * dt of its step index k, with the energy, flux and decay
+    norms and the stationary residual of the order parameter; writes
+    ``trace.csv`` plus two-record field snapshots when ``out_dir`` is
+    given.
     A step whose Newton solve diverges is retried once as two half steps
     before the error propagates.
     """
@@ -450,7 +461,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     omega = OmegaScan(config.omega_tols)
     verdict = OmegaVerdict("PENDING")
 
-    def emit_row(k, state, energy, iters):
+    def emit_row(state, energy, iters):
         nonlocal prev_row_theta, prev_row_chi, prev_row_t, verdict
         th = state.theta.flat
         ch = state.chi.flat
@@ -499,7 +510,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
 
     state = initial
     energy = e0
-    emit_row(0, state, energy, 0)
+    emit_row(state, energy, 0)
     if config.snapshot_every > 0:
         write_snapshot(0, state)
 
@@ -508,26 +519,23 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             try:
                 state, report = stepper.step(state, config,
                                              energy_before=energy)
+                iters = report.newton_iters
             except NewtonDiverged:
                 half = replace(config, dt=0.5 * config.dt)
                 state, rep1 = stepper.step(state, half, energy_before=energy)
                 state, report = stepper.step(state, half,
                                              energy_before=rep1.energy_after)
-                report = StepReport(rep1.newton_iters + report.newton_iters,
-                                    report.residual, energy,
-                                    report.energy_after,
-                                    rep1.damping_events
-                                    + report.damping_events, config.dt)
+                iters = rep1.newton_iters + report.newton_iters
+            # from the step index: repeated addition of dt drifts
+            state.t = k * config.dt
             energy = report.energy_after
             if k % config.trace_every == 0 or k == n_steps:
-                emit_row(k, state, energy, report.newton_iters)
+                emit_row(state, energy, iters)
+            stopping = config.stop_on_converged and verdict.converged
             if config.snapshot_every > 0 and (k % config.snapshot_every == 0
-                                              or k == n_steps):
+                                              or k == n_steps or stopping):
                 write_snapshot(k, state)
-            if config.stop_on_converged and verdict.converged:
-                if config.snapshot_every > 0 and snapshot_files and \
-                        not snapshot_files[-1].endswith(f"snap_{k:08d}.pfld"):
-                    write_snapshot(k, state)
+            if stopping:
                 break
     finally:
         if csv_fh is not None:

@@ -164,13 +164,15 @@ class BoundarySpec:
     """Temperature boundary treatment; the order parameter always carries
     homogeneous Neumann conditions.
 
-    Dirichlet pins the boundary temperature at the model equilibrium value
-    (where the flux variable j'(theta) vanishes); Robin exchanges heat with
-    an exterior trace schedule theta_gamma(t) at transfer coefficient eta.
+    The boundary temperatures come from the model: Dirichlet pins the
+    boundary at the flux law's equilibrium value ``model.j.theta_inf``
+    (where j'(theta) vanishes), and Robin exchanges heat at transfer
+    coefficient eta with an exterior temperature that is
+    ``model.j.theta_inf`` as well unless a schedule theta_gamma(t) is
+    given.  A schedule returns the absolute exterior temperature.
     """
 
     kind: str                      # 'dirichlet' | 'robin'
-    theta_inf: float = 0.0         # Dirichlet boundary temperature
     eta: Optional[float] = None    # Robin transfer coefficient
     theta_gamma: Optional[Callable] = None  # Robin trace schedule t -> value
 
@@ -180,18 +182,6 @@ class BoundarySpec:
         if self.kind == "robin":
             if self.eta is None or self.eta <= 0:
                 raise InvalidParameter("robin conditions need eta > 0")
-
-    def trace_value(self, t):
-        if self.theta_gamma is None:
-            return self.theta_inf
-        return float(self.theta_gamma(t))
-
-
-def check_dirichlet_consistency(bc, model):
-    if bc.kind == "dirichlet" and bc.theta_inf != model.j.theta_inf:
-        raise InvalidParameter(
-            "dirichlet boundary temperature must equal the model "
-            f"equilibrium value {model.j.theta_inf}, got {bc.theta_inf}")
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,6 @@ class NonconvexPotential:
     d2: Callable
     kappa: float    # semiconvexity constant
     mu: float       # outer coercivity: W'(r)/r >= mu outside the core
-    analytic_on_core: bool = False
     d1_zeros: Optional[tuple] = None  # known critical points, for range checks
     meta: dict = field(default_factory=dict)
 
@@ -91,22 +90,18 @@ class LatentHeat:
     d2: Callable
     curvature_bound: float
     domain: tuple = (-_INF, _INF)
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The full model (j, W, lam); both relaxation constants are fixed at 1."""
+    """The full model (j, W, lam); both relaxation constants of the system
+    are 1.  The flux law's equilibrium temperature ``j.theta_inf`` is also
+    the Dirichlet boundary value and the default Robin exterior temperature
+    (see grids.BoundarySpec)."""
 
     j: ConvexPotential
     w: NonconvexPotential
     lam: LatentHeat
-    epsilon: float = 1.0
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.epsilon != 1.0 or self.delta != 1.0:
-            raise InvalidParameter("relaxation constants are fixed at 1")
 
 
 def inside(potential, arr, margin=0.0):
@@ -513,7 +508,7 @@ def regularize(potential, n):
             name=f"{potential.name}~smoothed(n={n})",
             domain=(-_INF, _INF), core=potential.core,
             value=value, d1=d1, d2=d2, kappa=kap, mu=0.5 * potential.mu,
-            analytic_on_core=False, d1_zeros=None,
+            d1_zeros=None,
             meta={"smoothed": True, "n": int(n), "rho": rho,
                   "threshold_index": 1, "parent": potential.name})
 
@@ -582,7 +577,6 @@ def _builtin_quartic_w():
     # W'' = 3r^2 - 1 >= -1 -> kappa = 1; W'(r)/r = r^2 - 1 >= 3 for |r| >= 2
     return NonconvexPotential("quartic_W", (-_INF, _INF), (-2.0, 2.0),
                               value, d1, d2, kappa=1.0, mu=3.0,
-                              analytic_on_core=True,
                               d1_zeros=(-1.0, 0.0, 1.0))
 
 
@@ -614,7 +608,6 @@ def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
     mu = t1 * math.atanh(core[1]) / core[1] - tc
     return NonconvexPotential("logarithmic_W", (-1.0, 1.0), core,
                               value, d1, d2, kappa=tc - t1, mu=mu,
-                              analytic_on_core=True,
                               d1_zeros=(-rstar, 0.0, rstar),
                               meta={"rstar": rstar})
 

@@ -133,12 +133,14 @@ class _DenseSystem:
         self.t_new = state.t + dt
         g = source.f_values(grid, self.t_new)
         if not self.dirichlet:
-            jp = evaluate(model.j, 1, bc.trace_value(self.t_new))
+            exterior = model.j.theta_inf if bc.theta_gamma is None \
+                else float(bc.theta_gamma(self.t_new))
+            jp = evaluate(model.j, 1, exterior)
             g = g + bc.eta * jp * _dense_boundary_measure(grid) / self.w
         self.g = g
 
     def split(self, z):
-        theta = np.full(self.n, self.bc.theta_inf) if self.dirichlet \
+        theta = np.full(self.n, self.model.j.theta_inf) if self.dirichlet \
             else np.empty(self.n)
         theta[self.act] = z[:self.m]
         chi = z[self.m:]

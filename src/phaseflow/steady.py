@@ -46,7 +46,17 @@ class RangeReport:
     worst_distance: float
 
 
-def default_confinement(model, inflate=0.01):
+#: relative widening of the confinement interval about its midpoint
+CONFINEMENT_INFLATE = 0.01
+
+#: Newton iterations of a stationary solve before it counts as diverged
+STATIONARY_MAX_ITER = 60
+
+#: H distance below which two catalog solutions count as one
+CATALOG_DEDUPE_TOL = 1e-8
+
+
+def default_confinement(model):
     """Confinement interval from the critical points of W: their convex
     hull inflated by 1% about its midpoint.  The true interval promised by
     the theory is only known to exist; this convention is a testable
@@ -56,7 +66,7 @@ def default_confinement(model, inflate=0.01):
         return None
     lo, hi = min(zeros), max(zeros)
     mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 + inflate)
+    half = 0.5 * (hi - lo) * (1.0 + CONFINEMENT_INFLATE)
     return (mid - half, mid + half)
 
 
@@ -86,7 +96,7 @@ def residual_stationary(chi, model, grid, ws=None):
     return ws.vstar_neumann_norm(_stationary_vector(flat, model, ws))
 
 
-def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60):
+def solve_stationary(guess, model, grid, tol=1e-10):
     """Damped Newton for the stationary problem from a given guess.
 
     Which solution is found depends on the guess.  The residual is measured
@@ -100,15 +110,15 @@ def solve_stationary(guess, model, grid, tol=1e-10, max_iter=60):
     if not inside(model.w, chi, DOMAIN_MARGIN):
         raise DomainViolation("guess leaves the domain of W")
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, STATIONARY_MAX_ITER + 1):
         r = _stationary_vector(chi, model, ws)
         res = ws.vstar_neumann_norm(r)
         if res <= tol:
             break
-        if it == max_iter:
+        if it == STATIONARY_MAX_ITER:
             raise NewtonDiverged(
                 f"stationary residual {res:.3e} above {tol:.1e} after "
-                f"{max_iter} iterations", residual=res)
+                f"{it} iterations", residual=res)
         wpp = evaluate(model.w, 2, chi)
         jac = (ws.A_fd + sps.diags(wpp)).tocsc()
         try:
@@ -157,8 +167,7 @@ def check_range(steady, interval=None):
                        worst_distance=float(max(dist[i], 0.0)))
 
 
-def solve_catalog(guesses, model, grid, tol=1e-10, out_dir=None,
-                  dedupe_tol=1e-8):
+def solve_catalog(guesses, model, grid, tol=1e-10, out_dir=None):
     """Solve from each guess, keep distinct solutions, optionally write the
     snapshot-per-solution catalog plus its CSV index."""
     ws = OperatorWorkspace(grid, None)
@@ -168,7 +177,7 @@ def solve_catalog(guesses, model, grid, tol=1e-10, out_dir=None,
             st = solve_stationary(guess, model, grid, tol=tol)
         except (NewtonDiverged, DegenerateJacobian):
             continue
-        if all(ws.h_norm(st.chi.flat - other.chi.flat) > dedupe_tol
+        if all(ws.h_norm(st.chi.flat - other.chi.flat) > CATALOG_DEDUPE_TOL
                for other in found):
             found.append(st)
 

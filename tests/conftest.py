@@ -24,7 +24,7 @@ def unit_grid():
 
 @pytest.fixture
 def dirichlet_bc():
-    return BoundarySpec("dirichlet", theta_inf=0.0)
+    return BoundarySpec("dirichlet")
 
 
 def cosine_state(grid, model, amp=0.1, theta_value=0.0, mode=1):

@@ -17,7 +17,7 @@ from phaseflow.diagnostics import (check_dissipation, detect_omega_limit,
                                    tail_statistic)
 from phaseflow.grids import quad_weights
 
-BC = BoundarySpec("dirichlet", theta_inf=0.0)
+BC = BoundarySpec("dirichlet")
 
 
 def standard_model():
@@ -85,7 +85,7 @@ def test_criterion_3_omega_limit():
     t0 = time.perf_counter()
     traj = run(state, config, model, grid, BC, zero_source())
     elapsed = time.perf_counter() - t0
-    verdict = detect_omega_limit(traj, model, grid)
+    verdict = detect_omega_limit(traj, model)
     assert verdict.converged
     assert verdict.certified_residual < 1e-6
     assert traj.columns["dist_theta_H"][-1] < 1e-6

@@ -89,7 +89,7 @@ class TestOmegaDetection:
         cfg = TrajectoryConfig(dt=1e-2, t_end=0.1)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        verdict = detect_omega_limit(traj, caginalp_model, unit_grid)
+        verdict = detect_omega_limit(traj, caginalp_model)
         assert verdict.converged
         assert verdict.certified_residual < 1e-6
 
@@ -99,8 +99,7 @@ class TestOmegaDetection:
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.1)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        assert detect_omega_limit(traj, caginalp_model,
-                                  unit_grid).status == "PENDING"
+        assert detect_omega_limit(traj, caginalp_model).status == "PENDING"
 
     def test_certificate_recomputed_independently(self, caginalp_model,
                                                   dirichlet_bc):
@@ -108,7 +107,7 @@ class TestOmegaDetection:
         st = cosine_state(g, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=50.0, stop_on_converged=True)
         traj = run(st, cfg, caginalp_model, g, dirichlet_bc, zero_source())
-        verdict = detect_omega_limit(traj, caginalp_model, g)
+        verdict = detect_omega_limit(traj, caginalp_model)
         assert verdict.converged
         steady = solve_stationary(traj.final_state.chi, caginalp_model, g)
         assert verdict.certified_residual < 1e-6
@@ -122,7 +121,7 @@ class TestOmegaDetection:
         cfg = TrajectoryConfig(dt=1e-2, t_end=4.0, stop_on_converged=False)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        verdict = detect_omega_limit(traj, caginalp_model, unit_grid,
+        verdict = detect_omega_limit(traj, caginalp_model,
                                      thresholds=cfg.omega_tols)
         assert traj.verdict.converged and verdict.converged
         assert traj.verdict.row < traj.times.size - 1
@@ -305,8 +304,7 @@ class TestSourceReports:
         st = cosine_state(unit_grid, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-2, t_end=2.0)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc, src)
-        rep = source_report(traj, caginalp_model, unit_grid, dirichlet_bc,
-                            src)
+        rep = source_report(traj, caginalp_model, dirichlet_bc, src)
         assert rep.tail_finite
         assert rep.windowed_gt_sup is not None
         assert np.isfinite(rep.windowed_gt_sup)
@@ -385,7 +383,7 @@ class TestRobinEnergyInequality:
                         Field(g, 0.9 + 0.05 * np.cos(np.pi * x)), model)
         cfg = TrajectoryConfig(dt=2e-3, t_end=20.0, stop_on_converged=True)
         traj = run(st, cfg, model, g, bc, zero_source())
-        verdict = detect_omega_limit(traj, model, g)
+        verdict = detect_omega_limit(traj, model)
         assert verdict.converged
         assert verdict.certified_residual < 1e-6
         np.testing.assert_allclose(traj.final_state.chi.values, 1.0,

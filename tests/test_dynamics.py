@@ -3,7 +3,8 @@ import pytest
 
 from phaseflow import (BoundarySpec, Field, Grid, ModelSpec, SourceSpec,
                        State, Stepper, TrajectoryConfig, builtin,
-                       integrate, oracle_step, run, step, zero_source)
+                       integrate, oracle_step, regularize, run, step,
+                       zero_source)
 from phaseflow import dynamics as dyn
 from phaseflow.errors import (DomainExhausted, DomainViolation,
                               InvalidParameter, NewtonDiverged)
@@ -95,7 +96,7 @@ class TestStep:
             step(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                  zero_source())
 
-    def test_domain_exhausted_without_damping_budget(self):
+    def test_domain_exhausted_without_damping_budget(self, monkeypatch):
         # hot start over the logarithmic well: the first Newton direction
         # overshoots the wall at +1, so with no halvings allowed the step
         # must report the exhaustion instead of leaving the domain
@@ -104,12 +105,12 @@ class TestStep:
         g = Grid((1.0,), (9,))
         bc = BoundarySpec("robin", eta=1e-8)
         st = State.make(0.0, Field.full(g, 5.0), Field.full(g, 0.3), model)
-        bad = TrajectoryConfig(dt=0.9, t_end=0.9, max_halvings=0,
-                               max_newton=80)
-        with pytest.raises(DomainExhausted):
-            step(st, bad, model, g, bc, zero_source())
-        good = TrajectoryConfig(dt=0.9, t_end=0.9, max_newton=80)
-        new, rep = step(st, good, model, g, bc, zero_source())
+        cfg = TrajectoryConfig(dt=0.9, t_end=0.9, max_newton=80)
+        with monkeypatch.context() as patch:
+            patch.setattr(dyn, "MAX_HALVINGS", 0)
+            with pytest.raises(DomainExhausted):
+                step(st, cfg, model, g, bc, zero_source())
+        new, rep = step(st, cfg, model, g, bc, zero_source())
         assert rep.damping_events > 0
         assert np.max(np.abs(new.chi.values)) < 1.0
 
@@ -268,6 +269,18 @@ class TestRun:
                          "snap_00000010.pfld"]
         assert traj.snapshot_files
 
+    def test_row_times_from_step_index(self, caginalp_model, dirichlet_bc):
+        # 2000 additions of 1e-3 end at 1.9999999999998905; the row times
+        # are the step index times dt instead
+        g = Grid((1.0,), (9,))
+        st = cosine_state(g, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=2.0, trace_every=100)
+        traj = run(st, cfg, caginalp_model, g, dirichlet_bc, zero_source())
+        assert traj.times.size == 21
+        for i, t in enumerate(traj.times):
+            assert t == (100 * i) * 1e-3
+        assert traj.final_state.t == 2.0
+
 
 class TestEnergyInequality:
     def test_zero_source_monotone(self, caginalp_model, dirichlet_bc):
@@ -386,13 +399,37 @@ class TestTwoDimensional:
 
 
 class TestBoundaryConsistency:
-    def test_dirichlet_value_must_match_equilibrium(self, caginalp_model,
-                                                    unit_grid):
-        bad = BoundarySpec("dirichlet", theta_inf=0.5)
-        st = cosine_state(unit_grid, caginalp_model)
-        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
-        with pytest.raises(InvalidParameter):
-            step(st, cfg, caginalp_model, unit_grid, bad, zero_source())
+    @pytest.fixture
+    def smoothed_model(self):
+        jn = regularize(builtin("mixed_j"), 1)
+        assert jn.theta_inf != 0.0
+        return ModelSpec(jn, builtin("quartic_W"),
+                         builtin("linear_lambda", ell=1.0))
+
+    def test_smoothed_law_dirichlet_value(self, smoothed_model):
+        g = Grid((1.0,), (9,))
+        st = cosine_state(g, smoothed_model, theta_value=0.1)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=0.05)
+        traj = run(st, cfg, smoothed_model, g, BoundarySpec("dirichlet"),
+                   zero_source())
+        theta = traj.final_state.theta.values
+        assert theta[0] == theta[-1] == smoothed_model.j.theta_inf
+        assert np.max(np.diff(traj.energies)) <= 1e-9
+
+    def test_smoothed_law_robin_exterior(self, smoothed_model):
+        # without a schedule the exterior temperature is j.theta_inf
+        g = Grid((1.0,), (9,))
+        st = cosine_state(g, smoothed_model, theta_value=0.1)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=0.05)
+        theta_inf = smoothed_model.j.theta_inf
+        finals = [run(st, cfg, smoothed_model, g, bc,
+                      zero_source()).final_state
+                  for bc in (BoundarySpec("robin", eta=0.5),
+                             BoundarySpec("robin", eta=0.5,
+                                          theta_gamma=lambda t: theta_inf))]
+        assert np.array_equal(finals[0].theta.values,
+                              finals[1].theta.values)
+        assert np.array_equal(finals[0].chi.values, finals[1].chi.values)
 
     def test_flux_cache_tracks_steps(self, caginalp_model, unit_grid,
                                      dirichlet_bc):
@@ -419,8 +456,7 @@ class TestCustomPotentials:
             lambda r: 0.25 * (np.asarray(r) ** 2 - 1.0) ** 2,
             lambda r: np.asarray(r) ** 3 - np.asarray(r),
             lambda r: 3.0 * np.asarray(r) ** 2 - 1.0,
-            kappa=1.0, mu=3.0, analytic_on_core=True,
-            d1_zeros=(-1.0, 0.0, 1.0))
+            kappa=1.0, mu=3.0, d1_zeros=(-1.0, 0.0, 1.0))
         lam = LatentHeat("custom_linear", lambda r: np.asarray(r) * 1.0,
                          lambda r: np.ones_like(np.asarray(r)),
                          lambda r: np.zeros_like(np.asarray(r)),

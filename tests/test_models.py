@@ -114,13 +114,6 @@ class TestBuiltins:
         with pytest.raises(InvalidParameter):
             builtin("logarithmic_W", theta1=0.1, theta_c=2.0)
 
-    def test_model_spec_fixes_relaxation_constants(self):
-        j, w, lam = (builtin("caginalp_j"), builtin("quartic_W"),
-                     builtin("linear_lambda"))
-        with pytest.raises(InvalidParameter):
-            ModelSpec(j, w, lam, epsilon=2.0)
-        assert ModelSpec(j, w, lam).epsilon == 1.0
-
 
 class TestDividedDifference:
     def test_linear_secant(self):
