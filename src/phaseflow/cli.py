@@ -86,7 +86,7 @@ def run_experiment(config, quiet=False):
 
     if opts["omega"]:
         verdict = diag.detect_omega_limit(
-            traj, config.model, thresholds=config.run.omega_tols)
+            traj, thresholds=config.run.omega_tols)
         report["omega"] = asdict(verdict)
         _say(quiet, f"omega verdict: {verdict.status}")
         if opts["assert_converged"] and not verdict.converged:
@@ -107,8 +107,7 @@ def run_experiment(config, quiet=False):
         # build_config checks the horizon; a run stopped at convergence
         # can still end before s + 2
         try:
-            mon = diag.monitor_bounds(traj, opts["s"],
-                                      q_tag=config.source.q_tag)
+            mon = diag.monitor_bounds(traj, opts["s"])
         except InvalidParameter as exc:
             report["monitors_error"] = str(exc)
             failed_assertions.append(f"regularity monitors: {exc}")
@@ -122,8 +121,7 @@ def run_experiment(config, quiet=False):
 
     if config.source.delta_src is not None or config.bc.kind == "robin" \
             or not config.source.is_zero:
-        src = diag.source_report(traj, config.model, config.bc,
-                                 config.source)
+        src = diag.source_report(traj)
         report["source"] = asdict(src)
 
     ref_path = opts.get("reference_steady")
@@ -136,9 +134,8 @@ def run_experiment(config, quiet=False):
         except SnapshotError as exc:
             report["reference_error"] = str(exc)
         else:
-            report["distance_to_reference"] = OperatorWorkspace(
-                config.grid, None).h_norm(traj.final_state.chi.flat
-                                          - ref_field.flat)
+            report["distance_to_reference"] = traj.stepper.ws.h_norm(
+                traj.final_state.chi.flat - ref_field.flat)
 
     _write_json(os.path.join(config.out_dir, "diagnostics.json"), report)
     _say(quiet, f"wrote {os.path.join(config.out_dir, 'diagnostics.json')}")

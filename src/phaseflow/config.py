@@ -90,7 +90,7 @@ class _Reader:
         val = self._fetch(key, default, required)
         if isinstance(val, str):
             try:
-                return float(val) if val != "inf" else _INF
+                return float(val)
             except ValueError:
                 self.violations.append(f"'{key}' is not a number: {val!r}")
                 return default
@@ -364,6 +364,8 @@ def build_config(raw, base_dir="."):
     env = make_envelope(env_kind, rd, "source")
     prof = make_profile(prof_kind, amp, grid.extents if grid else (1.0, 1.0))
     p_tag = rd.float_("source.p", _INF)
+    if not p_tag > 0:
+        rd.violations.append(f"'source.p' must be positive, got {p_tag!r}")
     q_tag = rd.float_("source.q", None)
     delta_src = rd.float_("source.delta_src", None)
     source = SourceSpec(profile=prof, envelope=env, p_tag=p_tag,
@@ -384,14 +386,8 @@ def build_config(raw, base_dir="."):
                 snapshot_every=rd.int_("run.snapshot_every", 0),
                 stop_on_converged=rd.bool_("run.stop_on_converged", False))
     except InvalidParameter as exc:
-        rd.violations.append(f"run: {exc}")
+        rd.violations.append(f"run.{exc}")
 
-    if run_cfg is not None:
-        n_steps = round(run_cfg.t_end / run_cfg.dt)
-        if abs(n_steps * run_cfg.dt - run_cfg.t_end) > \
-                1e-9 * max(1.0, run_cfg.t_end):
-            rd.violations.append(
-                "run.t_end must be an integer multiple of run.dt")
     if model is not None and run_cfg is not None:
         kappa = model.w.kappa
         if run_cfg.dt > 1.0 / kappa and not allow_unstable:
@@ -421,6 +417,11 @@ def build_config(raw, base_dir="."):
         "validate_model": rd.bool_("diagnostics.validate_model", True),
         "reference_steady": rd.str_("diagnostics.reference_steady", None),
     }
+    for key in ("dissipation_tol", "s"):
+        value = diagnostics[key]
+        if not (math.isfinite(value) and value >= 0):
+            rd.violations.append(f"'diagnostics.{key}' must be finite and "
+                                 f"non-negative, got {value!r}")
 
     # the monitors read two unit windows from s on
     if diagnostics["monitors"] and run_cfg is not None \

@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (OMEGA_THRESHOLDS, TRACE_COLUMNS, TRACE_HEADER,
-                       OmegaScan, source_density)
+                       OmegaScan)
 from .errors import (ConfigMismatch, InsufficientDecay, InsufficientSamples,
                      InvalidParameter, ParseError)
-from .grids import OperatorWorkspace
 from . import steady as steady_mod
 
 
@@ -81,8 +80,12 @@ def check_dissipation(energies, g_dual_norms, dt, tol):
 
     ``dt`` is the spacing between consecutive rows: a scalar, or one value
     per row gap (``np.diff(times)`` of a trajectory).  With one row per
-    step this is the step size and the check is exact.
+    step this is the step size and the check is exact.  ``tol`` must be
+    finite and non-negative: a NaN allowance would pass every row.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter(f"dissipation tol must be finite and "
+                               f"non-negative, got {tol!r}")
     energies = np.asarray(energies, dtype=float)
     g = np.asarray(g_dual_norms, dtype=float)
     diffs = np.diff(energies)
@@ -136,19 +139,21 @@ class OmegaReport:
         return self.status == "CONVERGED"
 
 
-def detect_omega_limit(traj, model, thresholds=OMEGA_THRESHOLDS):
+def detect_omega_limit(traj, thresholds=OMEGA_THRESHOLDS):
     """Scan a trace for simultaneous smallness of the phase velocity, the
     stationary residual and the temperature distance over consecutive rows;
     on success the stationary residual of the final order parameter is
-    recomputed independently as the certificate."""
+    recomputed independently, on the run's workspace, as the certificate."""
+    stepper = traj.stepper
+    model = stepper.model
     c = traj.columns
     scan = OmegaScan(thresholds)
     for row in zip(c["norm_chit_H"], c["stationary_residual"],
                    c["dist_theta_H"]):
         i = scan.push(*row)
         if i is not None:
-            cert = steady_mod.residual_stationary(traj.final_state.chi,
-                                                  model, traj.grid)
+            cert = steady_mod.residual_stationary(
+                traj.final_state.chi, model, stepper.grid, stepper.ws)
             return OmegaReport("CONVERGED", float(traj.times[i]), int(i),
                                model.j.theta_inf, float(cert))
     return OmegaReport("PENDING", None, None, model.j.theta_inf, None)
@@ -272,18 +277,18 @@ def _kept_states(traj):
 
 def chi_distance_series(traj, chi_inf):
     """||chi(t) - chi_inf||_H over the kept states of a trajectory."""
-    ws = OperatorWorkspace(traj.grid, None)
+    ws = traj.stepper.ws
     return np.array([ws.h_norm(chi - chi_inf.flat)
                      for chi in _kept_states(traj)])
 
 
-def estimate_lojasiewicz_trajectory(traj, chi_inf, model, eps_loj=0.1):
+def estimate_lojasiewicz_trajectory(traj, chi_inf, eps_loj=0.1):
     """Exponent estimate along a finished run against a reference
-    stationary state, from the stationary energies of the kept states and
-    their max(V, C0) distances to it (the admission radius); the residual
-    column lines up with the kept states."""
+    stationary state, from the stationary energies (of the run's model) of
+    the kept states and their max(V, C0) distances to it (the admission
+    radius); the residual column lines up with the kept states."""
     chis = _kept_states(traj)
-    ws = OperatorWorkspace(traj.grid, None)
+    model, ws = traj.stepper.model, traj.stepper.ws
     ref = chi_inf.flat
     energies = np.array([steady_mod.stationary_energy(chi, model, ws)
                          for chi in chis])
@@ -356,13 +361,13 @@ def _growing_trend(window_values, per_window=0.10, span=10):
     return bool(tail[-1] / tail[0] > (1.0 + per_window) ** (span - 1))
 
 
-def monitor_bounds(traj, s, q_tag=None):
+def monitor_bounds(traj, s):
     """Windowed uniform norms of a run from time s on, with a growth flag.
 
     Reports the six regularity monitors (temperature velocity per unit
     window, temperature and flux in the heat-space norm, phase velocity,
     the discrete second-order norm of the phase, and the well derivative)
-    and, when the source declares square-integrable time derivative
+    and, when the run's source declares square-integrable time derivative
     (q_tag <= 2), the global-in-time L2 slot of the temperature velocity.
     """
     times = traj.times
@@ -381,6 +386,7 @@ def monitor_bounds(traj, s, q_tag=None):
     flags = tuple(name for name, w in windows.items() if _growing_trend(w))
 
     tail = None
+    q_tag = traj.stepper.source.q_tag
     if q_tag is not None and q_tag <= 2.0:
         gaps = np.diff(times, prepend=times[0])
         tail = math.sqrt(float(np.sum((gaps * thetat ** 2)[mask])))
@@ -405,7 +411,7 @@ def stability_gap(traj_a, traj_b):
     Both runs must share grid, step size and horizon, and must have kept
     their states at the same cadence.
     """
-    ga, gb = traj_a.grid, traj_b.grid
+    ga, gb = traj_a.stepper.grid, traj_b.stepper.grid
     if ga.nodes != gb.nodes or ga.extents != gb.extents:
         raise ConfigMismatch("different grids")
     if traj_a.dt != traj_b.dt or not np.array_equal(traj_a.times,
@@ -413,7 +419,7 @@ def stability_gap(traj_a, traj_b):
         raise ConfigMismatch("different step size or horizon")
     if len(traj_a.states) != len(traj_b.states) or not traj_a.states:
         raise ConfigMismatch("states not kept at matching cadence")
-    ws = OperatorWorkspace(ga, None)
+    ws = traj_a.stepper.ws
     gaps = []
     running = 0.0
     for (_, tha, cha), (_, thb, chb) in zip(traj_a.states, traj_b.states):
@@ -444,13 +450,11 @@ def tail_statistic(times, g_dual_norms, delta):
     return float(np.max(np.where(t > 0, t, 0.0) ** (1.0 + delta) * tail))
 
 
-def source_report(traj, model, bc, source):
-    """Numerical checks of the declared source integrability tags."""
-    ws = OperatorWorkspace(traj.grid, bc)
-
-    def g(t):
-        return source_density(model, ws, bc, source, t)
-
+def source_report(traj):
+    """Numerical checks of the integrability tags the run's source
+    declares, on the run's right-hand side (``traj.stepper.g_density``)."""
+    stepper = traj.stepper
+    source, ws, g = stepper.source, stepper.ws, stepper.g_density
     times = traj.times
     stat = None
     finite = True
@@ -460,7 +464,7 @@ def source_report(traj, model, bc, source):
 
     windowed = None
     p = source.p_tag
-    if not source.is_zero or bc.kind == "robin":
+    if not source.is_zero or stepper.bc.kind == "robin":
         eps = 1e-6
         gt = np.array([
             ws.dual_norm_weak((g(t + eps) - g(max(t - eps, 0.0))) * ws.w

@@ -107,19 +107,6 @@ def zero_source():
     return SourceSpec()
 
 
-def source_density(model, ws, bc, source, t):
-    """Right-hand side g(t) as a nodal density: the volumetric source plus,
-    for Robin conditions, the boundary exchange term with the exterior
-    temperature (theta_gamma(t), or model.j.theta_inf without a schedule)."""
-    g = source.f_values(ws.grid, t)
-    if bc.kind == "robin":
-        exterior = model.j.theta_inf if bc.theta_gamma is None \
-            else float(bc.theta_gamma(t))
-        jp_gamma = float(evaluate(model.j, 1, exterior))
-        g = g + bc.eta * jp_gamma * ws.gamma / ws.w
-    return g
-
-
 @dataclass(frozen=True)
 class StepReport:
     newton_iters: int
@@ -143,10 +130,27 @@ class TrajectoryConfig:
     keep_states: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise InvalidParameter("dt and t_end must be positive")
-        if self.newton_tol <= 0:
-            raise InvalidParameter("newton_tol must be positive")
+        # each message starts with the field it rejects, which the config
+        # reader reports as the key run.<field>
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameter(
+                    f"{name} must be finite and positive, got {value!r}")
+        ratio = self.t_end / self.dt
+        if not (math.isfinite(ratio) and round(ratio) >= 1
+                and abs(round(ratio) * self.dt - self.t_end)
+                <= 1e-9 * max(1.0, self.t_end)):
+            raise InvalidParameter(
+                f"t_end must be an integer multiple of dt, got "
+                f"t_end = {self.t_end!r} and dt = {self.dt!r}")
+        if not self.newton_tol > 0:
+            raise InvalidParameter(
+                f"newton_tol must be positive, got {self.newton_tol!r}")
+        for name in ("trace_every", "max_newton"):
+            if getattr(self, name) < 1:
+                raise InvalidParameter(
+                    f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +217,17 @@ class Stepper:
             np.dot(self.ws.w, np.asarray(self.model.j.value(theta_flat))))
 
     def g_density(self, t):
-        return source_density(self.model, self.ws, self.bc, self.source, t)
+        """Right-hand side g(t) as a nodal density: the volumetric source
+        plus, for Robin conditions, the boundary exchange term with the
+        exterior temperature (theta_gamma(t), or model.j.theta_inf without
+        a schedule)."""
+        g = self.source.f_values(self.grid, t)
+        if self.bc.kind == "robin":
+            exterior = self.model.j.theta_inf if self.bc.theta_gamma is None \
+                else float(self.bc.theta_gamma(t))
+            jp_gamma = float(evaluate(self.model.j, 1, exterior))
+            g = g + self.bc.eta * jp_gamma * self.ws.gamma / self.ws.w
+        return g
 
     def g_dual_norm(self, t):
         """Dual norm of the right-hand side against the heat operator's
@@ -392,9 +406,12 @@ class OmegaScan:
 @dataclass
 class Trajectory:
     """A finished run; ``times`` is its only time axis, and every row
-    diagnostic weights by the actual row gaps ``np.diff(times)``."""
+    diagnostic weights by the actual row gaps ``np.diff(times)``.
+    ``stepper`` is the run's Stepper: the post-hoc diagnostics read the
+    problem (model, grid, bc, source) and the operator workspace ``ws``
+    from it."""
 
-    grid: object
+    stepper: Stepper
     dt: float
     times: np.ndarray
     columns: dict                # csv columns, parallel arrays
@@ -432,11 +449,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     t0_wall = _time.perf_counter()
     stepper = Stepper(model, grid, bc, source)
     ws = stepper.ws
-
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0,
-                                                            config.t_end):
-        raise InvalidParameter("t_end must be an integer multiple of dt")
+    n_steps = round(config.t_end / config.dt)
 
     e0 = stepper.energy(initial.theta.flat, initial.chi.flat)
     if not math.isfinite(e0):
@@ -541,7 +554,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         if csv_fh is not None:
             csv_fh.close()
 
-    return Trajectory(grid=grid, dt=config.dt, times=np.asarray(times),
+    return Trajectory(stepper=stepper, dt=config.dt, times=np.asarray(times),
                       columns={k: np.asarray(v) for k, v in cols.items()},
                       aux={k: np.asarray(v) for k, v in aux.items()},
                       g_dual=np.asarray(g_dual), states=states,

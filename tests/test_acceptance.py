@@ -85,7 +85,7 @@ def test_criterion_3_omega_limit():
     t0 = time.perf_counter()
     traj = run(state, config, model, grid, BC, zero_source())
     elapsed = time.perf_counter() - t0
-    verdict = detect_omega_limit(traj, model)
+    verdict = detect_omega_limit(traj)
     assert verdict.converged
     assert verdict.certified_residual < 1e-6
     assert traj.columns["dist_theta_H"][-1] < 1e-6
@@ -251,7 +251,7 @@ def test_criterion_9_regularity_monitors():
     src = decaying_source()
     traj_src = run(cosine_initial(grid, model), config, model, grid, BC,
                    src)
-    report_src = monitor_bounds(traj_src, 1.0, q_tag=src.q_tag)
+    report_src = monitor_bounds(traj_src, 1.0)
     assert report_src.finite()
     assert not report_src.unbounded
     assert report_src.thetat_l2_tail is not None

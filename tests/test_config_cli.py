@@ -293,6 +293,18 @@ class TestCliEntry:
         p.write_text("model.j = martian_law\n")
         assert main(["validate", str(p)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("run.dt", "nan"), ("run.t_end", "inf"), ("run.trace_every", "0"),
+        ("run.max_newton", "0"), ("diagnostics.dissipation_tol", "nan"),
+        ("source.p", "0"), ("diagnostics.s", "nan")])
+    def test_validate_bad_setting_exit_2(self, tmp_path, capsys, key,
+                                         value):
+        # each once ended in a traceback, a crash after the run, or (the
+        # NaN tolerance) a dissipation check that passed every row
+        path = write_cfg(tmp_path / "c.cfg", minimal_raw(**{key: value}))
+        assert main(["validate", path]) == 2
+        assert key in capsys.readouterr().err
+
     def test_fit_truncated_snapshot_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseflow import (Field, Grid, SourceSpec, State,
+from phaseflow import (BoundarySpec, Field, Grid, SourceSpec, State,
                        TrajectoryConfig, run, solve_stationary, zero_source)
 from phaseflow.diagnostics import (EnergyTrace, check_dissipation,
                                    check_phi_monotone, chi_distance_series,
@@ -13,6 +13,7 @@ from phaseflow.diagnostics import (EnergyTrace, check_dissipation,
                                    stability_gap, tail_statistic)
 from phaseflow.errors import (ConfigMismatch, InsufficientDecay,
                               InsufficientSamples, InvalidParameter)
+from phaseflow.grids import OperatorWorkspace
 
 from conftest import cosine_state
 
@@ -39,6 +40,12 @@ class TestCheckDissipation:
         g = np.array([0.0, 1.0])
         assert check_dissipation(energies, g, 1e-3, 0.0).passed
         assert not check_dissipation(energies, 0.5 * g, 1e-3, 0.0).passed
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN allowance would pass every row
+        with pytest.raises(InvalidParameter):
+            check_dissipation(np.array([1.0, 2.0]), np.zeros(2), 1e-3, tol)
 
 
 class TestPhi:
@@ -89,7 +96,7 @@ class TestOmegaDetection:
         cfg = TrajectoryConfig(dt=1e-2, t_end=0.1)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        verdict = detect_omega_limit(traj, caginalp_model)
+        verdict = detect_omega_limit(traj)
         assert verdict.converged
         assert verdict.certified_residual < 1e-6
 
@@ -99,7 +106,7 @@ class TestOmegaDetection:
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.1)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        assert detect_omega_limit(traj, caginalp_model).status == "PENDING"
+        assert detect_omega_limit(traj).status == "PENDING"
 
     def test_certificate_recomputed_independently(self, caginalp_model,
                                                   dirichlet_bc):
@@ -107,7 +114,7 @@ class TestOmegaDetection:
         st = cosine_state(g, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=50.0, stop_on_converged=True)
         traj = run(st, cfg, caginalp_model, g, dirichlet_bc, zero_source())
-        verdict = detect_omega_limit(traj, caginalp_model)
+        verdict = detect_omega_limit(traj)
         assert verdict.converged
         steady = solve_stationary(traj.final_state.chi, caginalp_model, g)
         assert verdict.certified_residual < 1e-6
@@ -121,8 +128,7 @@ class TestOmegaDetection:
         cfg = TrajectoryConfig(dt=1e-2, t_end=4.0, stop_on_converged=False)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
-        verdict = detect_omega_limit(traj, caginalp_model,
-                                     thresholds=cfg.omega_tols)
+        verdict = detect_omega_limit(traj, thresholds=cfg.omega_tols)
         assert traj.verdict.converged and verdict.converged
         assert traj.verdict.row < traj.times.size - 1
         assert (traj.verdict.status, traj.verdict.row) \
@@ -241,7 +247,10 @@ class TestMonitors:
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                    zero_source())
         assert monitor_bounds(traj, 1.0).thetat_l2_tail is None
-        rep = monitor_bounds(traj, 1.0, q_tag=2.0)
+        # a zero source tagged q = 2: the same trajectory, bit for bit
+        tagged = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
+                     SourceSpec(q_tag=2.0))
+        rep = monitor_bounds(tagged, 1.0)
         assert rep.thetat_l2_tail is not None
         assert np.isfinite(rep.thetat_l2_tail)
 
@@ -304,7 +313,7 @@ class TestSourceReports:
         st = cosine_state(unit_grid, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-2, t_end=2.0)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc, src)
-        rep = source_report(traj, caginalp_model, dirichlet_bc, src)
+        rep = source_report(traj)
         assert rep.tail_finite
         assert rep.windowed_gt_sup is not None
         assert np.isfinite(rep.windowed_gt_sup)
@@ -321,8 +330,7 @@ class TestTrajectoryFits:
                                trace_every=25)
         traj = run(st, cfg, caginalp_model, g, dirichlet_bc, zero_source())
         chi_inf = Field.full(g, 0.0)
-        loj = estimate_lojasiewicz_trajectory(traj, chi_inf,
-                                              caginalp_model, eps_loj=0.1)
+        loj = estimate_lojasiewicz_trajectory(traj, chi_inf, eps_loj=0.1)
         assert loj.zeta == pytest.approx(0.5, abs=0.03)
         rate = fit_rate_trajectory(traj, chi_inf)
         assert rate.beta == np.inf         # exponential decay regime
@@ -351,7 +359,7 @@ class TestTrajectoryFits:
         assert abs(np.mean(chi_final)) < 1e-6   # mean mode stayed put
         assert 0.01 < np.max(np.abs(chi_final)) < 0.15  # still descending
         loj = estimate_lojasiewicz_trajectory(traj, Field.full(g, 0.0),
-                                              model, eps_loj=1.0)
+                                              eps_loj=1.0)
         assert loj.zeta == pytest.approx(0.25, abs=0.04)
 
     def test_wrapper_requires_aligned_states(self, caginalp_model,
@@ -362,8 +370,7 @@ class TestTrajectoryFits:
                    zero_source())
         with pytest.raises(InvalidParameter):
             estimate_lojasiewicz_trajectory(traj,
-                                            Field.full(unit_grid, 0.0),
-                                            caginalp_model)
+                                            Field.full(unit_grid, 0.0))
 
 
 class TestRobinEnergyInequality:
@@ -383,7 +390,7 @@ class TestRobinEnergyInequality:
                         Field(g, 0.9 + 0.05 * np.cos(np.pi * x)), model)
         cfg = TrajectoryConfig(dt=2e-3, t_end=20.0, stop_on_converged=True)
         traj = run(st, cfg, model, g, bc, zero_source())
-        verdict = detect_omega_limit(traj, model)
+        verdict = detect_omega_limit(traj)
         assert verdict.converged
         assert verdict.certified_residual < 1e-6
         np.testing.assert_allclose(traj.final_state.chi.values, 1.0,
@@ -442,3 +449,31 @@ class TestEnergyTrace:
         d = chi_distance_series(traj, Field.full(unit_grid, 0.0))
         assert d.size == traj.times.size
         assert np.all(np.diff(d) <= 0)   # decaying toward zero here
+
+
+class TestRunOperatorsReused:
+    @pytest.mark.parametrize("bc", [BoundarySpec("dirichlet"),
+                                    BoundarySpec("robin", eta=0.5)])
+    def test_post_hoc_diagnostics_build_no_workspace(self, caginalp_model,
+                                                     unit_grid, bc,
+                                                     monkeypatch):
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=4.0, keep_states=True)
+        traj = run(st, cfg, caginalp_model, unit_grid, bc, zero_source())
+        builds = []
+        build = OperatorWorkspace.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(OperatorWorkspace, "__init__", counting_init)
+        chi_inf = Field.full(unit_grid, 0.0)
+        # converged, so the certificate is recomputed
+        assert detect_omega_limit(traj).converged
+        source_report(traj)
+        monitor_bounds(traj, 0.0)
+        estimate_lojasiewicz_trajectory(traj, chi_inf)
+        chi_distance_series(traj, chi_inf)
+        stability_gap(traj, traj)
+        assert builds == []

@@ -215,13 +215,22 @@ class TestRun:
             out.append((d / "trace.csv").read_bytes())
         assert out[0] == out[1]
 
-    def test_horizon_must_align(self, caginalp_model, unit_grid,
-                                dirichlet_bc):
-        st = cosine_state(unit_grid, caginalp_model)
-        cfg = TrajectoryConfig(dt=3e-3, t_end=1.0)
-        with pytest.raises(InvalidParameter):
-            run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
-                zero_source())
+    def test_horizon_must_align(self):
+        # checked where the run settings are built, before any run
+        with pytest.raises(InvalidParameter, match="integer multiple"):
+            TrajectoryConfig(dt=3e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("dt", {"dt": float("nan")}), ("dt", {"dt": -1e-3}),
+        ("t_end", {"t_end": float("inf")}),
+        ("t_end", {"dt": 1.0, "t_end": 1e-12}),   # zero steps
+        ("newton_tol", {"newton_tol": float("nan")}),
+        ("trace_every", {"trace_every": 0}),
+        ("max_newton", {"max_newton": 0})])
+    def test_bad_settings_rejected(self, name, bad):
+        settings = {"dt": 1e-3, "t_end": 1.0, **bad}
+        with pytest.raises(InvalidParameter, match=f"^{name} must"):
+            TrajectoryConfig(**settings)
 
     def test_retry_splits_step_once(self, caginalp_model, unit_grid,
                                     dirichlet_bc, monkeypatch):
