@@ -2,7 +2,8 @@
 generalized phase-field systems with convex heat-flux laws."""
 
 from .dynamics import (SourceSpec, State, StepReport, Stepper, Trajectory,
-                       TrajectoryConfig, run, step, zero_source)
+                       TrajectoryConfig, free_energy, run, step,
+                       zero_source)
 from .grids import (BoundarySpec, Field, Grid, OperatorWorkspace, integrate,
                     norm)
 from .models import (ConvexPotential, LatentHeat, ModelSpec,
@@ -20,8 +21,8 @@ __all__ = [
     "ModelSpec", "NonconvexPotential", "OperatorWorkspace", "SourceSpec",
     "State", "StepReport", "SteadyState", "Stepper", "Trajectory",
     "TrajectoryConfig", "ValidationReport", "builtin", "builtin_names",
-    "check_range", "divided_difference_lambda", "evaluate", "integrate",
-    "norm", "oracle_step", "regularize", "residual_stationary", "run",
-    "solve_catalog", "solve_stationary", "step", "validate_hypotheses",
-    "zero_source",
+    "check_range", "divided_difference_lambda", "evaluate", "free_energy",
+    "integrate", "norm", "oracle_step", "regularize", "residual_stationary",
+    "run", "solve_catalog", "solve_stationary", "step",
+    "validate_hypotheses", "zero_source",
 ]

@@ -82,6 +82,7 @@ def run_experiment(config, quiet=False):
         return EXIT_SOLVER
 
     report["files"].extend(os.path.basename(p) for p in traj.snapshot_files)
+    report["run_stats"] = traj.stats
     failed_assertions = []
 
     if opts["omega"]:

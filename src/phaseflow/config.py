@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SourceSpec, State, Stepper, TrajectoryConfig
+from .dynamics import SourceSpec, State, TrajectoryConfig, free_energy
 from .errors import (InvalidParameter, ParseError, SnapshotError,
                      UnknownModel, ValidationError)
-from .grids import BoundarySpec, Field, Grid, read_records
+from .grids import BoundarySpec, Field, Grid, OperatorWorkspace, read_records
 from .models import ModelSpec, builtin, builtin_names
 
 _INF = float("inf")
@@ -447,8 +447,8 @@ def build_config(raw, base_dir="."):
     if not rd.violations and model is not None and grid is not None:
         try:
             st = State.make(0.0, initial_theta, initial_chi, model)
-            e0 = Stepper(model, grid, bc, source).energy(st.theta.flat,
-                                                         st.chi.flat)
+            e0 = free_energy(st.theta.flat, st.chi.flat, model,
+                             OperatorWorkspace(grid, None))
             if not math.isfinite(e0):
                 rd.violations.append("initial energy is not finite")
         except Exception as exc:  # noqa: BLE001 - reported as a violation

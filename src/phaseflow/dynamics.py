@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.sparse.linalg import splu
 
 from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
                      NewtonDiverged)
@@ -44,6 +45,14 @@ OMEGA_THRESHOLDS = (1e-7, 1e-6, 1e-6)
 
 #: consecutive passing rows that make a convergence verdict
 OMEGA_CONSECUTIVE = 3
+
+#: relative linear residual ||rhs - J x|| / ||rhs|| at which iterative
+#: refinement with the lagged 2D factor stops
+REFINE_TOL = 1e-12
+
+#: triangular-solve sweeps with a lagged 2D factor before it is replaced by
+#: a factor of the current Jacobian
+REFINE_MAX_SWEEPS = 10
 
 
 @dataclass
@@ -109,12 +118,21 @@ def zero_source():
 
 @dataclass(frozen=True)
 class StepReport:
+    """What one accepted step did.  ``linear_residual`` is the worst
+    relative linear residual ||J d + r|| / ||r|| of its Newton solves;
+    ``refinement_sweeps`` counts the triangular solves with the kept 2D
+    factor (0 in 1D, where every solve factors)."""
+
     newton_iters: int
     residual: float
     energy_before: float
     energy_after: float
     damping_events: int
     dt: float
+    linear_solves: int
+    factorizations: int
+    refinement_sweeps: int
+    linear_residual: float
 
 
 @dataclass
@@ -153,6 +171,26 @@ class TrajectoryConfig:
                     f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
+def free_energy(theta_flat, chi_flat, model, ws):
+    """Discrete free energy: the stationary energy of chi plus the
+    trapezoid quadrature of j(theta); any workspace of the grid serves."""
+    return stationary_energy(chi_flat, model, ws) + float(
+        np.dot(ws.w, np.asarray(model.j.value(theta_flat))))
+
+
+def _band_matvec(ab, band, x):
+    """a @ x for the matrix a in LAPACK band storage ab[u + i - j, j]."""
+    lower, upper = band
+    y = np.zeros_like(x)
+    for row in range(lower + upper + 1):
+        d = row - upper                         # i - j on this diagonal
+        if d >= 0:
+            y[d:] += ab[row, :x.size - d] * x[:x.size - d]
+        else:
+            y[:d] += ab[row, -d:] * x[-d:]
+    return y
+
+
 # ----------------------------------------------------------------------
 # the stepper
 # ----------------------------------------------------------------------
@@ -160,8 +198,10 @@ class TrajectoryConfig:
 class Stepper:
     """Shared machinery for stepping one (model, grid, bc, source) problem.
 
-    Owns the operator workspace and the Newton matrix structure; immutable
-    inputs are shared, all mutable scratch is per call.
+    Owns the operator workspace, the Newton matrix structure and, in 2D,
+    the lagged LU factor that ``linear_solve`` reuses across iterations and
+    steps; the factor is the one piece of mutable state kept between calls,
+    so a Stepper serves one run at a time.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -174,12 +214,22 @@ class Stepper:
         self.act = self.ws.active               # theta unknowns
         self.m = self.act.size
         self.dirichlet = bc.kind == "dirichlet"
+        self._lu = None
         self._build_jacobian_structure()
 
     def _build_jacobian_structure(self):
-        """Static sparsity of the coupled Newton matrix; per-iteration work
-        then only fills a data vector (duplicate diagonal entries sum)."""
+        """Static sparsity of the coupled Newton matrix, mapped once onto
+        the storage the solve uses: per iteration ``_jacobian`` fills a data
+        vector and ``np.bincount`` sums it into that storage (duplicate
+        diagonal entries sum).
+
+        In 1D the unknowns are interleaved per node as (theta_k, chi_k),
+        without the Dirichlet boundary thetas, which gives a band of two
+        sub- and two superdiagonals in LAPACK band storage; in 2D the
+        storage is the data array of a fixed CSC pattern.
+        """
         m, n = self.m, self.n
+        size = m + n
         btt = self.ws.B_fd.tocoo()
         acc = self.ws.A_fd.tocoo()
         am = np.arange(m)
@@ -193,7 +243,27 @@ class Stepper:
         self._btt_data = btt.data.copy()
         self._btt_col = btt.col.copy()
         self._acc_data = acc.data.copy()
-        self._jshape = (m + n, m + n)
+        self._jshape = (size, size)
+        if self.grid.dim == 1:
+            node = np.concatenate([self.act, an])
+            is_chi = np.arange(size) >= m
+            self._perm = np.argsort(2 * node + is_chi, kind="stable")
+            pos = np.empty(size, dtype=np.intp)
+            pos[self._perm] = np.arange(size)
+            self._pos = pos
+            r, c = pos[rows], pos[cols]
+            lower, upper = int(np.max(r - c)), int(np.max(c - r))
+            self._band = (lower, upper)
+            self._slot = (upper + r - c) * size + c
+            self._nslots = (lower + upper + 1) * size
+        else:
+            keys, self._slot = np.unique(cols * size + rows,
+                                         return_inverse=True)
+            self._nslots = keys.size
+            self._indices = (keys % size).astype(np.int32)
+            self._indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(keys // size, minlength=size))]
+            ).astype(np.int32)
 
     # -- constitutive evaluation ------------------------------------------
     def constitutive(self, theta, chi_old, chi_new):
@@ -209,12 +279,6 @@ class Stepper:
         lhat, dlhat = secant_arrays(
             m.lam.d1, m.lam.d2, chi_old, chi_new, lam_old, lam_new, lam_p)
         return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
-
-    def energy(self, theta_flat, chi_flat):
-        """Discrete free energy: the stationary energy of chi plus the
-        trapezoid quadrature of j(theta)."""
-        return stationary_energy(chi_flat, self.model, self.ws) + float(
-            np.dot(self.ws.w, np.asarray(self.model.j.value(theta_flat))))
 
     def g_density(self, t):
         """Right-hand side g(t) as a nodal density: the volumetric source
@@ -275,8 +339,70 @@ class Stepper:
             self._acc_data,                            # Neumann stiffness
             1.0 / dt + wpp + kappa - dlhat * u,        # chi diagonal
         ])
-        return sps.csc_matrix((data, (self._jrows, self._jcols)),
-                              shape=self._jshape)
+        return data
+
+    def linear_solve(self, data, rhs):
+        """Solve J x = rhs for the Newton matrix J with entries ``data`` on
+        the static structure; rhs and x are in the Newton ordering
+        (active thetas, then all chis).
+
+        Returns (x, factorizations, sweeps, relative residual
+        ||J x - rhs|| / ||rhs||).  1D factors the band directly; 2D reuses
+        the lagged factor by iterative refinement and refactors with the
+        current Jacobian when that misses REFINE_TOL.  A singular factor
+        raises NewtonDiverged.
+        """
+        storage = np.bincount(self._slot, weights=data,
+                              minlength=self._nslots)
+        scale = float(np.linalg.norm(rhs))
+        if self.grid.dim == 1:
+            ab = storage.reshape(-1, rhs.size)
+            b = rhs[self._perm]
+            try:
+                x = solve_banded(self._band, ab, b, check_finite=False)
+            except LinAlgError as exc:
+                raise NewtonDiverged(
+                    f"singular linearization in step solve ({exc})") from None
+            rel = float(np.linalg.norm(_band_matvec(ab, self._band, x) - b)) \
+                / scale
+            return x[self._pos], 1, 0, rel
+        jac = sps.csc_matrix((storage, self._indices, self._indptr),
+                             shape=self._jshape)
+        factorizations = 0
+        if self._lu is None:
+            self._factor(jac)
+            factorizations = 1
+        x, sweeps, rel = self._refine(jac, rhs, scale)
+        if factorizations == 0 and not rel <= REFINE_TOL:
+            self._factor(jac)
+            factorizations = 1
+            x, more, rel = self._refine(jac, rhs, scale)
+            sweeps += more
+        return x, factorizations, sweeps, rel
+
+    def _factor(self, jac):
+        try:
+            self._lu = splu(jac, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise NewtonDiverged(
+                f"singular linearization in step solve ({exc})") from None
+
+    def _refine(self, jac, rhs, scale):
+        """Sweeps x += LU^-1 (rhs - J x) from x = 0 with the kept factor,
+        while the residual falls and is above REFINE_TOL."""
+        x = self._lu.solve(rhs)
+        r = rhs - jac @ x
+        rel = float(np.linalg.norm(r)) / scale
+        sweeps = 1
+        while rel > REFINE_TOL and sweeps < REFINE_MAX_SWEEPS:
+            x_new = x + self._lu.solve(r)
+            r_new = rhs - jac @ x_new
+            rel_new = float(np.linalg.norm(r_new)) / scale
+            sweeps += 1
+            if not rel_new < rel:
+                break
+            x, r, rel = x_new, r_new, rel_new
+        return x, sweeps, rel
 
     def step(self, state, config, energy_before=None):
         """Advance one step of config.dt; returns (new state, report)."""
@@ -286,11 +412,14 @@ class Stepper:
         t_new = state.t + dt
         g = self.g_density(t_new)
         if energy_before is None:
-            energy_before = self.energy(theta_old, chi_old)
+            energy_before = free_energy(theta_old, chi_old, self.model,
+                                        self.ws)
 
         theta_act = theta_old[self.act].copy()
         chi_new = chi_old.copy()
         damping_events = 0
+        solves = factorizations = sweeps = 0
+        lin_res = 0.0
 
         for it in range(1, config.max_newton + 1):
             theta_f = self.theta_full(theta_act)
@@ -309,17 +438,22 @@ class Stepper:
                                              chi_new.reshape(self.grid.shape)
                                              .copy()),
                                        self.model)
-                e_after = self.energy(theta_f, chi_new)
-                return new_state, StepReport(it, res, energy_before,
-                                             e_after, damping_events, dt)
+                e_after = free_energy(theta_f, chi_new, self.model, self.ws)
+                return new_state, StepReport(
+                    it, res, energy_before, e_after, damping_events, dt,
+                    solves, factorizations, sweeps, lin_res)
             if it == config.max_newton:
                 raise NewtonDiverged(
                     f"residual {res:.3e} above tolerance "
                     f"{config.newton_tol:.1e} after {it} iterations",
                     residual=res)
-            jac = self._jacobian(arrays, dt)
             rhs = -np.concatenate([r_theta, r_chi])
-            delta = spsolve(jac, rhs)
+            delta, factored, swept, rel = self.linear_solve(
+                self._jacobian(arrays, dt), rhs)
+            solves += 1
+            factorizations += factored
+            sweeps += swept
+            lin_res = max(lin_res, rel)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDiverged("singular linearization in step solve",
                                      residual=res)
@@ -421,11 +555,20 @@ class Trajectory:
     final_state: State
     verdict: OmegaVerdict
     wall_time: float
+    stats: dict                  # run counters, see RUN_STATS
     snapshot_files: tuple = ()
 
     @property
     def energies(self):
         return self.columns["energy"]
+
+
+#: Trajectory.stats keys: StepReport counters summed over every accepted
+#: step and half step, the worst relative linear residual of the run, and
+#: the steps retried as two half steps
+RUN_STATS = ("newton_iters", "damping_events", "linear_solves",
+             "factorizations", "refinement_sweeps", "linear_residual_max",
+             "retried_steps")
 
 
 def _fmt(x):
@@ -451,7 +594,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     ws = stepper.ws
     n_steps = round(config.t_end / config.dt)
 
-    e0 = stepper.energy(initial.theta.flat, initial.chi.flat)
+    e0 = free_energy(initial.theta.flat, initial.chi.flat, model, ws)
     if not math.isfinite(e0):
         raise InvalidParameter("initial energy is not finite")
 
@@ -521,6 +664,16 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         write_records(path, [(state.theta, state.t), (state.chi, state.t)])
         snapshot_files.append(path)
 
+    stats = dict.fromkeys(RUN_STATS, 0)
+    stats["linear_residual_max"] = 0.0
+
+    def tally(rep):
+        for key in ("newton_iters", "damping_events", "linear_solves",
+                    "factorizations", "refinement_sweeps"):
+            stats[key] += getattr(rep, key)
+        stats["linear_residual_max"] = max(stats["linear_residual_max"],
+                                           rep.linear_residual)
+
     state = initial
     energy = e0
     emit_row(state, energy, 0)
@@ -539,6 +692,9 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
                 state, report = stepper.step(state, half,
                                              energy_before=rep1.energy_after)
                 iters = rep1.newton_iters + report.newton_iters
+                stats["retried_steps"] += 1
+                tally(rep1)
+            tally(report)
             # from the step index: repeated addition of dt drifts
             state.t = k * config.dt
             energy = report.energy_after
@@ -560,4 +716,5 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
                       g_dual=np.asarray(g_dual), states=states,
                       final_state=state, verdict=verdict,
                       wall_time=_time.perf_counter() - t0_wall,
+                      stats=stats,
                       snapshot_files=tuple(snapshot_files))

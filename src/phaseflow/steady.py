@@ -96,16 +96,19 @@ def residual_stationary(chi, model, grid, ws=None):
     return ws.vstar_neumann_norm(_stationary_vector(flat, model, ws))
 
 
-def solve_stationary(guess, model, grid, tol=1e-10):
+def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
     """Damped Newton for the stationary problem from a given guess.
 
     Which solution is found depends on the guess.  The residual is measured
     in the Neumann dual norm; fraction-to-the-boundary damping keeps the
-    iterates models.DOMAIN_MARGIN inside the domain of W.
+    iterates models.DOMAIN_MARGIN inside the domain of W.  A caller that
+    solves repeatedly passes its own workspace, as for
+    ``residual_stationary``.
     """
     if tol <= 0:
         raise InvalidParameter("tolerance must be positive")
-    ws = OperatorWorkspace(grid, None)
+    if ws is None:
+        ws = OperatorWorkspace(grid, None)
     chi = guess.flat.copy()
     if not inside(model.w, chi, DOMAIN_MARGIN):
         raise DomainViolation("guess leaves the domain of W")
@@ -174,7 +177,7 @@ def solve_catalog(guesses, model, grid, tol=1e-10, out_dir=None):
     found = []
     for guess in guesses:
         try:
-            st = solve_stationary(guess, model, grid, tol=tol)
+            st = solve_stationary(guess, model, grid, tol=tol, ws=ws)
         except (NewtonDiverged, DegenerateJacobian):
             continue
         if all(ws.h_norm(st.chi.flat - other.chi.flat) > CATALOG_DEDUPE_TOL

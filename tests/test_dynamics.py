@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from phaseflow import (BoundarySpec, Field, Grid, ModelSpec, SourceSpec,
-                       State, Stepper, TrajectoryConfig, builtin,
-                       integrate, oracle_step, regularize, run, step,
-                       zero_source)
+from phaseflow import (BoundarySpec, Field, Grid, ModelSpec,
+                       OperatorWorkspace, SourceSpec, State, Stepper,
+                       TrajectoryConfig, builtin, free_energy, integrate,
+                       oracle_step, regularize, run, step, zero_source)
 from phaseflow import dynamics as dyn
 from phaseflow.errors import (DomainExhausted, DomainViolation,
                               InvalidParameter, NewtonDiverged)
@@ -30,8 +30,8 @@ class TestState:
 
 
 def _energy(st, model, grid, bc):
-    return Stepper(model, grid, bc, zero_source()).energy(st.theta.flat,
-                                                          st.chi.flat)
+    return free_energy(st.theta.flat, st.chi.flat, model,
+                       OperatorWorkspace(grid, bc))
 
 
 class TestDiscreteEnergy:
@@ -252,6 +252,11 @@ class TestRun:
         # first step became two half steps; times stay on the grid
         np.testing.assert_allclose(np.diff(traj.times), 1e-3, atol=1e-12)
         assert traj.final_state.t == pytest.approx(5e-3)
+        # each of the six accepted steps (four whole, two halves) ends in
+        # a Newton iteration that solves nothing
+        assert traj.stats["retried_steps"] == 1
+        assert traj.stats["linear_solves"] \
+            == traj.stats["newton_iters"] - 6
 
     def test_retry_gives_up_after_one_halving(self, caginalp_model,
                                               unit_grid, dirichlet_bc,
