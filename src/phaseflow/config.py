@@ -34,6 +34,9 @@ from .models import ModelSpec, builtin, builtin_names
 
 _INF = float("inf")
 
+#: float keys that may be infinite (an integrability tag of the source)
+_INF_KEYS = ("source.p", "source.q")
+
 
 def parse_raw(path):
     """Read the flat dotted-key tree of a UTF-8 config file; a file that
@@ -86,14 +89,26 @@ class _Reader:
             return default if default in (choices or ()) else None
         return val
 
+    def _finite(self, key, values):
+        """False, with a violation, if a value is NaN, or infinite under a
+        key other than the two integrability tags."""
+        if all(math.isfinite(v) or (math.isinf(v) and key in _INF_KEYS)
+               for v in values):
+            return True
+        kind = "a number" if key in _INF_KEYS else "finite"
+        self.violations.append(f"'{key}' must be {kind}, got "
+                               f"{' '.join(map(repr, values))}")
+        return False
+
     def float_(self, key, default=None, required=False):
         val = self._fetch(key, default, required)
         if isinstance(val, str):
             try:
-                return float(val)
+                val = float(val)
             except ValueError:
                 self.violations.append(f"'{key}' is not a number: {val!r}")
                 return default
+            return val if self._finite(key, (val,)) else default
         return val
 
     def int_(self, key, default=None, required=False):
@@ -120,11 +135,12 @@ class _Reader:
         val = self._fetch(key, default, required)
         if isinstance(val, str):
             try:
-                return tuple(float(x) for x in val.split())
+                val = tuple(float(x) for x in val.split())
             except ValueError:
                 self.violations.append(f"'{key}' is not a number list: "
                                        f"{val!r}")
                 return default
+            return val if self._finite(key, val) else default
         return val
 
     def ints(self, key, default=None, required=False):
@@ -146,10 +162,13 @@ class _Reader:
                 self.seen.add(key)
                 name = key[len(prefix) + 1:]
                 try:
-                    out[name] = float(val)
+                    value = float(val)
                 except ValueError:
                     self.violations.append(
                         f"parameter '{key}' is not a number: {val!r}")
+                    continue
+                if self._finite(key, (value,)):
+                    out[name] = value
         return out
 
     def unknown_keys(self):
@@ -212,6 +231,15 @@ def make_profile(kind, amplitude, grid_extents):
 
 
 def make_initial_field(rd, prefix, grid, default_value=0.0):
+    """The initial field under ``prefix``, or None after a violation."""
+    try:
+        return _initial_field(rd, prefix, grid, default_value)
+    except InvalidParameter as exc:
+        rd.violations.append(f"'{prefix}': {exc}")
+        return None
+
+
+def _initial_field(rd, prefix, grid, default_value):
     kind = rd.str_(prefix, "constant",
                    choices={"constant", "cosine", "tanh", "snapshot"})
     # every kind's parameter names are legal keys, so switching the kind
@@ -281,7 +309,6 @@ class ExperimentConfig:
     initial_theta: Field
     initial_chi: Field
     run: TrajectoryConfig
-    allow_unstable: bool
     diagnostics: dict
     steady: dict
     out_dir: str
@@ -439,6 +466,12 @@ def build_config(raw, base_dir="."):
         "tol": rd.float_("steady.tol", 1e-10),
         "layers": rd.int_("steady.layers", 3),
     }
+    if not steady["tol"] > 0:
+        rd.violations.append(
+            f"'steady.tol' must be positive, got {steady['tol']!r}")
+    if steady["layers"] < 1:
+        rd.violations.append(
+            f"'steady.layers' must be at least 1, got {steady['layers']!r}")
 
     for key in rd.unknown_keys():
         rd.violations.append(f"unknown key '{key}'")
@@ -460,8 +493,7 @@ def build_config(raw, base_dir="."):
     return ExperimentConfig(
         model=model, grid=grid, bc=bc, source=source,
         initial_theta=initial_theta, initial_chi=initial_chi,
-        run=run_cfg, allow_unstable=allow_unstable,
-        diagnostics=diagnostics, steady=steady,
+        run=run_cfg, diagnostics=diagnostics, steady=steady,
         out_dir=os.path.join(base_dir, out_dir) if not os.path.isabs(out_dir)
         else out_dir)
 

@@ -329,21 +329,28 @@ class MonitorReport:
         return all(math.isfinite(v) for v in vals)
 
 
-def _window_norms(times, s, series, p):
-    """L^p norms of a row series over the unit windows [s+k, s+k+1) inside
-    the trace, each row weighted by its gap to the previous row; p = inf
-    gives the window maximum."""
-    gaps = np.diff(times, prepend=times[0])
-    out = []
+def _unit_windows(times, s):
+    """Row ranges [lo, hi) of the unit windows [s+k, s+k+1) inside the
+    trace, as (window start, lo, hi); a window without rows has hi == lo."""
     k = 0
     while s + k + 1.0 <= times[-1] + 1e-12:
         lo = np.searchsorted(times, s + k - 1e-12)
         hi = np.searchsorted(times, s + k + 1.0 - 1e-12)
+        yield s + k, lo, hi
+        k += 1
+
+
+def _window_norms(times, s, series, p):
+    """L^p norms of a row series over the unit windows with rows, each row
+    weighted by its gap to the previous row; p = inf gives the window
+    maximum."""
+    gaps = np.diff(times, prepend=times[0])
+    out = []
+    for _, lo, hi in _unit_windows(times, s):
         if hi > lo:
             x = series[lo:hi]
             out.append(np.max(x) if math.isinf(p)
                        else np.sum(gaps[lo:hi] * x ** p))
-        k += 1
     out = np.asarray(out, dtype=float)
     return out if math.isinf(p) else out ** (1.0 / p)
 
@@ -369,10 +376,17 @@ def monitor_bounds(traj, s):
     the discrete second-order norm of the phase, and the well derivative)
     and, when the run's source declares square-integrable time derivative
     (q_tag <= 2), the global-in-time L2 slot of the temperature velocity.
+    Every unit window from s on must hold a trace row.
     """
     times = traj.times
     if times[-1] < s + 2.0 - 1e-12:
         raise InvalidParameter("trace must cover [0, s+2] for monitors")
+    for start, lo, hi in _unit_windows(times, s):
+        if hi == lo:
+            raise InvalidParameter(
+                f"no trace row in the monitor window [{start:g}, "
+                f"{start + 1.0:g}); the monitors need a row in every unit "
+                "window from s (lower trace_every)")
     mask = times >= s - 1e-12
     thetat = traj.aux["norm_thetat_H"]
     sup_series = {"theta_V": traj.aux["norm_theta_V"],

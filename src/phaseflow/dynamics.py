@@ -31,7 +31,7 @@ from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
                      NewtonDiverged)
 from .grids import Field, OperatorWorkspace, write_records
 from .models import DOMAIN_MARGIN, evaluate, inside, secant_arrays
-from .steady import residual_stationary, stationary_energy
+from .steady import stationary_energy, stationary_vector
 
 _INF = float("inf")
 
@@ -57,23 +57,23 @@ REFINE_MAX_SWEEPS = 10
 
 @dataclass
 class State:
-    """Trajectory state: time, fields, and the cached flux variable
-    u = j'(theta)."""
+    """Trajectory state: time and the two fields.  ``make`` validates data
+    from outside a run against the domains of j and W; a step builds its
+    State directly from an iterate damping kept DOMAIN_MARGIN inside."""
 
     t: float
     theta: Field
     chi: Field
-    u: Field
 
     @classmethod
     def make(cls, t, theta, chi, model):
-        u = Field(theta.grid, evaluate(model.j, 1, theta.values))
-        if not inside(model.w, chi.values):
-            lo, hi = model.w.domain
-            raise DomainViolation(
-                f"chi leaves the open interval ({lo}, {hi}): range "
-                f"[{float(np.min(chi.values))}, {float(np.max(chi.values))}]")
-        return cls(float(t), theta, chi, u)
+        for name, fld, law in (("theta", theta, model.j),
+                               ("chi", chi, model.w)):
+            if not inside(law, fld.values):
+                raise DomainViolation(
+                    f"{name} leaves the open interval {law.domain}: range "
+                    f"[{fld.values.min()}, {fld.values.max()}]")
+        return cls(float(t), theta, chi)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,6 @@ class StepReport:
     energy_before: float
     energy_after: float
     damping_events: int
-    dt: float
     linear_solves: int
     factorizations: int
     refinement_sweeps: int
@@ -165,10 +164,11 @@ class TrajectoryConfig:
         if not self.newton_tol > 0:
             raise InvalidParameter(
                 f"newton_tol must be positive, got {self.newton_tol!r}")
-        for name in ("trace_every", "max_newton"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(
-                    f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name, least in (("trace_every", 1), ("max_newton", 1),
+                            ("snapshot_every", 0)):
+            if getattr(self, name) < least:
+                raise InvalidParameter(f"{name} must be at least {least}, "
+                                       f"got {getattr(self, name)!r}")
 
 
 def free_energy(theta_flat, chi_flat, model, ws):
@@ -266,14 +266,14 @@ class Stepper:
             ).astype(np.int32)
 
     # -- constitutive evaluation ------------------------------------------
-    def constitutive(self, theta, chi_old, chi_new):
-        """All pointwise arrays one Newton iterate needs."""
+    def constitutive(self, theta, chi_old, lam_old, chi_new):
+        """All pointwise arrays one Newton iterate needs; ``lam_old`` is
+        lam(chi_old), fixed over the step."""
         m = self.model
         u = np.asarray(m.j.d1(theta), dtype=float)
         jpp = np.asarray(m.j.d2(theta), dtype=float)
         wp = np.asarray(m.w.d1(chi_new), dtype=float)
         wpp = np.asarray(m.w.d2(chi_new), dtype=float)
-        lam_old = np.asarray(m.lam.value(chi_old), dtype=float)
         lam_new = np.asarray(m.lam.value(chi_new), dtype=float)
         lam_p = np.asarray(m.lam.d1(chi_new), dtype=float)
         lhat, dlhat = secant_arrays(
@@ -407,15 +407,17 @@ class Stepper:
     def step(self, state, config, energy_before=None):
         """Advance one step of config.dt; returns (new state, report)."""
         dt = config.dt
-        theta_old = state.theta.flat.copy()
-        chi_old = state.chi.flat.copy()
+        # read only: every iterate below is a new array
+        theta_old = state.theta.flat
+        chi_old = state.chi.flat
+        lam_old = np.asarray(self.model.lam.value(chi_old), dtype=float)
         t_new = state.t + dt
         g = self.g_density(t_new)
         if energy_before is None:
             energy_before = free_energy(theta_old, chi_old, self.model,
                                         self.ws)
 
-        theta_act = theta_old[self.act].copy()
+        theta_act = theta_old[self.act]
         chi_new = chi_old.copy()
         damping_events = 0
         solves = factorizations = sweeps = 0
@@ -423,7 +425,7 @@ class Stepper:
 
         for it in range(1, config.max_newton + 1):
             theta_f = self.theta_full(theta_act)
-            arrays = self.constitutive(theta_f, chi_old, chi_new)
+            arrays = self.constitutive(theta_f, chi_old, lam_old, chi_new)
             if self.dirichlet:
                 # boundary flux vanishes exactly there (j'(theta_inf) = 0)
                 arrays[0][self.ws.bmask] = 0.0
@@ -431,16 +433,14 @@ class Stepper:
                                             theta_old, chi_old, dt, g)
             res = self._residual_norm(r_theta, r_chi)
             if res <= config.newton_tol:
-                theta_new = Field(self.grid,
-                                  theta_f.reshape(self.grid.shape).copy())
-                new_state = State.make(t_new, theta_new,
-                                       Field(self.grid,
-                                             chi_new.reshape(self.grid.shape)
-                                             .copy()),
-                                       self.model)
+                # the old state or a damped iterate: no domain check
+                shape = self.grid.shape
+                new_state = State(t_new, Field(self.grid,
+                                               theta_f.reshape(shape)),
+                                  Field(self.grid, chi_new.reshape(shape)))
                 e_after = free_energy(theta_f, chi_new, self.model, self.ws)
                 return new_state, StepReport(
-                    it, res, energy_before, e_after, damping_events, dt,
+                    it, res, energy_before, e_after, damping_events,
                     solves, factorizations, sweeps, lin_res)
             if it == config.max_newton:
                 raise NewtonDiverged(
@@ -496,13 +496,16 @@ TRACE_COLUMNS = ("t", "energy", "norm_u_V", "norm_chit_H", "dist_theta_H",
                  "stationary_residual", "newton_iters")
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
+#: Trajectory.aux series: the regularity monitors' inputs beyond the trace
+AUX_SERIES = ("norm_thetat_H", "norm_theta_V", "norm_chi_H2",
+              "norm_wprime_H")
+
 
 @dataclass
 class OmegaVerdict:
     status: str                  # 'CONVERGED' | 'PENDING'
     t: Optional[float] = None
     row: Optional[int] = None
-    stationary_residual: Optional[float] = None
 
     @property
     def converged(self):
@@ -598,7 +601,6 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     if not math.isfinite(e0):
         raise InvalidParameter("initial energy is not finite")
 
-    theta_inf = model.j.theta_inf
     csv_fh = None
     snapshot_files = []
     if out_dir is not None:
@@ -607,55 +609,46 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         csv_fh.write(TRACE_HEADER + "\n")
 
     times, g_dual, states = [], [], []
-    cols = {k: [] for k in TRACE_COLUMNS[1:]}
-    aux = {k: [] for k in ("norm_thetat_H", "norm_theta_V", "norm_chi_H2",
-                           "norm_wprime_H")}
-
-    prev_row_theta = None
-    prev_row_chi = None
-    prev_row_t = None
+    series = {k: [] for k in TRACE_COLUMNS[1:] + AUX_SERIES}
+    prev = None                  # the State of the previous row
     omega = OmegaScan(config.omega_tols)
     verdict = OmegaVerdict("PENDING")
 
     def emit_row(state, energy, iters):
-        nonlocal prev_row_theta, prev_row_chi, prev_row_t, verdict
-        th = state.theta.flat
-        ch = state.chi.flat
-        t = state.t
-        if prev_row_t is None:
-            chit = 0.0
-            thetat = 0.0
+        # each operator product and pointwise law is evaluated once here
+        nonlocal prev, verdict
+        th, ch, t = state.theta.flat, state.chi.flat, state.t
+        if prev is None:
+            chit = thetat = 0.0
         else:
-            dtr = t - prev_row_t
-            chit = ws.h_norm(ch - prev_row_chi) / dtr
-            thetat = ws.h_norm(th - prev_row_theta) / dtr
-        dist_theta = ws.h_norm(th - theta_inf)
-        stat_res = residual_stationary(ch, model, grid, ws)
-        row = {"energy": energy, "norm_u_V": ws.vcal_norm(state.u.flat),
-               "norm_chit_H": chit, "dist_theta_H": dist_theta,
-               "stationary_residual": stat_res, "newton_iters": iters}
+            dtr = t - prev.t
+            chit = ws.h_norm(ch - prev.chi.flat) / dtr
+            thetat = ws.h_norm(th - prev.theta.flat) / dtr
+        stat_vec, a_chi, wprime = stationary_vector(ch, model, ws)
+        dev = th - model.j.theta_inf
+        row = {"energy": energy,
+               "norm_u_V": ws.vcal_norm(evaluate(model.j, 1, th)),
+               "norm_chit_H": chit, "dist_theta_H": ws.h_norm(dev),
+               "stationary_residual": ws.vstar_neumann_norm(stat_vec),
+               "newton_iters": iters,
+               "norm_thetat_H": thetat, "norm_theta_V": ws.vcal_norm(dev),
+               "norm_chi_H2": ws.h_norm(a_chi) + ws.v_norm(ch),
+               "norm_wprime_H": ws.h_norm(wprime)}
         times.append(t)
         for k, v in row.items():
-            cols[k].append(v)
+            series[k].append(v)
         g_dual.append(stepper.g_dual_norm(t))
-        aux["norm_thetat_H"].append(thetat)
-        aux["norm_theta_V"].append(ws.vcal_norm(th - theta_inf))
-        aux["norm_chi_H2"].append(ws.h_norm(ws.A_fd @ ch)
-                                  + ws.v_norm(ch))
-        aux["norm_wprime_H"].append(
-            ws.h_norm(np.asarray(model.w.d1(ch), dtype=float)))
         if csv_fh is not None:
             csv_fh.write(",".join([_fmt(t)] + [_fmt(row[k])
                                                for k in TRACE_COLUMNS[1:-1]]
                                   + [str(iters)]) + "\n")
         if config.keep_states:
             states.append((t, state.theta.copy(), state.chi.copy()))
-        prev_row_theta = th.copy()
-        prev_row_chi = ch.copy()
-        prev_row_t = t
-        if omega.push(chit, stat_res, dist_theta) is not None \
-                and not verdict.converged:
-            verdict = OmegaVerdict("CONVERGED", t, omega.row, stat_res)
+        # a step returns new arrays and never writes to them: no copy
+        prev = state
+        hit = omega.push(chit, row["stationary_residual"], row["dist_theta_H"])
+        if hit is not None and not verdict.converged:
+            verdict = OmegaVerdict("CONVERGED", t, hit)
 
     def write_snapshot(k, state):
         if out_dir is None:
@@ -711,8 +704,9 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             csv_fh.close()
 
     return Trajectory(stepper=stepper, dt=config.dt, times=np.asarray(times),
-                      columns={k: np.asarray(v) for k, v in cols.items()},
-                      aux={k: np.asarray(v) for k, v in aux.items()},
+                      columns={k: np.asarray(series[k])
+                               for k in TRACE_COLUMNS[1:]},
+                      aux={k: np.asarray(series[k]) for k in AUX_SERIES},
                       g_dual=np.asarray(g_dual), states=states,
                       final_state=state, verdict=verdict,
                       wall_time=_time.perf_counter() - t0_wall,

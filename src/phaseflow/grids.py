@@ -39,8 +39,8 @@ class Grid:
         if not (1 <= len(self.extents) == len(self.nodes) <= 2):
             raise InvalidParameter("grid must be 1D or 2D with matching "
                                    "extents and node counts")
-        if any(e <= 0 for e in self.extents):
-            raise InvalidParameter("extents must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.extents):
+            raise InvalidParameter("extents must be finite and positive")
         if any(n < 3 for n in self.nodes):
             raise InvalidParameter("need at least 3 nodes per axis")
         object.__setattr__(self, "extents",
@@ -180,8 +180,10 @@ class BoundarySpec:
         if self.kind not in ("dirichlet", "robin"):
             raise InvalidParameter(f"unknown boundary kind {self.kind!r}")
         if self.kind == "robin":
-            if self.eta is None or self.eta <= 0:
-                raise InvalidParameter("robin conditions need eta > 0")
+            if self.eta is None or not (math.isfinite(self.eta)
+                                        and self.eta > 0):
+                raise InvalidParameter(
+                    "robin conditions need a finite eta > 0")
 
 
 # ----------------------------------------------------------------------

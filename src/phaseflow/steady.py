@@ -77,9 +77,11 @@ def stationary_energy(chi_flat, model, ws):
         + float(np.dot(ws.w, evaluate(model.w, 0, chi_flat)))
 
 
-def _stationary_vector(chi_flat, model, ws):
-    """Nodal residual A chi + W'(chi) of the stationary equation."""
-    return ws.A_fd @ chi_flat + evaluate(model.w, 1, chi_flat)
+def stationary_vector(chi_flat, model, ws):
+    """Nodal residual A chi + W'(chi) of the stationary equation, with its
+    two terms A chi and W'(chi), which the trace monitors also read."""
+    a_chi, wprime = ws.A_fd @ chi_flat, evaluate(model.w, 1, chi_flat)
+    return a_chi + wprime, a_chi, wprime
 
 
 def residual_stationary(chi, model, grid, ws=None):
@@ -93,7 +95,7 @@ def residual_stationary(chi, model, grid, ws=None):
     if ws is None:
         ws = OperatorWorkspace(grid, None)
     flat = chi.flat if isinstance(chi, Field) else np.asarray(chi).ravel()
-    return ws.vstar_neumann_norm(_stationary_vector(flat, model, ws))
+    return ws.vstar_neumann_norm(stationary_vector(flat, model, ws)[0])
 
 
 def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
@@ -114,7 +116,7 @@ def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
         raise DomainViolation("guess leaves the domain of W")
 
     for it in range(1, STATIONARY_MAX_ITER + 1):
-        r = _stationary_vector(chi, model, ws)
+        r = stationary_vector(chi, model, ws)[0]
         res = ws.vstar_neumann_norm(r)
         if res <= tol:
             break

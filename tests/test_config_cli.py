@@ -33,6 +33,10 @@ def early_stop_raw(**overrides):
                           "diagnostics.s": "0.0"}, **overrides)
 
 
+#: what a bad setting needs besides minimal_raw to be read at all
+BAD_SETTING_CONTEXT = {"bc.eta": {"bc.kind": "robin"}}
+
+
 def minimal_raw(**overrides):
     raw = {
         "model.j": "caginalp_j",
@@ -97,7 +101,7 @@ class TestValidation:
             build_config(raw)
         assert "1/kappa" in str(err.value)
         raw["run.allow_unstable"] = "true"
-        assert build_config(raw).allow_unstable
+        assert build_config(raw).run.dt == 10.0
 
     def test_horizon_alignment(self):
         raw = minimal_raw(**{"run.dt": "3e-3", "run.t_end": "0.01"})
@@ -248,6 +252,20 @@ class TestRunExperiment:
         assert "monitors" not in payload
         assert payload["omega"]["status"] == "CONVERGED"
 
+    def test_monitors_without_window_rows(self, tmp_path):
+        # rows at t = 0 and t = 2.5 only: no monitor window holds a row
+        raw = minimal_raw(**{"grid.nodes": "9", "run.dt": "1e-2",
+                             "run.t_end": "2.5", "run.trace_every": "250",
+                             "diagnostics.monitors": "true",
+                             "diagnostics.s": "0.5"})
+        path = write_cfg(tmp_path / "c.cfg", raw)
+        assert main(["--quiet", "--out", str(tmp_path / "m"), "run",
+                     path]) == 4
+        payload = json.loads((tmp_path / "m" /
+                              "diagnostics.json").read_text())
+        assert "[0.5, 1.5)" in payload["monitors_error"]
+        assert "monitors" not in payload
+
     def test_partial_final_row_allowance(self, tmp_path):
         # 105 steps at one row per 10: the last row gap is 5 steps, and
         # its source allowance must use that gap, not 10 steps
@@ -296,12 +314,17 @@ class TestCliEntry:
     @pytest.mark.parametrize("key, value", [
         ("run.dt", "nan"), ("run.t_end", "inf"), ("run.trace_every", "0"),
         ("run.max_newton", "0"), ("diagnostics.dissipation_tol", "nan"),
-        ("source.p", "0"), ("diagnostics.s", "nan")])
+        ("source.p", "0"), ("diagnostics.s", "nan"),
+        ("grid.extents", "nan"), ("initial.chi.amplitude", "nan"),
+        ("initial.theta.value", "inf"), ("bc.eta", "nan"),
+        ("source.amplitude", "nan"), ("steady.tol", "nan"),
+        ("steady.layers", "0"), ("run.snapshot_every", "-3")])
     def test_validate_bad_setting_exit_2(self, tmp_path, capsys, key,
                                          value):
-        # each once ended in a traceback, a crash after the run, or (the
-        # NaN tolerance) a dissipation check that passed every row
-        path = write_cfg(tmp_path / "c.cfg", minimal_raw(**{key: value}))
+        # each once ended in a traceback, a crash after the run, a wrong
+        # exit code, or (the NaN tolerances) a check that passed everything
+        raw = minimal_raw(**BAD_SETTING_CONTEXT.get(key, {}), **{key: value})
+        path = write_cfg(tmp_path / "c.cfg", raw)
         assert main(["validate", path]) == 2
         assert key in capsys.readouterr().err
 

@@ -227,6 +227,16 @@ class TestMonitors:
         with pytest.raises(InvalidParameter):
             monitor_bounds(traj, 1.0)
 
+    def test_partly_empty_window(self, caginalp_model, dirichlet_bc):
+        # rows at 0, 1.5, 3 and the horizon 4: the window [2, 3) is empty
+        g = Grid((1.0,), (9,))
+        st = cosine_state(g, caginalp_model)
+        cfg = TrajectoryConfig(dt=0.25, t_end=4.0, trace_every=6)
+        traj = run(st, cfg, caginalp_model, g, dirichlet_bc, zero_source())
+        assert traj.times.tolist() == [0.0, 1.5, 3.0, 4.0]
+        with pytest.raises(InvalidParameter, match=r"\[2, 3\)"):
+            monitor_bounds(traj, 0.0)
+
     def test_growing_trend_flagged(self, caginalp_model, unit_grid,
                                    dirichlet_bc):
         st = State.make(0.0, Field.full(unit_grid, 0.0),

@@ -13,8 +13,9 @@ class TestGridField:
     def test_grid_validation(self):
         with pytest.raises(InvalidParameter):
             Grid((1.0,), (2,))
-        with pytest.raises(InvalidParameter):
-            Grid((-1.0,), (9,))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameter):
+                Grid((bad,), (9,))
         with pytest.raises(InvalidParameter):
             Grid((1.0, 1.0, 1.0), (5, 5, 5))
 
@@ -244,8 +245,9 @@ class TestNorms:
 
 class TestBoundarySpec:
     def test_robin_needs_positive_eta(self):
-        with pytest.raises(InvalidParameter):
-            BoundarySpec("robin", eta=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameter):
+                BoundarySpec("robin", eta=bad)
         with pytest.raises(InvalidParameter):
             BoundarySpec("robin")
 

@@ -46,7 +46,8 @@ def _newton_system(stepper, state, dt, chi_new):
     """Jacobian data and Newton right-hand side at the iterate
     (theta of the state, chi_new) of a step from the state."""
     theta = state.theta.flat
-    arrays = stepper.constitutive(theta, state.chi.flat, chi_new)
+    lam_old = stepper.model.lam.value(state.chi.flat)
+    arrays = stepper.constitutive(theta, state.chi.flat, lam_old, chi_new)
     g = stepper.g_density(state.t + dt)
     r_theta, r_chi = stepper._residual(arrays, theta[stepper.act], chi_new,
                                        theta, state.chi.flat, dt, g)
