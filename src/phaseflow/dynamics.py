@@ -121,7 +121,9 @@ class StepReport:
     """What one accepted step did.  ``linear_residual`` is the worst
     relative linear residual ||J d + r|| / ||r|| of its Newton solves;
     ``refinement_sweeps`` counts the triangular solves with the kept 2D
-    factor (0 in 1D, where every solve factors)."""
+    factor (0 in 1D, where every solve factors); ``predictor_fallbacks``
+    is 1 when the extrapolated start left the admissible set and Newton
+    started from the old state instead."""
 
     newton_iters: int
     residual: float
@@ -132,6 +134,7 @@ class StepReport:
     factorizations: int
     refinement_sweeps: int
     linear_residual: float
+    predictor_fallbacks: int
 
 
 @dataclass
@@ -198,10 +201,12 @@ def _band_matvec(ab, band, x):
 class Stepper:
     """Shared machinery for stepping one (model, grid, bc, source) problem.
 
-    Owns the operator workspace, the Newton matrix structure and, in 2D,
-    the lagged LU factor that ``linear_solve`` reuses across iterations and
-    steps; the factor is the one piece of mutable state kept between calls,
-    so a Stepper serves one run at a time.
+    Owns the operator workspace, the Newton matrix structure and two pieces
+    of mutable state kept between calls, so a Stepper serves one run at a
+    time: in 2D, the lagged LU factor that ``linear_solve`` reuses across
+    iterations and steps; and the increment of the last accepted step with
+    the State it returned, from which ``step`` extrapolates its Newton
+    start when it is handed that State again with the same dt.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -215,6 +220,9 @@ class Stepper:
         self.m = self.act.size
         self.dirichlet = bc.kind == "dirichlet"
         self._lu = None
+        # (returned State, dt, theta increment, chi increment) of the last
+        # accepted step, or None
+        self._last = None
         self._build_jacobian_structure()
 
     def _build_jacobian_structure(self):
@@ -404,8 +412,20 @@ class Stepper:
             x, r, rel = x_new, r_new, rel_new
         return x, sweeps, rel
 
+    def _admissible(self, theta_act, chi):
+        """Both fields DOMAIN_MARGIN inside the domains of j and W."""
+        return (inside(self.model.j, self.theta_full(theta_act),
+                       DOMAIN_MARGIN)
+                and inside(self.model.w, chi, DOMAIN_MARGIN))
+
     def step(self, state, config, energy_before=None):
-        """Advance one step of config.dt; returns (new state, report)."""
+        """Advance one step of config.dt; returns (new state, report).
+
+        Newton starts from the extrapolation x_n + (x_n - x_{n-1}) when
+        ``state`` is the State the previous call returned and dt is the
+        same; otherwise, or when the extrapolation leaves the admissible
+        set (a counted fallback), it starts from the old state.
+        """
         dt = config.dt
         # read only: every iterate below is a new array
         theta_old = state.theta.flat
@@ -419,6 +439,16 @@ class Stepper:
 
         theta_act = theta_old[self.act]
         chi_new = chi_old.copy()
+        fallbacks = 0
+        # a step that raises leaves no increment behind
+        last, self._last = self._last, None
+        if last is not None and last[0] is state and last[1] == dt:
+            theta_try = theta_act + last[2]
+            chi_try = chi_old + last[3]
+            if self._admissible(theta_try, chi_try):
+                theta_act, chi_new = theta_try, chi_try
+            else:
+                fallbacks = 1
         damping_events = 0
         solves = factorizations = sweeps = 0
         lin_res = 0.0
@@ -433,15 +463,18 @@ class Stepper:
                                             theta_old, chi_old, dt, g)
             res = self._residual_norm(r_theta, r_chi)
             if res <= config.newton_tol:
-                # the old state or a damped iterate: no domain check
+                # the old state, the checked prediction or a damped
+                # iterate: no domain check
                 shape = self.grid.shape
                 new_state = State(t_new, Field(self.grid,
                                                theta_f.reshape(shape)),
                                   Field(self.grid, chi_new.reshape(shape)))
                 e_after = free_energy(theta_f, chi_new, self.model, self.ws)
+                self._last = (new_state, dt, theta_act - theta_old[self.act],
+                              chi_new - chi_old)
                 return new_state, StepReport(
                     it, res, energy_before, e_after, damping_events,
-                    solves, factorizations, sweeps, lin_res)
+                    solves, factorizations, sweeps, lin_res, fallbacks)
             if it == config.max_newton:
                 raise NewtonDiverged(
                     f"residual {res:.3e} above tolerance "
@@ -465,9 +498,7 @@ class Stepper:
             for _ in range(MAX_HALVINGS + 1):
                 theta_try = theta_act + alpha * d_theta
                 chi_try = chi_new + alpha * d_chi
-                if (inside(self.model.j, self.theta_full(theta_try),
-                           DOMAIN_MARGIN)
-                        and inside(self.model.w, chi_try, DOMAIN_MARGIN)):
+                if self._admissible(theta_try, chi_try):
                     break
                 alpha *= 0.5
                 damping_events += 1
@@ -570,8 +601,8 @@ class Trajectory:
 #: step and half step, the worst relative linear residual of the run, and
 #: the steps retried as two half steps
 RUN_STATS = ("newton_iters", "damping_events", "linear_solves",
-             "factorizations", "refinement_sweeps", "linear_residual_max",
-             "retried_steps")
+             "factorizations", "refinement_sweeps", "predictor_fallbacks",
+             "linear_residual_max", "retried_steps")
 
 
 def _fmt(x):
@@ -662,7 +693,8 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
 
     def tally(rep):
         for key in ("newton_iters", "damping_events", "linear_solves",
-                    "factorizations", "refinement_sweeps"):
+                    "factorizations", "refinement_sweeps",
+                    "predictor_fallbacks"):
             stats[key] += getattr(rep, key)
         stats["linear_residual_max"] = max(stats["linear_residual_max"],
                                            rep.linear_residual)
@@ -682,6 +714,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             except NewtonDiverged:
                 half = replace(config, dt=0.5 * config.dt)
                 state, rep1 = stepper.step(state, half, energy_before=energy)
+                stepper._last = None     # the second half starts unpredicted
                 state, report = stepper.step(state, half,
                                              energy_before=rep1.energy_after)
                 iters = rep1.newton_iters + report.newton_iters

@@ -167,15 +167,20 @@ def secant_arrays(lam_d1, lam_d2, a, b, lam_a, lam_b, lam_p_b):
     """Secant (lam(b)-lam(a))/(b-a) and its derivative w.r.t. b, vectorized.
 
     Below the switching tolerance the secant degenerates to lam'(mid) and the
-    derivative to lam''(mid)/2 (the analytic limits).
+    derivative to lam''(mid)/2 (the analytic limits); lam' and lam'' are
+    evaluated on those nodes only.
     """
     d = b - a
     tol = SECANT_RTOL * (1.0 + np.abs(a) + np.abs(b))
     wide = np.abs(d) > tol
-    mid = 0.5 * (a + b)
     dsafe = np.where(wide, d, 1.0)
-    lhat = np.where(wide, (lam_b - lam_a) / dsafe, lam_d1(mid))
-    dlhat = np.where(wide, (lam_p_b - lhat) / dsafe, 0.5 * lam_d2(mid))
+    lhat = (lam_b - lam_a) / dsafe
+    dlhat = (lam_p_b - lhat) / dsafe
+    narrow = np.flatnonzero(~wide)
+    if narrow.size:
+        mid = 0.5 * (a[narrow] + b[narrow])
+        lhat[narrow] = lam_d1(mid)
+        dlhat[narrow] = 0.5 * lam_d2(mid)
     return lhat, dlhat
 
 

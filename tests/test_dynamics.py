@@ -289,6 +289,114 @@ class TestRun:
         assert traj.final_state.t == 2.0
 
 
+def _fresh_step(state, config, model, grid, bc, source):
+    """What a step from the old state gives: a new Stepper never predicts."""
+    return Stepper(model, grid, bc, source).step(state, config)
+
+
+def _same_step(a, b):
+    (sa, ra), (sb, rb) = a, b
+    return (ra.newton_iters == rb.newton_iters
+            and np.array_equal(sa.theta.values, sb.theta.values)
+            and np.array_equal(sa.chi.values, sb.chi.values))
+
+
+class TestPredictor:
+    def test_fewer_iterations_than_a_fresh_start(self, caginalp_model,
+                                                 unit_grid, dirichlet_bc):
+        problem = (caginalp_model, unit_grid, dirichlet_bc, zero_source())
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
+        stepper = Stepper(*problem)
+        for k in range(8):
+            _, fresh = _fresh_step(st, cfg, *problem)
+            st, rep = stepper.step(st, cfg)
+            assert rep.predictor_fallbacks == 0
+            if k == 0:
+                assert rep.newton_iters == fresh.newton_iters
+            else:
+                assert rep.newton_iters < fresh.newton_iters
+
+    def test_inadmissible_prediction_falls_back(self, dirichlet_bc):
+        # a strong uniform cooling takes theta from -0.9 to about -0.99 in
+        # one step, against the wall of mixed_j at -1: the extrapolation of
+        # that increment lies past the wall
+        model = _wall_model()
+        g = Grid((1.0,), (9,))
+        cooling = SourceSpec(profile=lambda x: np.full(x.shape, -1e3),
+                             envelope=lambda t: 1.0)
+        problem = (model, g, dirichlet_bc, cooling)
+        st0 = State.make(0.0, Field.full(g, -0.9), Field.full(g, 0.0), model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=3e-3)
+        stepper = Stepper(*problem)
+        st1, rep1 = stepper.step(st0, cfg)
+        extrapolated = 2 * st1.theta.values - st0.theta.values
+        assert np.min(extrapolated) <= model.j.domain[0]
+        second = stepper.step(st1, cfg)
+        assert (rep1.predictor_fallbacks, second[1].predictor_fallbacks) \
+            == (0, 1)
+        assert _same_step(second, _fresh_step(st1, cfg, *problem))
+        traj = run(st0, cfg, *problem)
+        assert traj.stats["predictor_fallbacks"] == 1
+
+    def test_half_steps_of_a_retry_start_from_the_old_state(
+            self, caginalp_model, unit_grid, dirichlet_bc, monkeypatch):
+        problem = (caginalp_model, unit_grid, dirichlet_bc, zero_source())
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=5e-3)
+        original = dyn.Stepper.step
+        calls = []
+
+        def flaky(self, state, config, energy_before=None):
+            if len(calls) == 3:
+                calls.append(None)
+                raise NewtonDiverged("injected failure")
+            out = original(self, state, config, energy_before=energy_before)
+            calls.append((state, config, out))
+            return out
+
+        monkeypatch.setattr(dyn.Stepper, "step", flaky)
+        traj = run(st, cfg, *problem)
+        monkeypatch.undo()
+        assert traj.stats["retried_steps"] == 1
+        assert calls[3] is None
+        # steps 2 and 3 were predicted, the two half steps were not
+        for k, predicted in ((1, True), (2, True), (4, False), (5, False)):
+            state, config, out = calls[k]
+            assert _same_step(out, _fresh_step(state, config, *problem)) \
+                is not predicted, k
+        assert calls[4][1].dt == calls[5][1].dt == 5e-4
+
+    def test_no_prediction_for_a_foreign_state(self, caginalp_model,
+                                               unit_grid, dirichlet_bc):
+        problem = (caginalp_model, unit_grid, dirichlet_bc, zero_source())
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
+        stepper = Stepper(*problem)
+        for _ in range(3):
+            st, _ = stepper.step(st, cfg)
+        # equal values, but not the State the stepper returned
+        own = State(st.t, st.theta.copy(), st.chi.copy())
+        assert _same_step(stepper.step(own, cfg),
+                          _fresh_step(st, cfg, *problem))
+
+    def test_run_matches_unpredicted_steps(self, caginalp_model, unit_grid,
+                                           dirichlet_bc):
+        problem = (caginalp_model, unit_grid, dirichlet_bc, zero_source())
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=0.05, keep_states=True)
+        traj = run(st, cfg, *problem)
+        iters = 0
+        gap = 0.0
+        for _, theta, chi in traj.states[1:]:
+            st, rep = step(st, cfg, *problem)
+            iters += rep.newton_iters
+            gap = max(gap, np.max(np.abs(st.theta.values - theta.values)),
+                      np.max(np.abs(st.chi.values - chi.values)))
+        assert traj.stats["newton_iters"] < iters
+        assert gap <= cfg.newton_tol
+
+
 def _wall_model():
     return ModelSpec(builtin("mixed_j", tau_c=1.0), builtin("quartic_W"),
                      builtin("tanh_lambda"))

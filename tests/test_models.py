@@ -7,7 +7,7 @@ from phaseflow import (Grid, ModelSpec, builtin, builtin_names,
                        residual_stationary, validate_hypotheses)
 from phaseflow.errors import (DomainViolation, InvalidParameter,
                               UnknownModel)
-from phaseflow.models import secant_arrays
+from phaseflow.models import SECANT_RTOL, secant_arrays
 
 
 class TestEvaluate:
@@ -210,6 +210,41 @@ class TestSecantKernel:
         np.testing.assert_allclose(lhat * (b - a), lam_b - lam_a,
                                    atol=1e-15)
 
+    def test_limits_evaluated_on_narrow_nodes_only(self):
+        lam = builtin("tanh_lambda")
+        points = {"d1": 0, "d2": 0}
+
+        def counted(fn, key):
+            def wrapper(r):
+                points[key] += np.size(r)
+                return fn(r)
+            return wrapper
+
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-2, 2, 50)
+        b = a + rng.uniform(-0.5, 0.5, 50)
+        b[::10] = a[::10]                      # coincident
+        b[5::10] = a[5::10] + 1e-7             # below the switch
+        narrow = np.abs(b - a) <= SECANT_RTOL * (1 + np.abs(a) + np.abs(b))
+        assert np.count_nonzero(narrow) == 10
+        lam_a, lam_b = np.asarray(lam.value(a)), np.asarray(lam.value(b))
+        lam_p = np.asarray(lam.d1(b))
+        lhat, dlhat = secant_arrays(counted(lam.d1, "d1"),
+                                    counted(lam.d2, "d2"), a, b, lam_a,
+                                    lam_b, lam_p)
+        assert points == {"d1": 10, "d2": 10}
+        # the same arrays as the limits evaluated everywhere and selected
+        mid = 0.5 * (a + b)
+        dsafe = np.where(narrow, 1.0, b - a)
+        ref_lhat = np.where(narrow, lam.d1(mid), (lam_b - lam_a) / dsafe)
+        ref_dlhat = np.where(narrow, 0.5 * lam.d2(mid),
+                             (lam_p - ref_lhat) / dsafe)
+        assert np.array_equal(lhat, ref_lhat)
+        assert np.array_equal(dlhat, ref_dlhat)
+        # no narrow node: no evaluation at all
+        secant_arrays(counted(lam.d1, "d1"), counted(lam.d2, "d2"),
+                      a[1:5], b[1:5], lam_a[1:5], lam_b[1:5], lam_p[1:5])
+        assert points == {"d1": 10, "d2": 10}
 
 class TestValidateHypotheses:
     def test_caginalp_spec_passes(self, caginalp_model):
