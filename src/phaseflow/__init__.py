@@ -4,8 +4,7 @@ generalized phase-field systems with convex heat-flux laws."""
 from .dynamics import (SourceSpec, State, StepReport, Stepper, Trajectory,
                        TrajectoryConfig, free_energy, run, step,
                        zero_source)
-from .grids import (BoundarySpec, Field, Grid, OperatorWorkspace, integrate,
-                    norm)
+from .grids import BoundarySpec, Field, Grid, OperatorWorkspace, integrate
 from .models import (ConvexPotential, LatentHeat, ModelSpec,
                      NonconvexPotential, ValidationReport, builtin,
                      builtin_names, divided_difference_lambda, evaluate,
@@ -22,7 +21,7 @@ __all__ = [
     "State", "StepReport", "SteadyState", "Stepper", "Trajectory",
     "TrajectoryConfig", "ValidationReport", "builtin", "builtin_names",
     "check_range", "divided_difference_lambda", "evaluate", "free_energy",
-    "integrate", "norm", "oracle_step", "regularize", "residual_stationary",
+    "integrate", "oracle_step", "regularize", "residual_stationary",
     "run", "solve_catalog", "solve_stationary", "step",
     "validate_hypotheses", "zero_source",
 ]

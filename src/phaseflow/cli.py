@@ -8,8 +8,8 @@ Subcommands:
     sweep <cfg> <key> <values...>      one-key parameter sweep
     validate <cfg>                     parse and validate only
 
-Common flags: --out DIR (overrides output.dir; PHASEFLOW_OUT is the
-environment fallback), --threads N (sweep parallelism), --quiet.
+Common flags, given before the subcommand: --out DIR (overrides
+output.dir; a sweep writes under sweep_out without it), --quiet.
 
 Exit codes: 0 success, 2 configuration error (including an unreadable
 snapshot file), 3 solver failure, 4 diagnostic assertion failed.
@@ -19,14 +19,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 
 from . import diagnostics as diag
 from . import steady as steady_mod
-from .config import build_config, parse_config, parse_raw
+from .config import build_config, parse_config, parse_model, parse_raw
 from .dynamics import run as run_trajectory
 from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
                      InsufficientDecay, InsufficientSamples, InvalidParameter,
@@ -225,10 +224,10 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
         code = EXIT_DIAGNOSTIC
 
     if config_path is not None:
-        cfg = parse_config(config_path)
+        model = parse_model(config_path)
         energies = np.array([steady_mod.stationary_energy(
-            chi.flat, cfg.model, ws) for chi in chis])
-        e_inf = steady_mod.stationary_energy(ref_field.flat, cfg.model, ws)
+            chi.flat, model, ws) for chi in chis])
+        e_inf = steady_mod.stationary_energy(ref_field.flat, model, ws)
         # admission by the plain distance series; the sup part of the norm
         # is bounded by it on these uniform grids only up to a constant,
         # so eps_loj here is a practical radius, not the theory's
@@ -255,7 +254,7 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
     return code
 
 
-def sweep_command(config_path, key, values, out_dir, threads=1, quiet=False):
+def sweep_command(config_path, key, values, out_dir, quiet=False):
     raw_base = parse_raw(config_path)
     jobs = []
     for i, value in enumerate(values):
@@ -274,15 +273,9 @@ def sweep_command(config_path, key, values, out_dir, threads=1, quiet=False):
                 fh.write(f"{k} = {raw[k]}\n")
         jobs.append((i, value, cfg))
 
-    results = {}
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futs = {pool.submit(run_experiment, cfg, True): (i, value)
-                for i, value, cfg in jobs}
-        for fut, (i, value) in futs.items():
-            results[i] = (value, fut.result())
     worst = EXIT_OK
-    for i in sorted(results):
-        value, code = results[i]
+    for i, value, cfg in jobs:
+        code = run_experiment(cfg, quiet=True)
         _say(quiet, f"[{i}] {key} = {value}: exit {code}")
         worst = max(worst, code)
     return worst
@@ -293,9 +286,8 @@ def main(argv=None):
         prog="phaseflow",
         description="Phase-field simulation and long-time diagnostics")
     parser.add_argument("--out", default=None,
-                        help="output directory (fallback: PHASEFLOW_OUT, "
-                             "then the config's output.dir)")
-    parser.add_argument("--threads", type=int, default=1)
+                        help="output directory (overrides the config's "
+                             "output.dir)")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,28 +309,25 @@ def main(argv=None):
     p_val.add_argument("config")
 
     args = parser.parse_args(argv)
-    out_override = args.out or os.environ.get("PHASEFLOW_OUT")
 
     try:
         if args.command == "validate":
-            parse_config(args.config, out_override)
+            parse_config(args.config, args.out)
             _say(args.quiet, "OK")
             return EXIT_OK
         if args.command == "run":
-            cfg = parse_config(args.config, out_override)
+            cfg = parse_config(args.config, args.out)
             return run_experiment(cfg, quiet=args.quiet)
         if args.command == "steady":
-            cfg = parse_config(args.config, out_override)
+            cfg = parse_config(args.config, args.out)
             return steady_command(cfg, quiet=args.quiet)
         if args.command == "fit":
             return fit_command(args.trace, args.steady,
                                config_path=args.config,
                                eps_loj=args.eps_loj, quiet=args.quiet)
         if args.command == "sweep":
-            base_out = out_override or "sweep_out"
             return sweep_command(args.config, args.key, args.values,
-                                 base_out, threads=args.threads,
-                                 quiet=args.quiet)
+                                 args.out or "sweep_out", quiet=args.quiet)
     except (ParseError, ValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

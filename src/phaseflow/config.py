@@ -318,12 +318,9 @@ class ExperimentConfig:
                           self.model)
 
 
-def build_config(raw, base_dir="."):
-    """Resolve a raw key tree into an ExperimentConfig, collecting every
-    violation into a single ValidationError."""
-    rd = _Reader(raw)
-
-    # model
+def _read_model(rd):
+    """The ModelSpec under the ``model.*`` keys, or None after a
+    violation."""
     model = None
     j = w = lam = None
     j_name = rd.str_("model.j", required=True)
@@ -346,6 +343,14 @@ def build_config(raw, base_dir="."):
             model = ModelSpec(j, w, lam)
     except (InvalidParameter, UnknownModel) as exc:
         rd.violations.append(str(exc))
+    return model
+
+
+def build_config(raw, base_dir="."):
+    """Resolve a raw key tree into an ExperimentConfig, collecting every
+    violation into a single ValidationError."""
+    rd = _Reader(raw)
+    model = _read_model(rd)
 
     # grid
     grid = None
@@ -496,6 +501,16 @@ def build_config(raw, base_dir="."):
         run=run_cfg, diagnostics=diagnostics, steady=steady,
         out_dir=os.path.join(base_dir, out_dir) if not os.path.isabs(out_dir)
         else out_dir)
+
+
+def parse_model(path):
+    """Read and validate only the ``model.*`` keys of a config file; the
+    other keys are neither checked nor resolved."""
+    rd = _Reader(parse_raw(path))
+    model = _read_model(rd)
+    if rd.violations:
+        raise ValidationError(rd.violations)
+    return model
 
 
 def parse_config(path, out_dir=None):

@@ -2,11 +2,12 @@
 
 Everything here is a pure function of completed traces, fields and source
 descriptions: per-step energy-inequality checking, convergence (omega-limit)
-detection with an independently recomputed stationary certificate, power-law
-decay fits, Lojasiewicz exponent estimation from trajectory tails, the
-uniform-regularity monitors, and two-trajectory stability gaps.  Fitted
-constants are estimates with their fit residuals - the underlying theory is
-non-constructive about them, so nothing here asserts a literal constant.
+detection with the final state's stationary residual as its certificate,
+power-law decay fits, Lojasiewicz exponent estimation from trajectory
+tails, the uniform-regularity monitors, and two-trajectory stability gaps.
+Fitted constants are estimates with their fit residuals - the underlying
+theory is non-constructive about them, so nothing here asserts a literal
+constant.
 """
 
 import math
@@ -141,9 +142,10 @@ class OmegaReport:
 
 def detect_omega_limit(traj, thresholds=OMEGA_THRESHOLDS):
     """Scan a trace for simultaneous smallness of the phase velocity, the
-    stationary residual and the temperature distance over consecutive rows;
-    on success the stationary residual of the final order parameter is
-    recomputed independently, on the run's workspace, as the certificate."""
+    stationary residual and the temperature distance over consecutive rows.
+    On success the certificate is the stationary residual of the final
+    order parameter, evaluated by the trace column's function on the run's
+    workspace: it equals the final row's ``stationary_residual``."""
     stepper = traj.stepper
     model = stepper.model
     c = traj.columns

@@ -19,7 +19,7 @@ heat operator; both facts are checked by the test suite rather than trusted.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,20 +92,6 @@ class SourceSpec:
     p_tag: float = _INF
     q_tag: Optional[float] = None
     delta_src: Optional[float] = None
-
-    # flat nodal profile per grid, evaluated on first use
-    _profiles: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-
-    def f_values(self, grid, t):
-        if self.is_zero:
-            return np.zeros(grid.n_total)
-        prof = self._profiles.get(grid)
-        if prof is None:
-            prof = (np.asarray(self.profile(*grid.meshgrid()), dtype=float)
-                    + np.zeros(grid.shape)).ravel()
-            self._profiles[grid] = prof
-        return prof * float(self.envelope(t))
 
     @property
     def is_zero(self):
@@ -201,9 +187,9 @@ def _band_matvec(ab, band, x):
 class Stepper:
     """Shared machinery for stepping one (model, grid, bc, source) problem.
 
-    Owns the operator workspace, the Newton matrix structure and two pieces
-    of mutable state kept between calls, so a Stepper serves one run at a
-    time: in 2D, the lagged LU factor that ``linear_solve`` reuses across
+    Owns the operator workspace, the nodal source profile, the Newton
+    matrix structure and two pieces of mutable state kept between calls,
+    so a Stepper serves one run at a time: in 2D, the lagged LU factor that ``linear_solve`` reuses across
     iterations and steps; and the increment of the last accepted step with
     the State it returned, from which ``step`` extrapolates its Newton
     start when it is handed that State again with the same dt.
@@ -219,6 +205,10 @@ class Stepper:
         self.act = self.ws.active               # theta unknowns
         self.m = self.act.size
         self.dirichlet = bc.kind == "dirichlet"
+        # flat nodal profile of the source, or None for a zero source
+        self._profile = None if source.is_zero else (
+            np.asarray(source.profile(*grid.meshgrid()), dtype=float)
+            + np.zeros(grid.shape)).ravel()
         self._lu = None
         # (returned State, dt, theta increment, chi increment) of the last
         # accepted step, or None
@@ -293,7 +283,8 @@ class Stepper:
         plus, for Robin conditions, the boundary exchange term with the
         exterior temperature (theta_gamma(t), or model.j.theta_inf without
         a schedule)."""
-        g = self.source.f_values(self.grid, t)
+        g = np.zeros(self.n) if self._profile is None \
+            else self._profile * float(self.source.envelope(t))
         if self.bc.kind == "robin":
             exterior = self.model.j.theta_inf if self.bc.theta_gamma is None \
                 else float(self.bc.theta_gamma(t))
@@ -588,7 +579,6 @@ class Trajectory:
     states: list                 # [(t, theta Field, chi Field)] if kept
     final_state: State
     verdict: OmegaVerdict
-    wall_time: float
     stats: dict                  # run counters, see RUN_STATS
     snapshot_files: tuple = ()
 
@@ -621,9 +611,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     before the error propagates.
     """
     import os
-    import time as _time
 
-    t0_wall = _time.perf_counter()
     stepper = Stepper(model, grid, bc, source)
     ws = stepper.ws
     n_steps = round(config.t_end / config.dt)
@@ -741,7 +729,5 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
                                for k in TRACE_COLUMNS[1:]},
                       aux={k: np.asarray(series[k]) for k in AUX_SERIES},
                       g_dual=np.asarray(g_dual), states=states,
-                      final_state=state, verdict=verdict,
-                      wall_time=_time.perf_counter() - t0_wall,
-                      stats=stats,
+                      final_state=state, verdict=verdict, stats=stats,
                       snapshot_files=tuple(snapshot_files))

@@ -25,8 +25,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import InvalidParameter, SingularSolve, SnapshotError
 
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -233,7 +231,6 @@ class OperatorWorkspace:
 
     def __init__(self, grid, bc):
         self.grid = grid
-        self.bc = bc
         self.w = quad_weights(grid)
         self.gamma = boundary_measure(grid)
         self.bmask = boundary_mask(grid)
@@ -273,11 +270,6 @@ class OperatorWorkspace:
         u = np.asarray(flat).ravel()[self.active]
         return float(np.sqrt(max(float(u @ (self.K_B @ u)), 0.0)))
 
-    def r_norm(self, flat):
-        if self.bc is None or self.bc.kind != "robin":
-            raise InvalidParameter("R-norm needs a Robin boundary spec")
-        return self.vcal_norm(flat)
-
     def _pivot_dual_norm(self, pivot, g):
         """sqrt(g . K^-1 g) for the pivot 'B' (K_B) or 'neumann'
         (K_A + diag(w)), factored once per workspace; one step of
@@ -298,16 +290,6 @@ class OperatorWorkspace:
                     f"pivot solve residual {res:.3e} exceeds tolerance")
         return float(np.sqrt(max(np.dot(g, sol), 0.0)))
 
-    def vstar_norm(self, flat):
-        """Dual norm via the elliptic pivot: the Dirichlet Laplacian for
-        Dirichlet problems, Neumann Laplacian plus identity for Robin."""
-        if self.bc is None:
-            raise InvalidParameter("Vstar norm needs a boundary spec to "
-                                   "pick the dual pivot")
-        if self.bc.kind == "dirichlet":
-            return self.dual_norm_weak(self.w * flat)
-        return self.vstar_neumann_norm(flat)
-
     def vstar_neumann_norm(self, flat):
         """Dual norm with the Neumann pivot regardless of bc (used for the
         stationary residual, whose natural space has Neumann conditions)."""
@@ -319,17 +301,6 @@ class OperatorWorkspace:
         source with)."""
         return self._pivot_dual_norm(
             "B", np.asarray(weak_vec).ravel()[self.active])
-
-
-def norm(grid, f, which, bc=None):
-    """Discrete norms of a field: 'H', 'V', 'R', 'Vstar' or 'C0'."""
-    ws = OperatorWorkspace(grid, bc)
-    norms = {"H": ws.h_norm, "C0": ws.c0_norm, "V": ws.v_norm,
-             "R": ws.r_norm, "Vstar": ws.vstar_norm}
-    if which not in norms:
-        raise InvalidParameter(f"unknown norm kind {which!r}")
-    return norms[which](f.flat if isinstance(f, Field)
-                        else np.asarray(f).ravel())
 
 
 # ----------------------------------------------------------------------

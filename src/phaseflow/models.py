@@ -60,7 +60,6 @@ class ConvexPotential:
     sigma: float                 # convexity modulus, j'' >= sigma claimed
     theta_inf: float             # j'(theta_inf) = 0
     alpha: Optional[float] = None  # growth exponent for |j''| <= c(1+|j'|^a)
-    tau_c: Optional[float] = None  # singularity offset of logarithmic laws
     meta: dict = field(default_factory=dict)
 
 
@@ -495,7 +494,7 @@ def regularize(potential, n):
         return ConvexPotential(
             name=f"{potential.name}~smoothed(n={n})",
             domain=(-_INF, _INF), value=value, d1=d1, d2=d2,
-            sigma=0.5 * sig, theta_inf=theta_inf, alpha=None, tau_c=None,
+            sigma=0.5 * sig, theta_inf=theta_inf, alpha=None,
             meta={"smoothed": True, "n": int(n), "rho": rho,
                   "threshold_index": 1, "parent": potential.name})
 
@@ -537,7 +536,7 @@ def _builtin_caginalp_j():
                          np.ones_like)
     # j'' = 1 exactly, minimum at 0, ratio |j''|/(1+|j'|^0) = 1/2... bounded
     return ConvexPotential("caginalp_j", (-_INF, _INF), value, d1, d2,
-                           sigma=1.0, theta_inf=0.0, alpha=0.0, tau_c=None)
+                           sigma=1.0, theta_inf=0.0, alpha=0.0)
 
 
 def _builtin_penrose_fife_j(tau_c=1.0, sigma=0.5):
@@ -554,7 +553,7 @@ def _builtin_penrose_fife_j(tau_c=1.0, sigma=0.5):
     # wall j'' ~ (r+tau_c)^-2 and |j'| ~ (r+tau_c)^-1, hence alpha = 2.
     return ConvexPotential("penrose_fife_j", (-tc, _INF),
                            value, d1, d2, sigma=float(sigma), theta_inf=0.0,
-                           alpha=2.0, tau_c=tc)
+                           alpha=2.0)
 
 
 def _builtin_mixed_j(tau_c=1.0):
@@ -568,7 +567,7 @@ def _builtin_mixed_j(tau_c=1.0):
     # j'' = 1 + (r+tau_c)^-2 >= 1, minimum at 0 since both parts vanish
     # there; near the wall j''/(1+|j'|^2) -> 1, so alpha = 2.
     return ConvexPotential("mixed_j", (-tc, _INF), value, d1, d2,
-                           sigma=1.0, theta_inf=0.0, alpha=2.0, tau_c=tc)
+                           sigma=1.0, theta_inf=0.0, alpha=2.0)
 
 
 def _quartic_value(r):

@@ -131,7 +131,10 @@ class _DenseSystem:
         self.theta_old = state.theta.flat.copy()
         self.chi_old = state.chi.flat.copy()
         self.t_new = state.t + dt
-        g = source.f_values(grid, self.t_new)
+        g = np.zeros(self.n)
+        if not source.is_zero:
+            g += (np.asarray(source.profile(*grid.meshgrid()), dtype=float)
+                  * float(source.envelope(self.t_new))).ravel()
         if not self.dirichlet:
             exterior = model.j.theta_inf if bc.theta_gamma is None \
                 else float(bc.theta_gamma(self.t_new))

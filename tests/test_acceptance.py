@@ -120,8 +120,7 @@ def test_criterion_4_oracle_equivalence():
                       np.max(np.abs(fast.chi.values - ref.chi.values)))
             worst = max(worst, gap)
             assert gap < 1e-10
-            if model.j.tau_c is not None:
-                assert np.min(ref.theta.values) > -model.j.tau_c
+            assert np.min(ref.theta.values) > model.j.domain[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 4 oracle equivalence: PASS "

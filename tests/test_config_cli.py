@@ -12,7 +12,7 @@ from phaseflow.config import build_config, parse_config, parse_raw
 from phaseflow.diagnostics import check_dissipation
 from phaseflow.dynamics import TRACE_HEADER, run
 from phaseflow.errors import ParseError, ValidationError
-from phaseflow.grids import read_records, write_records
+from phaseflow.grids import Field, Grid, read_records, write_records
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -415,15 +415,6 @@ class TestCliEntry:
         assert main(["--quiet", "--out", str(out), "run", str(p)]) == 0
         assert (out / "trace.csv").exists()
 
-    def test_out_env_fallback(self, tmp_path, monkeypatch):
-        p = tmp_path / "c.cfg"
-        p.write_text("\n".join(f"{k} = {v}"
-                               for k, v in minimal_raw().items()) + "\n")
-        out = tmp_path / "via_env"
-        monkeypatch.setenv("PHASEFLOW_OUT", str(out))
-        assert main(["--quiet", "run", str(p)]) == 0
-        assert (out / "trace.csv").exists()
-
     def test_steady_catalog(self, tmp_path):
         p = tmp_path / "c.cfg"
         raw = minimal_raw(**{"steady.guesses": "both",
@@ -441,9 +432,8 @@ class TestCliEntry:
         p.write_text("\n".join(f"{k} = {v}"
                                for k, v in minimal_raw().items()) + "\n")
         out = tmp_path / "sw"
-        code = main(["--quiet", "--out", str(out), "--threads", "2",
-                     "sweep", str(p), "initial.chi.amplitude",
-                     "0.05", "0.1"])
+        code = main(["--quiet", "--out", str(out), "sweep", str(p),
+                     "initial.chi.amplitude", "0.05", "0.1"])
         assert code == 0
         for k in range(2):
             sub = out / f"sweep_{k:03d}"
@@ -487,6 +477,38 @@ class TestCliEntry:
         assert "rate_fit" in payload
         assert "loj_fit" in payload
         assert 0 < payload["loj_fit"]["zeta"] <= 0.5
+
+    def test_fit_reads_only_the_model(self, tmp_path):
+        # fit --config uses the model alone, so the run's initial snapshot
+        # may be gone by the time the fit runs
+        grid = Grid((1.0,), (32,))
+        snap = tmp_path / "initial_chi.pfld"
+        write_records(snap, [(Field(grid, 0.1 * np.cos(
+            np.pi * grid.axes()[0])), 0.0)])
+        p = write_cfg(tmp_path / "c.cfg", minimal_raw(**{
+            "grid.nodes": "32", "initial.chi": "snapshot",
+            "initial.chi.path": str(snap), "run.dt": "1e-2",
+            "run.t_end": "20.0", "run.stop_on_converged": "true",
+            "run.snapshot_every": "5"}))
+        out, steady_out = tmp_path / "run", tmp_path / "steady"
+        assert main(["--quiet", "--out", str(out), "run", p]) == 0
+        assert main(["--quiet", "--out", str(steady_out), "steady", p]) == 0
+        steady_file = next(
+            rec for rec in sorted(steady_out.glob("steady_*.pfld"))
+            if abs(read_records(rec)[0][0].values).max() < 1e-6)
+        argv = ["--quiet", "fit", str(out / "trace.csv"), str(steady_file),
+                "--config", p]
+        keys = ("rate_fit", "loj_fit", "rate_fit_error", "loj_fit_error")
+
+        def fit():
+            code = main(argv)
+            payload = json.loads((out / "diagnostics.json").read_text())
+            return code, {k: payload.get(k) for k in keys}
+
+        with_snapshot = fit()
+        assert with_snapshot[0] == 0
+        snap.unlink()
+        assert fit() == with_snapshot
 
 
 class TestPublicSurface:

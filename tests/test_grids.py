@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from phaseflow import BoundarySpec, Field, Grid, integrate, norm
+from phaseflow import BoundarySpec, Field, Grid, integrate
 from phaseflow.errors import InvalidParameter, ParseError, SnapshotError
 from phaseflow.grids import (OperatorWorkspace, boundary_measure,
                              quad_weights, read_records, write_records)
@@ -208,39 +208,30 @@ class TestOperators:
 class TestNorms:
     def test_h_norm_constant(self):
         g = Grid((1.0,), (21,))
-        assert norm(g, Field.full(g, -2.5), "H") == pytest.approx(2.5)
+        ws = OperatorWorkspace(g, None)
+        assert ws.h_norm(np.full(21, -2.5)) == pytest.approx(2.5)
 
     def test_c0_norm(self):
         g = Grid((1.0,), (21,))
         x = g.axes()[0]
-        assert norm(g, Field(g, x - 0.25), "C0") == pytest.approx(0.75)
+        ws = OperatorWorkspace(g, None)
+        assert ws.c0_norm(x - 0.25) == pytest.approx(0.75)
 
     def test_v_norm_of_sine(self):
         g = Grid((1.0,), (201,))
         x = g.axes()[0]
-        got = norm(g, Field(g, np.sin(np.pi * x)), "V")
+        got = OperatorWorkspace(g, None).v_norm(np.sin(np.pi * x))
         assert got == pytest.approx(np.sqrt(0.5 + np.pi ** 2 / 2), abs=1e-2)
 
     def test_vstar_constant_neumann_identity_pivot(self):
         g = Grid((1.0,), (41,))
-        bc = BoundarySpec("robin", eta=1.0)
-        got = norm(g, Field.full(g, 3.0), "Vstar", bc)
+        got = OperatorWorkspace(g, None).vstar_neumann_norm(np.full(41, 3.0))
         assert got == pytest.approx(3.0, abs=1e-10)
 
     def test_r_norm_constant(self):
         g = Grid((1.0,), (41,))
-        bc = BoundarySpec("robin", eta=2.0)
-        assert norm(g, Field.full(g, 1.0), "R", bc) == pytest.approx(2.0)
-
-    def test_vstar_needs_bc(self):
-        g = Grid((1.0,), (11,))
-        with pytest.raises(InvalidParameter):
-            norm(g, Field.full(g, 1.0), "Vstar")
-
-    def test_unknown_norm(self):
-        g = Grid((1.0,), (11,))
-        with pytest.raises(InvalidParameter):
-            norm(g, Field.full(g, 1.0), "L7")
+        ws = OperatorWorkspace(g, BoundarySpec("robin", eta=2.0))
+        assert ws.vcal_norm(np.full(41, 1.0)) == pytest.approx(2.0)
 
 
 class TestBoundarySpec:
