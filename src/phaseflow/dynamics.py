@@ -46,9 +46,18 @@ OMEGA_THRESHOLDS = (1e-7, 1e-6, 1e-6)
 #: consecutive passing rows that make a convergence verdict
 OMEGA_CONSECUTIVE = 3
 
-#: relative linear residual ||rhs - J x|| / ||rhs|| at which iterative
-#: refinement with the lagged 2D factor stops
+#: tightest relative linear residual ||rhs - J x|| / ||rhs|| asked of a 2D
+#: solve, and the default of ``Stepper.linear_solve``
 REFINE_TOL = 1e-12
+
+#: forcing term of inexact Newton in 2D (Eisenstat & Walker 1996, choice 2,
+#: with the floor of Kelley 1995, Sec. 6.3): the first iteration of a step
+#: asks for ETA_MAX, iteration k for
+#: min(ETA_MAX, max(ETA_GAMMA (res_k / res_k-1)^2,
+#:                  ETA_FLOOR newton_tol / res_k, REFINE_TOL))
+ETA_MAX = 1e-3
+ETA_GAMMA = 0.9
+ETA_FLOOR = 0.1
 
 #: triangular-solve sweeps with a lagged 2D factor before it is replaced by
 #: a factor of the current Jacobian
@@ -105,7 +114,8 @@ def zero_source():
 @dataclass(frozen=True)
 class StepReport:
     """What one accepted step did.  ``linear_residual`` is the worst
-    relative linear residual ||J d + r|| / ||r|| of its Newton solves;
+    relative linear residual ||J d + r|| / ||r|| of its Newton solves, in
+    2D bounded by the forcing cap ETA_MAX and in 1D round-off;
     ``refinement_sweeps`` counts the triangular solves with the kept 2D
     factor (0 in 1D, where every solve factors); ``predictor_fallbacks``
     is 1 when the extrapolated start left the admissible set and Newton
@@ -189,10 +199,11 @@ class Stepper:
 
     Owns the operator workspace, the nodal source profile, the Newton
     matrix structure and two pieces of mutable state kept between calls,
-    so a Stepper serves one run at a time: in 2D, the lagged LU factor that ``linear_solve`` reuses across
-    iterations and steps; and the increment of the last accepted step with
-    the State it returned, from which ``step`` extrapolates its Newton
-    start when it is handed that State again with the same dt.
+    so a Stepper serves one run at a time: in 2D, the lagged LU factor
+    that ``linear_solve`` reuses across iterations and steps; and the
+    increment of the last accepted step with the State it returned, from
+    which ``step`` extrapolates its Newton start when it is handed that
+    State again with the same dt.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -340,20 +351,23 @@ class Stepper:
         ])
         return data
 
-    def linear_solve(self, data, rhs):
+    def linear_solve(self, data, rhs, tol=REFINE_TOL):
         """Solve J x = rhs for the Newton matrix J with entries ``data`` on
         the static structure; rhs and x are in the Newton ordering
         (active thetas, then all chis).
 
         Returns (x, factorizations, sweeps, relative residual
-        ||J x - rhs|| / ||rhs||).  1D factors the band directly; 2D reuses
-        the lagged factor by iterative refinement and refactors with the
-        current Jacobian when that misses REFINE_TOL.  A singular factor
-        raises NewtonDiverged.
+        ||J x - rhs|| / ||rhs||).  1D factors the band directly and ignores
+        ``tol``; 2D reuses the lagged factor by iterative refinement down
+        to the relative residual ``tol`` and refactors with the current
+        Jacobian when that misses it.  A zero rhs gives x = 0 without a
+        factorization.  A singular factor raises NewtonDiverged.
         """
+        scale = float(np.linalg.norm(rhs))
+        if scale == 0.0:
+            return np.zeros_like(rhs), 0, 0, 0.0
         storage = np.bincount(self._slot, weights=data,
                               minlength=self._nslots)
-        scale = float(np.linalg.norm(rhs))
         if self.grid.dim == 1:
             ab = storage.reshape(-1, rhs.size)
             b = rhs[self._perm]
@@ -371,11 +385,11 @@ class Stepper:
         if self._lu is None:
             self._factor(jac)
             factorizations = 1
-        x, sweeps, rel = self._refine(jac, rhs, scale)
-        if factorizations == 0 and not rel <= REFINE_TOL:
+        x, sweeps, rel = self._refine(jac, rhs, scale, tol)
+        if factorizations == 0 and not rel <= tol:
             self._factor(jac)
             factorizations = 1
-            x, more, rel = self._refine(jac, rhs, scale)
+            x, more, rel = self._refine(jac, rhs, scale, tol)
             sweeps += more
         return x, factorizations, sweeps, rel
 
@@ -386,14 +400,14 @@ class Stepper:
             raise NewtonDiverged(
                 f"singular linearization in step solve ({exc})") from None
 
-    def _refine(self, jac, rhs, scale):
+    def _refine(self, jac, rhs, scale, tol):
         """Sweeps x += LU^-1 (rhs - J x) from x = 0 with the kept factor,
-        while the residual falls and is above REFINE_TOL."""
+        while the residual falls and is above ``tol``."""
         x = self._lu.solve(rhs)
         r = rhs - jac @ x
         rel = float(np.linalg.norm(r)) / scale
         sweeps = 1
-        while rel > REFINE_TOL and sweeps < REFINE_MAX_SWEEPS:
+        while rel > tol and sweeps < REFINE_MAX_SWEEPS:
             x_new = x + self._lu.solve(r)
             r_new = rhs - jac @ x_new
             rel_new = float(np.linalg.norm(r_new)) / scale
@@ -415,7 +429,10 @@ class Stepper:
         Newton starts from the extrapolation x_n + (x_n - x_{n-1}) when
         ``state`` is the State the previous call returned and dt is the
         same; otherwise, or when the extrapolation leaves the admissible
-        set (a counted fallback), it starts from the old state.
+        set (a counted fallback), it starts from the old state.  Each
+        Newton solve asks only for the relative linear residual of the
+        forcing term (see ETA_MAX); a step is accepted on its nonlinear
+        residual alone.
         """
         dt = config.dt
         # read only: every iterate below is a new array
@@ -443,6 +460,7 @@ class Stepper:
         damping_events = 0
         solves = factorizations = sweeps = 0
         lin_res = 0.0
+        eta, res_prev = ETA_MAX, None
 
         for it in range(1, config.max_newton + 1):
             theta_f = self.theta_full(theta_act)
@@ -471,9 +489,14 @@ class Stepper:
                     f"residual {res:.3e} above tolerance "
                     f"{config.newton_tol:.1e} after {it} iterations",
                     residual=res)
+            if res_prev is not None:
+                eta = min(ETA_MAX, max(ETA_GAMMA * (res / res_prev) ** 2,
+                                       ETA_FLOOR * config.newton_tol / res,
+                                       REFINE_TOL))
+            res_prev = res
             rhs = -np.concatenate([r_theta, r_chi])
             delta, factored, swept, rel = self.linear_solve(
-                self._jacobian(arrays, dt), rhs)
+                self._jacobian(arrays, dt), rhs, eta)
             solves += 1
             factorizations += factored
             sweeps += swept
@@ -588,8 +611,9 @@ class Trajectory:
 
 
 #: Trajectory.stats keys: StepReport counters summed over every accepted
-#: step and half step, the worst relative linear residual of the run, and
-#: the steps retried as two half steps
+#: step and half step, the worst relative linear residual of the run (in 2D
+#: bounded by the forcing cap ETA_MAX, in 1D round-off), and the steps
+#: retried as two half steps
 RUN_STATS = ("newton_iters", "damping_events", "linear_solves",
              "factorizations", "refinement_sweeps", "predictor_fallbacks",
              "linear_residual_max", "retried_steps")
