@@ -85,12 +85,10 @@ def run_experiment(config, quiet=False):
     failed_assertions = []
 
     if opts["omega"]:
-        verdict = diag.detect_omega_limit(
-            traj, thresholds=config.run.omega_tols)
-        report["omega"] = asdict(verdict)
-        _say(quiet, f"omega verdict: {verdict.status}")
-        if opts["assert_converged"] and not verdict.converged:
-            failed_assertions.append("omega limit not reached")
+        report["omega"] = asdict(traj.verdict)
+        _say(quiet, f"omega verdict: {traj.verdict.status}")
+    if opts["assert_converged"] and not traj.verdict.converged:
+        failed_assertions.append("omega limit not reached")
 
     if opts["dissipation"]:
         dis = diag.check_dissipation(traj.energies, traj.g_dual,
@@ -208,7 +206,7 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
                   + f" of the snapshot {name}", file=sys.stderr)
             return EXIT_CONFIG
         times.append(t)
-        chis.append(chi)
+        chis.append(chi.flat)
         dists.append(ws.h_norm(chi.flat - ref_field.flat))
     payload = {"files": [os.path.basename(trace_path)] + snaps}
     code = EXIT_OK
@@ -225,17 +223,10 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
 
     if config_path is not None:
         model = parse_model(config_path)
-        energies = np.array([steady_mod.stationary_energy(
-            chi.flat, model, ws) for chi in chis])
-        e_inf = steady_mod.stationary_energy(ref_field.flat, model, ws)
-        # admission by the plain distance series; the sup part of the norm
-        # is bounded by it on these uniform grids only up to a constant,
-        # so eps_loj here is a practical radius, not the theory's
         resid = np.interp(times, trace.t, trace.stationary_residual)
         try:
-            loj = diag.estimate_lojasiewicz(energies, resid,
-                                            np.asarray(dists), e_inf,
-                                            eps_loj=eps_loj)
+            loj = diag.estimate_lojasiewicz_states(
+                chis, resid, ref_field.flat, model, ws, eps_loj=eps_loj)
             payload["loj_fit"] = asdict(loj)
             _say(quiet, f"exponent fit: zeta={loj.zeta:.4g} "
                         f"({loj.n_admitted} samples)")

@@ -455,6 +455,10 @@ def build_config(raw, base_dir="."):
             rd.violations.append(f"'diagnostics.{key}' must be finite and "
                                  f"non-negative, got {value!r}")
 
+    if diagnostics["assert_bounded"] and not diagnostics["monitors"]:
+        rd.violations.append("diagnostics.assert_bounded = true needs "
+                             "diagnostics.monitors = true")
+
     # the monitors read two unit windows from s on
     if diagnostics["monitors"] and run_cfg is not None \
             and run_cfg.t_end < diagnostics["s"] + 2.0 - 1e-12:

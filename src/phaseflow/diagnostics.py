@@ -1,10 +1,10 @@
 """Post-hoc and in-loop analysis of trajectories.
 
 Everything here is a pure function of completed traces, fields and source
-descriptions: per-step energy-inequality checking, convergence (omega-limit)
-detection with the final state's stationary residual as its certificate,
-power-law decay fits, Lojasiewicz exponent estimation from trajectory
-tails, the uniform-regularity monitors, and two-trajectory stability gaps.
+descriptions: per-step energy-inequality checking, the run's convergence
+(omega-limit) scan at other thresholds, power-law decay fits, Lojasiewicz
+exponent estimation along a sequence of states, the uniform-regularity
+monitors, and two-trajectory stability gaps.
 Fitted constants are estimates with their fit residuals - the underlying
 theory is non-constructive about them, so nothing here asserts a literal
 constant.
@@ -127,38 +127,22 @@ def check_phi_monotone(times, energies, g_dual_norms, e_inf, tol):
 # omega-limit detection
 # ----------------------------------------------------------------------
 
-@dataclass
-class OmegaReport:
-    status: str
-    t: Optional[float]
-    row: Optional[int]
-    theta_limit: float
-    certified_residual: Optional[float]
-
-    @property
-    def converged(self):
-        return self.status == "CONVERGED"
-
-
 def detect_omega_limit(traj, thresholds=OMEGA_THRESHOLDS):
     """Scan a trace for simultaneous smallness of the phase velocity, the
     stationary residual and the temperature distance over consecutive rows.
-    On success the certificate is the stationary residual of the final
-    order parameter, evaluated by the trace column's function on the run's
-    workspace: it equals the final row's ``stationary_residual``."""
-    stepper = traj.stepper
-    model = stepper.model
+
+    This is the run's own scan (``OmegaScan``), so at the run's thresholds
+    it returns ``traj.verdict``; other thresholds re-judge the same trace.
+    The certificate of a CONVERGED verdict is the final row's
+    ``stationary_residual``."""
     c = traj.columns
     scan = OmegaScan(thresholds)
     for row in zip(c["norm_chit_H"], c["stationary_residual"],
                    c["dist_theta_H"]):
-        i = scan.push(*row)
-        if i is not None:
-            cert = steady_mod.residual_stationary(
-                traj.final_state.chi, model, stepper.grid, stepper.ws)
-            return OmegaReport("CONVERGED", float(traj.times[i]), int(i),
-                               model.j.theta_inf, float(cert))
-    return OmegaReport("PENDING", None, None, model.j.theta_inf, None)
+        if scan.push(*row) is not None:
+            break
+    return scan.verdict(traj.times, c["stationary_residual"],
+                        traj.stepper.model.j.theta_inf)
 
 
 # ----------------------------------------------------------------------
@@ -284,22 +268,29 @@ def chi_distance_series(traj, chi_inf):
                      for chi in _kept_states(traj)])
 
 
-def estimate_lojasiewicz_trajectory(traj, chi_inf, eps_loj=0.1):
-    """Exponent estimate along a finished run against a reference
-    stationary state, from the stationary energies (of the run's model) of
-    the kept states and their max(V, C0) distances to it (the admission
-    radius); the residual column lines up with the kept states."""
-    chis = _kept_states(traj)
-    model, ws = traj.stepper.model, traj.stepper.ws
-    ref = chi_inf.flat
+def estimate_lojasiewicz_states(chis, residuals, chi_inf, model, ws,
+                                eps_loj=0.1):
+    """Exponent estimate along a sequence of flat order parameters ``chis``
+    with their stationary residuals, against the flat reference stationary
+    state ``chi_inf``: from their stationary energies under ``model`` and
+    their max(V, C0) distances to it (the admission radius).  Any workspace
+    of the grid serves."""
     energies = np.array([steady_mod.stationary_energy(chi, model, ws)
                          for chi in chis])
-    e_inf = steady_mod.stationary_energy(ref, model, ws)
-    distances = np.array([max(ws.v_norm(chi - ref), ws.c0_norm(chi - ref))
-                          for chi in chis])
-    return estimate_lojasiewicz(energies,
-                                traj.columns["stationary_residual"],
-                                distances, e_inf, eps_loj=eps_loj)
+    e_inf = steady_mod.stationary_energy(chi_inf, model, ws)
+    distances = np.array([max(ws.v_norm(chi - chi_inf),
+                              ws.c0_norm(chi - chi_inf)) for chi in chis])
+    return estimate_lojasiewicz(energies, residuals, distances, e_inf,
+                                eps_loj=eps_loj)
+
+
+def estimate_lojasiewicz_trajectory(traj, chi_inf, eps_loj=0.1):
+    """``estimate_lojasiewicz_states`` on a finished run's kept states, with
+    its model and workspace; the residual column lines up with the kept
+    states."""
+    return estimate_lojasiewicz_states(
+        _kept_states(traj), traj.columns["stationary_residual"],
+        chi_inf.flat, traj.stepper.model, traj.stepper.ws, eps_loj=eps_loj)
 
 
 def fit_rate_trajectory(traj, chi_inf, zeta=None):

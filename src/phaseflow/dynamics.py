@@ -548,9 +548,16 @@ AUX_SERIES = ("norm_thetat_H", "norm_theta_V", "norm_chi_H2",
 
 @dataclass
 class OmegaVerdict:
+    """Outcome of the omega-limit scan (``OmegaScan.verdict``): the row
+    that completed the test and its time, the limit temperature, and the
+    final state's stationary residual as the certificate.  ``t``, ``row``
+    and ``certified_residual`` are None while PENDING."""
+
     status: str                  # 'CONVERGED' | 'PENDING'
-    t: Optional[float] = None
-    row: Optional[int] = None
+    t: Optional[float]
+    row: Optional[int]
+    theta_limit: float
+    certified_residual: Optional[float]
 
     @property
     def converged(self):
@@ -583,6 +590,15 @@ class OmegaScan:
             if self.run_len >= OMEGA_CONSECUTIVE:
                 self.row = row
         return self.row
+
+    def verdict(self, times, residuals, theta_limit):
+        """The verdict of the rows fed so far, given their times and
+        stationary residuals; the certificate is the final row's
+        residual, the final state's by construction of a run."""
+        if self.row is None:
+            return OmegaVerdict("PENDING", None, None, theta_limit, None)
+        return OmegaVerdict("CONVERGED", float(times[self.row]), self.row,
+                            theta_limit, float(residuals[-1]))
 
 
 @dataclass
@@ -655,11 +671,10 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     series = {k: [] for k in TRACE_COLUMNS[1:] + AUX_SERIES}
     prev = None                  # the State of the previous row
     omega = OmegaScan(config.omega_tols)
-    verdict = OmegaVerdict("PENDING")
 
     def emit_row(state, energy, iters):
         # each operator product and pointwise law is evaluated once here
-        nonlocal prev, verdict
+        nonlocal prev
         th, ch, t = state.theta.flat, state.chi.flat, state.t
         if prev is None:
             chit = thetat = 0.0
@@ -689,9 +704,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             states.append((t, state.theta.copy(), state.chi.copy()))
         # a step returns new arrays and never writes to them: no copy
         prev = state
-        hit = omega.push(chit, row["stationary_residual"], row["dist_theta_H"])
-        if hit is not None and not verdict.converged:
-            verdict = OmegaVerdict("CONVERGED", t, hit)
+        omega.push(chit, row["stationary_residual"], row["dist_theta_H"])
 
     def write_snapshot(k, state):
         if out_dir is None:
@@ -738,7 +751,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
             energy = report.energy_after
             if k % config.trace_every == 0 or k == n_steps:
                 emit_row(state, energy, iters)
-            stopping = config.stop_on_converged and verdict.converged
+            stopping = config.stop_on_converged and omega.row is not None
             if config.snapshot_every > 0 and (k % config.snapshot_every == 0
                                               or k == n_steps or stopping):
                 write_snapshot(k, state)
@@ -748,6 +761,8 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         if csv_fh is not None:
             csv_fh.close()
 
+    verdict = omega.verdict(times, series["stationary_residual"],
+                            model.j.theta_inf)
     return Trajectory(stepper=stepper, dt=config.dt, times=np.asarray(times),
                       columns={k: np.asarray(series[k])
                                for k in TRACE_COLUMNS[1:]},

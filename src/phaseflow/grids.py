@@ -7,10 +7,12 @@ the Neumann Laplacian uses reflected ghost nodes at the boundary, the
 Dirichlet variant acts on interior nodes, and the Robin operator adds the
 boundary-mass term eta * integral_Gamma u v.  ``OperatorWorkspace`` is the
 one place that assembles, scales, factors and measures with them: each
-operator is kept in its symmetric variational form K (``K_A``, ``K_B``), so
-quadratic forms and Green identities are exact, beside its pointwise action
-diag(1/w) K (``A_fd``, ``B_fd``) with the quadrature weights w; the heat
-operator acts on the ``active`` nodes, and ``bc=None`` means Neumann-only.
+operator is kept in its symmetric variational form K (``K_A``, ``K_B``, and
+``K_V`` = K_A + diag(w), the V norm's form, which the Neumann dual norm
+inverts), so quadratic forms and Green identities are exact, beside its
+pointwise action diag(1/w) K (``A_fd``, ``B_fd``) with the quadrature
+weights w; the heat operator acts on the ``active`` nodes, and ``bc=None``
+means Neumann-only.
 """
 
 import math
@@ -210,11 +212,6 @@ def stiffness_neumann(grid):
 # norms
 # ----------------------------------------------------------------------
 
-def nodal_gradient(grid, values, axis):
-    """Second-order nodal gradient (central inside, one-sided at the ends)."""
-    return np.gradient(values, grid.spacing[axis], axis=axis, edge_order=2)
-
-
 class OperatorWorkspace:
     """The one owner of the discrete operators of a (grid, bc) problem: it
     assembles, scales and factors them and measures fields with them.  A
@@ -222,11 +219,13 @@ class OperatorWorkspace:
     (the cached factors carry internal scratch state).
 
     ``K_A`` is the variational Neumann stiffness, ``A_fd`` = diag(1/w) K_A
-    its pointwise action.  ``active`` holds the heat unknowns (the interior
-    nodes for Dirichlet conditions, all nodes for Robin), ``K_B`` the heat
-    operator on them (the interior block of K_A, or K_A + eta diag(gamma))
-    and ``B_fd`` = diag(1/w[active]) K_B.  ``bc=None`` means Neumann-only:
-    those three are None, and only the norms without a heat operator work.
+    its pointwise action, and ``K_V`` = K_A + diag(w) the form of the V
+    norm, which the Neumann dual norm inverts.  ``active`` holds the heat
+    unknowns (the interior nodes for Dirichlet conditions, all nodes for
+    Robin), ``K_B`` the heat operator on them (the interior block of K_A,
+    or K_A + eta diag(gamma)) and ``B_fd`` = diag(1/w[active]) K_B.
+    ``bc=None`` means Neumann-only: those three are None, and only the
+    norms without a heat operator work.
     """
 
     def __init__(self, grid, bc):
@@ -236,6 +235,7 @@ class OperatorWorkspace:
         self.bmask = boundary_mask(grid)
         self.K_A = stiffness_neumann(grid)
         self.A_fd = (sps.diags(1.0 / self.w) @ self.K_A).tocsr()
+        self.K_V = (self.K_A + sps.diags(self.w)).tocsc()
         self._factors = {}
         self.active = self.K_B = self.B_fd = None
         if bc is None:
@@ -255,13 +255,10 @@ class OperatorWorkspace:
     def c0_norm(self, flat):
         return float(np.max(np.abs(flat)))
 
-    def v_norm(self, values):
-        vals = np.asarray(values).reshape(self.grid.shape)
-        total = np.dot(self.w, np.square(vals).ravel())
-        for ax in range(self.grid.dim):
-            g = nodal_gradient(self.grid, vals, ax)
-            total += np.dot(self.w, np.square(g).ravel())
-        return float(np.sqrt(total))
+    def v_norm(self, flat):
+        """sqrt(u . K_V u): the exact gradient form plus the trapezoid H
+        norm, the primal of ``vstar_neumann_norm``."""
+        return float(np.sqrt(max(float(flat @ (self.K_V @ flat)), 0.0)))
 
     def vcal_norm(self, flat):
         """Norm of the solution space the heat operator acts on,
@@ -271,12 +268,11 @@ class OperatorWorkspace:
         return float(np.sqrt(max(float(u @ (self.K_B @ u)), 0.0)))
 
     def _pivot_dual_norm(self, pivot, g):
-        """sqrt(g . K^-1 g) for the pivot 'B' (K_B) or 'neumann'
-        (K_A + diag(w)), factored once per workspace; one step of
-        iterative refinement, then SingularSolve above tolerance."""
+        """sqrt(g . K^-1 g) for the pivot 'B' (K_B) or 'neumann' (K_V),
+        factored once per workspace; one step of iterative refinement,
+        then SingularSolve above tolerance."""
         if pivot not in self._factors:
-            K = self.K_B if pivot == "B" \
-                else (self.K_A + sps.diags(self.w)).tocsc()
+            K = self.K_B if pivot == "B" else self.K_V
             self._factors[pivot] = (splu(K.tocsc()), K)
         lu, K = self._factors[pivot]
         sol = lu.solve(g)

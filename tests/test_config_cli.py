@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import phaseflow
 from phaseflow.cli import fit_command, main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
-from phaseflow.diagnostics import check_dissipation
+from phaseflow.diagnostics import (check_dissipation,
+                                   estimate_lojasiewicz_trajectory)
 from phaseflow.dynamics import TRACE_HEADER, run
 from phaseflow.errors import ParseError, ValidationError
 from phaseflow.grids import Field, Grid, read_records, write_records
@@ -230,6 +232,30 @@ class TestRunExperiment:
         raw = minimal_raw(**{"output.dir": str(tmp_path / "f"),
                              "diagnostics.assert_converged": "true"})
         assert run_experiment(build_config(raw), quiet=True) == 4
+
+    def test_assert_converged_without_omega_report(self, tmp_path):
+        # the assertion reads the run's verdict; omega = false only drops
+        # the report
+        raw = minimal_raw(**{"grid.nodes": "17", "run.t_end": "0.1",
+                             "output.dir": str(tmp_path / "f"),
+                             "diagnostics.omega": "false",
+                             "diagnostics.assert_converged": "true"})
+        assert run_experiment(build_config(raw), quiet=True) == 4
+        payload = json.loads((tmp_path / "f" /
+                              "diagnostics.json").read_text())
+        assert "omega" not in payload
+
+    def test_assert_bounded_needs_monitors(self, tmp_path, capsys):
+        raw = minimal_raw(**{"diagnostics.assert_bounded": "true"})
+        with pytest.raises(ValidationError) as err:
+            build_config(raw)
+        assert "diagnostics.assert_bounded" in str(err.value)
+        assert "diagnostics.monitors" in str(err.value)
+        out = tmp_path / "b"
+        assert main(["--quiet", "--out", str(out), "run",
+                     write_cfg(tmp_path / "c.cfg", raw)]) == 2
+        assert not out.exists()
+        assert "diagnostics.assert_bounded" in capsys.readouterr().err
 
     def test_reference_steady_on_other_grid(self, tmp_path):
         ref = tmp_path / "ref.pfld"
@@ -509,6 +535,27 @@ class TestCliEntry:
         assert with_snapshot[0] == 0
         snap.unlink()
         assert fit() == with_snapshot
+
+
+    def test_fit_exponent_is_the_library_estimate(self, tmp_path):
+        # one snapshot per trace row: the fit's states and residuals are
+        # the run's kept states and its residual column
+        p = write_cfg(tmp_path / "c.cfg", minimal_raw(**{
+            "grid.nodes": "32", "run.dt": "1e-2", "run.t_end": "20.0",
+            "run.stop_on_converged": "true", "run.trace_every": "5",
+            "run.snapshot_every": "5"}))
+        out = tmp_path / "run"
+        assert main(["--quiet", "--out", str(out), "run", p]) == 0
+        cfg = parse_config(p)
+        steady = tmp_path / "zero.pfld"
+        write_records(steady, [(Field.zeros(cfg.grid), 0.0)])
+        assert main(["--quiet", "fit", str(out / "trace.csv"), str(steady),
+                     "--config", p]) == 0
+        got = json.loads((out / "diagnostics.json").read_text())["loj_fit"]
+        traj = run(cfg.initial_state(), replace(cfg.run, keep_states=True),
+                   cfg.model, cfg.grid, cfg.bc, cfg.source)
+        want = estimate_lojasiewicz_trajectory(traj, Field.zeros(cfg.grid))
+        assert got == asdict(want)
 
 
 class TestPublicSurface:

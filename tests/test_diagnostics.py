@@ -14,6 +14,8 @@ from phaseflow.diagnostics import (EnergyTrace, check_dissipation,
 from phaseflow.errors import (ConfigMismatch, InsufficientDecay,
                               InsufficientSamples, InvalidParameter)
 from phaseflow.grids import OperatorWorkspace
+from phaseflow.models import evaluate
+from phaseflow.oracle import _dense_neumann_stiffness, _dense_weights
 
 from conftest import cosine_state
 
@@ -119,6 +121,30 @@ class TestOmegaDetection:
         steady = solve_stationary(traj.final_state.chi, caginalp_model, g)
         assert verdict.certified_residual < 1e-6
         assert steady.residual < 1e-10
+        # the certificate again from the oracle's loop-built stiffness K
+        # and weights w: sqrt(g . M^-1 g), g = K chi + w W'(chi), M = K + W
+        chi = traj.final_state.chi.flat
+        K, w = _dense_neumann_stiffness(g), _dense_weights(g)
+        wprime = evaluate(caginalp_model.w, 1, chi)
+        rhs = K @ chi + w * wprime
+        M = K + np.diag(w)
+        want = np.sqrt(rhs @ np.linalg.solve(M, rhs))
+        # Round-off bound.  Each side forms g with at most 7 roundings per
+        # term (3 stiffness products and their sum, the scaling by 1/w and
+        # back by w, the addition of W'), so the two g differ by at most
+        # e = 2 gamma_7 (|K||chi| + w|W'|) per node; a norm moves by at
+        # most the norm of the difference, ||e||_{M^-1} <= ||e|| /
+        # sqrt(lambda_min).  Each LU solve is backward stable with
+        # ||dM|| <= 3 n u ||M|| (M is diagonally dominant: no pivot growth),
+        # which moves g . M^-1 g by a relative 3 n u kappa(M), sqrt of it
+        # by half that; two solves give 3 n u kappa(M) on the residual.
+        u = np.finfo(float).eps / 2
+        gamma7 = 7 * u / (1 - 7 * u)
+        e = 2 * gamma7 * (np.abs(K) @ np.abs(chi) + w * np.abs(wprime))
+        lam = np.linalg.eigvalsh(M)
+        bound = (np.linalg.norm(e) / np.sqrt(lam[0])
+                 + 3 * chi.size * u * lam[-1] / lam[0] * want)
+        assert abs(verdict.certified_residual - want) <= bound
 
     def test_in_loop_verdict_matches_post_hoc_scan(self, caginalp_model,
                                                    unit_grid, dirichlet_bc):
@@ -131,8 +157,25 @@ class TestOmegaDetection:
         verdict = detect_omega_limit(traj, thresholds=cfg.omega_tols)
         assert traj.verdict.converged and verdict.converged
         assert traj.verdict.row < traj.times.size - 1
-        assert (traj.verdict.status, traj.verdict.row) \
-            == (verdict.status, verdict.row)
+        assert verdict == traj.verdict
+
+    # the converged Dirichlet case is the test above
+    @pytest.mark.parametrize("bc,t_end,status", [
+        (BoundarySpec("dirichlet"), 0.1, "PENDING"),
+        (BoundarySpec("robin", eta=0.5), 4.0, "CONVERGED"),
+        (BoundarySpec("robin", eta=0.5), 0.1, "PENDING")],
+        ids=["dirichlet-pending", "robin-converged", "robin-pending"])
+    def test_rescan_is_the_run_verdict(self, caginalp_model, unit_grid, bc,
+                                       t_end, status):
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=t_end)
+        traj = run(st, cfg, caginalp_model, unit_grid, bc, zero_source())
+        assert traj.verdict.status == status
+        assert detect_omega_limit(traj, thresholds=cfg.omega_tols) \
+            == traj.verdict
+        if status == "CONVERGED":
+            assert traj.verdict.certified_residual \
+                == traj.columns["stationary_residual"][-1]
 
 
 class TestFitRate:

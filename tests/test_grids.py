@@ -223,6 +223,19 @@ class TestNorms:
         got = OperatorWorkspace(g, None).v_norm(np.sin(np.pi * x))
         assert got == pytest.approx(np.sqrt(0.5 + np.pi ** 2 / 2), abs=1e-2)
 
+    @pytest.mark.parametrize("grid", [Grid((1.0,), (33,)),
+                                      Grid((1.0, 2.0), (7, 9))],
+                             ids=["1d", "2d"])
+    def test_v_norm_is_the_primal_of_the_neumann_dual(self, grid):
+        # vstar_neumann_norm(f) = sqrt(w f . K_V^-1 w f), so f = K_V u / w
+        # gives sqrt(u . K_V u)
+        rng = np.random.default_rng(5)
+        ws = OperatorWorkspace(grid, None)
+        for _ in range(4):
+            u = rng.standard_normal(grid.n_total)
+            assert ws.vstar_neumann_norm(ws.K_V @ u / ws.w) \
+                == pytest.approx(ws.v_norm(u), rel=1e-12)
+
     def test_vstar_constant_neumann_identity_pivot(self):
         g = Grid((1.0,), (41,))
         got = OperatorWorkspace(g, None).vstar_neumann_norm(np.full(41, 3.0))
