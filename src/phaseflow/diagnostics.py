@@ -459,9 +459,11 @@ def tail_statistic(times, g_dual_norms, delta):
 
 def source_report(traj):
     """Numerical checks of the integrability tags the run's source
-    declares, on the run's right-hand side (``traj.stepper.g_density``)."""
+    declares, on the run's right-hand side: g_t is the central difference
+    of its coefficients ``traj.stepper.g_coefficients``, measured with the
+    run's Gram form, so no g vector is built."""
     stepper = traj.stepper
-    source, ws, g = stepper.source, stepper.ws, stepper.g_density
+    source, c = stepper.source, stepper.g_coefficients
     times = traj.times
     stat = None
     finite = True
@@ -473,10 +475,9 @@ def source_report(traj):
     p = source.p_tag
     if not source.is_zero or stepper.bc.kind == "robin":
         eps = 1e-6
-        gt = np.array([
-            ws.dual_norm_weak((g(t + eps) - g(max(t - eps, 0.0))) * ws.w
-                              / (eps + min(eps, t)))
-            for t in times])
+        gt = np.array([stepper.coefficient_dual_norm(
+            np.subtract(c(t + eps), c(max(t - eps, 0.0)))
+            / (eps + min(eps, t))) for t in times])
         series = _window_norms(times, 0.0, gt, p)
         if series.size:
             windowed = float(np.max(series))

@@ -20,6 +20,7 @@ heat operator; both facts are checked by the test suite rather than trusted.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -197,13 +198,18 @@ def _band_matvec(ab, band, x):
 class Stepper:
     """Shared machinery for stepping one (model, grid, bc, source) problem.
 
-    Owns the operator workspace, the nodal source profile, the Newton
-    matrix structure and two pieces of mutable state kept between calls,
-    so a Stepper serves one run at a time: in 2D, the lagged LU factor
-    that ``linear_solve`` reuses across iterations and steps; and the
-    increment of the last accepted step with the State it returned, from
-    which ``step`` extrapolates its Newton start when it is handed that
-    State again with the same dt.
+    Owns the operator workspace, the Newton matrix structure and the
+    right-hand side, which is rank two: g(t) = e(t) p + b(t) gamma / w with
+    the nodal source profile p, so ``g_coefficients(t)`` = (e, b) is all
+    that varies in time, and every dual norm of g or of a difference of gs
+    is the 2x2 Gram form ``coefficient_dual_norm``, built on first use.
+
+    Two pieces of mutable state are kept between calls, so a Stepper serves
+    one run at a time: in 2D, the lagged LU factor that ``linear_solve``
+    reuses across iterations and steps; and the increment of the last
+    accepted step with the State it returned, from which ``step``
+    extrapolates its Newton start when it is handed that State again with
+    the same dt.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -220,6 +226,7 @@ class Stepper:
         self._profile = None if source.is_zero else (
             np.asarray(source.profile(*grid.meshgrid()), dtype=float)
             + np.zeros(grid.shape)).ravel()
+        self._gram = None
         self._lu = None
         # (returned State, dt, theta increment, chi increment) of the last
         # accepted step, or None
@@ -289,27 +296,51 @@ class Stepper:
             m.lam.d1, m.lam.d2, chi_old, chi_new, lam_old, lam_new, lam_p)
         return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
 
-    def g_density(self, t):
-        """Right-hand side g(t) as a nodal density: the volumetric source
-        plus, for Robin conditions, the boundary exchange term with the
-        exterior temperature (theta_gamma(t), or model.j.theta_inf without
-        a schedule)."""
-        g = np.zeros(self.n) if self._profile is None \
-            else self._profile * float(self.source.envelope(t))
+    def g_coefficients(self, t):
+        """(e, b) of g(t) = e p + b gamma / w: the source envelope, and for
+        Robin conditions eta j' of the exterior temperature (theta_gamma(t),
+        or model.j.theta_inf without a schedule); 0 for an absent term."""
+        e = 0.0 if self._profile is None else float(self.source.envelope(t))
+        b = 0.0
         if self.bc.kind == "robin":
             exterior = self.model.j.theta_inf if self.bc.theta_gamma is None \
                 else float(self.bc.theta_gamma(t))
-            jp_gamma = float(evaluate(self.model.j, 1, exterior))
-            g = g + self.bc.eta * jp_gamma * self.ws.gamma / self.ws.w
+            b = self.bc.eta * float(evaluate(self.model.j, 1, exterior))
+        return e, b
+
+    def g_density(self, t):
+        """Right-hand side g(t) as a nodal density: the volumetric source
+        plus, for Robin conditions, the boundary exchange term."""
+        e, b = self.g_coefficients(t)
+        g = np.zeros(self.n) if self._profile is None else self._profile * e
+        if self.bc.kind == "robin":
+            g = g + b * self.ws.gamma / self.ws.w
         return g
 
-    def g_dual_norm(self, t):
-        """Dual norm of the right-hand side against the heat operator's
-        energy norm (the norm appearing in the per-step energy estimate)."""
-        weak = self.ws.w * self.g_density(t)
-        if not np.any(weak):
+    def coefficient_dual_norm(self, c):
+        """Dual norm against the heat operator's energy norm of the weak
+        functional c[0] w p + c[1] gamma: sqrt(c . G c) with the Gram matrix
+        G = V K_B^-1 V^T of the rows w p and gamma on the active nodes,
+        built from the workspace's K_B factor when first asked with c != 0
+        (one solve per nonzero row); exactly 0.0 for c = 0."""
+        if not any(c):
             return 0.0
-        return self.ws.dual_norm_weak(weak)
+        if self._gram is None:
+            rows = np.zeros((2, self.n))
+            if self._profile is not None:
+                rows[0] = self.ws.w * self._profile
+            rows[1] = self.ws.gamma
+            rows = rows[:, self.act]
+            sols = [self.ws.pivot_solve("B", r) if r.any() else r
+                    for r in rows]
+            self._gram = rows @ np.transpose(sols)
+        c = np.asarray(c, dtype=float)
+        return math.sqrt(max(float(c @ self._gram @ c), 0.0))
+
+    def g_dual_norm(self, t):
+        """||g(t)||_*, the norm the per-step energy estimate pairs the
+        right-hand side with."""
+        return self.coefficient_dual_norm(self.g_coefficients(t))
 
     def theta_full(self, theta_act):
         if not self.dirichlet:
@@ -606,15 +637,15 @@ class Trajectory:
     """A finished run; ``times`` is its only time axis, and every row
     diagnostic weights by the actual row gaps ``np.diff(times)``.
     ``stepper`` is the run's Stepper: the post-hoc diagnostics read the
-    problem (model, grid, bc, source) and the operator workspace ``ws``
-    from it."""
+    problem (model, grid, bc, source), the operator workspace ``ws`` and
+    the right-hand side's Gram form from it, and ``g_dual`` derives from
+    the row times."""
 
     stepper: Stepper
     dt: float
     times: np.ndarray
     columns: dict                # csv columns, parallel arrays
     aux: dict                    # extra per-row series (monitor inputs)
-    g_dual: np.ndarray           # ||g(t_row)||_* per trace row
     states: list                 # [(t, theta Field, chi Field)] if kept
     final_state: State
     verdict: OmegaVerdict
@@ -624,6 +655,11 @@ class Trajectory:
     @property
     def energies(self):
         return self.columns["energy"]
+
+    @cached_property
+    def g_dual(self):
+        """||g(t_row)||_* per trace row."""
+        return np.array([self.stepper.g_dual_norm(t) for t in self.times])
 
 
 #: Trajectory.stats keys: StepReport counters summed over every accepted
@@ -667,7 +703,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         csv_fh = open(os.path.join(out_dir, "trace.csv"), "w", newline="\n")
         csv_fh.write(TRACE_HEADER + "\n")
 
-    times, g_dual, states = [], [], []
+    times, states = [], []
     series = {k: [] for k in TRACE_COLUMNS[1:] + AUX_SERIES}
     prev = None                  # the State of the previous row
     omega = OmegaScan(config.omega_tols)
@@ -695,7 +731,6 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         times.append(t)
         for k, v in row.items():
             series[k].append(v)
-        g_dual.append(stepper.g_dual_norm(t))
         if csv_fh is not None:
             csv_fh.write(",".join([_fmt(t)] + [_fmt(row[k])
                                                for k in TRACE_COLUMNS[1:-1]]
@@ -767,6 +802,6 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
                       columns={k: np.asarray(series[k])
                                for k in TRACE_COLUMNS[1:]},
                       aux={k: np.asarray(series[k]) for k in AUX_SERIES},
-                      g_dual=np.asarray(g_dual), states=states,
+                      states=states,
                       final_state=state, verdict=verdict, stats=stats,
                       snapshot_files=tuple(snapshot_files))

@@ -267,10 +267,10 @@ class OperatorWorkspace:
         u = np.asarray(flat).ravel()[self.active]
         return float(np.sqrt(max(float(u @ (self.K_B @ u)), 0.0)))
 
-    def _pivot_dual_norm(self, pivot, g):
-        """sqrt(g . K^-1 g) for the pivot 'B' (K_B) or 'neumann' (K_V),
-        factored once per workspace; one step of iterative refinement,
-        then SingularSolve above tolerance."""
+    def pivot_solve(self, pivot, g):
+        """K^-1 g for the pivot 'B' (K_B) or 'neumann' (K_V), factored once
+        per workspace; one step of iterative refinement, then SingularSolve
+        above tolerance."""
         if pivot not in self._factors:
             K = self.K_B if pivot == "B" else self.K_V
             self._factors[pivot] = (splu(K.tocsc()), K)
@@ -284,19 +284,21 @@ class OperatorWorkspace:
             if res > 1e-10 * scale:
                 raise SingularSolve(
                     f"pivot solve residual {res:.3e} exceeds tolerance")
-        return float(np.sqrt(max(np.dot(g, sol), 0.0)))
+        return sol
 
     def vstar_neumann_norm(self, flat):
         """Dual norm with the Neumann pivot regardless of bc (used for the
         stationary residual, whose natural space has Neumann conditions)."""
-        return self._pivot_dual_norm("neumann", self.w * flat)
+        g = self.w * flat
+        return float(np.sqrt(max(np.dot(g, self.pivot_solve("neumann", g)),
+                                 0.0)))
 
     def dual_norm_weak(self, weak_vec):
         """Exact dual norm of a weak-form functional against the heat
         operator's own energy norm (the norm the energy estimate pairs the
         source with)."""
-        return self._pivot_dual_norm(
-            "B", np.asarray(weak_vec).ravel()[self.active])
+        g = np.asarray(weak_vec).ravel()[self.active]
+        return float(np.sqrt(max(np.dot(g, self.pivot_solve("B", g)), 0.0)))
 
 
 # ----------------------------------------------------------------------

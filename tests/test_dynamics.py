@@ -9,6 +9,8 @@ from phaseflow import (BoundarySpec, Field, Grid, ModelSpec,
                        oracle_step, regularize, residual_stationary, run,
                        step, zero_source)
 from phaseflow import dynamics as dyn
+from phaseflow.config import make_profile
+from phaseflow.diagnostics import source_report
 from phaseflow.errors import (DomainExhausted, DomainViolation,
                               InvalidParameter, NewtonDiverged)
 from phaseflow.grids import quad_weights
@@ -513,6 +515,150 @@ class TestEnergyInequality:
         masses = [integrate(g, Field(g, th.values + ch.values))
                   for _, th, ch in traj.states]
         assert np.max(np.abs(np.diff(masses))) <= 1e-10
+
+
+#: unit round-off of IEEE doubles
+_U = np.finfo(float).eps / 2
+
+
+def _source_problem(case):
+    """(model, grid, bc, source) of a 33-node right-hand side test: a
+    Gaussian bump source under Robin conditions (b = 0, since j' vanishes
+    at theta_inf), a cooling bump with a heated exterior schedule (e and b
+    of opposite sign, so G's cross term matters), a source under Dirichlet
+    conditions (b = 0), and zero sources, for which g = 0."""
+    model = ModelSpec(builtin("caginalp_j"), builtin("quartic_W"),
+                      builtin("linear_lambda", ell=1.0))
+    grid = Grid((1.0,), (33,))
+    bump = SourceSpec(profile=make_profile("bump", 0.5, (1.0,)),
+                      envelope=lambda t: np.exp(-t))
+    cooling = replace(bump, profile=make_profile("bump", -0.5, (1.0,)))
+    robin = BoundarySpec("robin", eta=0.5)
+    schedule = BoundarySpec("robin", eta=0.5,
+                            theta_gamma=lambda t: 0.2 * np.exp(-2.0 * t))
+    dirichlet = BoundarySpec("dirichlet")
+    bc, source = {"robin_bump": (robin, bump),
+                  "robin_schedule": (schedule, cooling),
+                  "dirichlet_source": (dirichlet, bump),
+                  "dirichlet_zero": (dirichlet, zero_source()),
+                  "robin_zero": (robin, zero_source())}[case]
+    return model, grid, bc, source
+
+
+def _dual_form_bound(stepper, c):
+    """Bound on the difference of two round-off computations of
+    q = ||c0 w p + c1 gamma||_*^2 over the active nodes.  Each side solves
+    with a backward-stable LU of the diagonally dominant K_B, whose forward
+    error is at most cond(K_B) gamma_3n (Higham 2002, Thm 9.4), and rounds
+    its inputs a few (< 5) times, so each is within
+    (3n + 5) u cond(K_B) ||K_B^-1|| (|c0| ||w p|| + |c1| ||gamma||)^2 of q."""
+    eig = np.linalg.eigvalsh(stepper.ws.K_B.toarray())
+    n = stepper.m
+    return (2 * (3 * n + 5) * _U * (eig[-1] / eig[0]) / eig[0]
+            * _weak_scale(stepper, c) ** 2)
+
+
+def _weak_scale(stepper, c):
+    """|c0| ||w p|| + |c1| ||gamma||, the rows on the active nodes."""
+    ws = stepper.ws
+    p = 0.0 if stepper._profile is None else stepper._profile
+    return sum(abs(ci) * np.linalg.norm((row + np.zeros(ws.w.size))
+                                        [stepper.act])
+               for ci, row in zip(c, (ws.w * p, ws.gamma)))
+
+
+class TestSourceGram:
+    """g(t) = e p + b gamma / w is rank two, and its dual norm is the 2x2
+    Gram form of the coefficients (e, b) = Stepper.g_coefficients(t)."""
+
+    @pytest.mark.parametrize("case", ["robin_bump", "robin_schedule",
+                                      "dirichlet_source"])
+    def test_gram_form_matches_vector_dual_norm(self, case):
+        stepper = Stepper(*_source_problem(case))
+        ws = stepper.ws
+        for t in (0.0, 0.3, 1.7):
+            c = stepper.g_coefficients(t)
+            got = stepper.g_dual_norm(t)
+            want = ws.dual_norm_weak(ws.w * stepper.g_density(t))
+            assert want > 0
+            # |N_a - N_b| = |q_a - q_b| / (N_a + N_b)
+            assert abs(got - want) <= _dual_form_bound(stepper, c) / (
+                got + want), (case, t)
+        assert (stepper.g_coefficients(1.0)[1] == 0.0) \
+            == (case != "robin_schedule")
+
+    @pytest.mark.parametrize("case", ["dirichlet_zero", "robin_zero"])
+    def test_zero_source_gives_exactly_zero(self, case):
+        stepper = Stepper(*_source_problem(case))
+        for t in (0.0, 0.5):
+            assert stepper.g_coefficients(t) == (0.0, 0.0)
+            assert stepper.g_dual_norm(t) == 0.0
+            assert not np.any(stepper.g_density(t))
+
+    def test_source_report_differences_coefficients(self):
+        # the windowed g_t sup against the same central difference taken on
+        # g vectors and measured with the workspace's vector dual norm
+        model, grid, bc, source = _source_problem("robin_schedule")
+        st = cosine_state(grid, model)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=1.0)
+        traj = run(st, cfg, model, grid, bc, source)
+        stepper, ws = traj.stepper, traj.stepper.ws
+        g, c = stepper.g_density, stepper.g_coefficients
+        eps = 1e-6
+        inv_k = 1.0 / np.linalg.eigvalsh(ws.K_B.toarray())[0]
+        gap = tol = 0.0
+        vec_sup = 0.0
+        for t in traj.times:
+            lo, den = max(t - eps, 0.0), eps + min(eps, t)
+            vec = ws.dual_norm_weak((g(t + eps) - g(lo)) * ws.w / den)
+            dc = np.subtract(c(t + eps), c(lo)) / den
+            coef = stepper.coefficient_dual_norm(dc)
+            vec_sup = max(vec_sup, vec)
+            gap = max(gap, abs(vec - coef))
+            # each entry of the two weak vectors carries at most six
+            # roundings, which the difference divides by den; the
+            # coefficient difference of two nearby values is exact
+            spread = max(_weak_scale(stepper, c(t + eps)),
+                         _weak_scale(stepper, c(lo)))
+            tol = max(tol, 12 * _U * spread / den * np.sqrt(inv_k)
+                      + _dual_form_bound(stepper, dc) / (vec + coef))
+        # p_tag = inf: the windowed norm is a window maximum, so the sups
+        # differ by at most the largest row difference
+        rep = source_report(traj)
+        assert rep.windowed_gt_sup == max(
+            stepper.coefficient_dual_norm(
+                np.subtract(c(t + eps), c(max(t - eps, 0.0)))
+                / (eps + min(eps, t))) for t in traj.times)
+        assert gap <= tol
+        assert abs(rep.windowed_gt_sup - vec_sup) <= tol
+        # and the bound is not vacuous: eps = 1e-6 amplifies round-off to
+        # about 1e-9 of the sup here
+        assert tol <= 1e-8 * vec_sup
+
+    def _count_kb_solves(self, monkeypatch, case):
+        calls = []
+        solve = OperatorWorkspace.pivot_solve
+
+        def counting(self, pivot, g):
+            calls.append(pivot)
+            return solve(self, pivot, g)
+
+        monkeypatch.setattr(OperatorWorkspace, "pivot_solve", counting)
+        model, grid, bc, source = _source_problem(case)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=0.5)
+        traj = run(cosine_state(grid, model), cfg, model, grid, bc, source)
+        assert traj.g_dual.size == 51
+        assert np.all(traj.g_dual > 0) == (not source.is_zero)
+        if not source.is_zero or bc.kind == "robin":
+            source_report(traj)
+        return calls.count("B")
+
+    def test_robin_run_solves_with_k_b_twice(self, monkeypatch):
+        # one solve per nonzero Gram row, for every row and the g_t report
+        assert self._count_kb_solves(monkeypatch, "robin_schedule") == 2
+
+    def test_zero_source_dirichlet_run_factors_no_k_b(self, monkeypatch):
+        assert self._count_kb_solves(monkeypatch, "dirichlet_zero") == 0
 
 
 class TestContinuousDependence:
