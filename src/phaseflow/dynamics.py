@@ -460,10 +460,12 @@ class Stepper:
         Newton starts from the extrapolation x_n + (x_n - x_{n-1}) when
         ``state`` is the State the previous call returned and dt is the
         same; otherwise, or when the extrapolation leaves the admissible
-        set (a counted fallback), it starts from the old state.  Each
-        Newton solve asks only for the relative linear residual of the
-        forcing term (see ETA_MAX); a step is accepted on its nonlinear
-        residual alone.
+        set (a counted fallback), it starts from the old state.  A start
+        extrapolated from a nonzero increment takes at least one Newton
+        correction (unless max_newton is 1), so an accepted step never
+        repeats the last increment.  Each Newton solve asks only for the
+        relative linear residual of the forcing term (see ETA_MAX); a step
+        is accepted on its nonlinear residual alone.
         """
         dt = config.dt
         # read only: every iterate below is a new array
@@ -479,6 +481,7 @@ class Stepper:
         theta_act = theta_old[self.act]
         chi_new = chi_old.copy()
         fallbacks = 0
+        predicted = False
         # a step that raises leaves no increment behind
         last, self._last = self._last, None
         if last is not None and last[0] is state and last[1] == dt:
@@ -486,6 +489,8 @@ class Stepper:
             chi_try = chi_old + last[3]
             if self._admissible(theta_try, chi_try):
                 theta_act, chi_new = theta_try, chi_try
+                # a zero increment extrapolates nothing
+                predicted = bool(last[2].any() or last[3].any())
             else:
                 fallbacks = 1
         damping_events = 0
@@ -502,7 +507,10 @@ class Stepper:
             r_theta, r_chi = self._residual(arrays, theta_act, chi_new,
                                             theta_old, chi_old, dt, g)
             res = self._residual_norm(r_theta, r_chi)
-            if res <= config.newton_tol:
+            # an extrapolated start is corrected once before it may be
+            # accepted, or the step's increment would copy the last one
+            if res <= config.newton_tol and not (
+                    predicted and it == 1 and config.max_newton > 1):
                 # the old state, the checked prediction or a damped
                 # iterate: no domain check
                 shape = self.grid.shape

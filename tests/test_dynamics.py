@@ -399,6 +399,30 @@ class TestPredictor:
         assert gap <= cfg.newton_tol
 
 
+    def test_predicted_start_is_corrected_before_acceptance(
+            self, caginalp_model, dirichlet_bc):
+        # near convergence the extrapolated start already meets newton_tol;
+        # accepted as is, its increment would copy the previous one, and
+        # consecutive rows of the phase velocity would repeat
+        g = Grid((1.0,), (17,))
+        st = cosine_state(g, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=3.0, newton_tol=1e-8)
+        traj = run(st, cfg, caginalp_model, g, dirichlet_bc, zero_source())
+        chit = traj.columns["norm_chit_H"][1:]
+        assert traj.stats["linear_solves"] >= 300
+        assert not np.any(np.isclose(chit[1:], chit[:-1], rtol=1e-12,
+                                     atol=0.0))
+
+    def test_zero_increment_needs_no_solve(self, caginalp_model, unit_grid,
+                                           dirichlet_bc):
+        st = State.make(0.0, Field.full(unit_grid, 0.0),
+                        Field.full(unit_grid, 1.0), caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=0.01)
+        traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
+                   zero_source())
+        assert traj.stats["linear_solves"] == 0
+
+
 def _wall_model():
     return ModelSpec(builtin("mixed_j", tau_c=1.0), builtin("quartic_W"),
                      builtin("tanh_lambda"))
