@@ -199,17 +199,15 @@ class Stepper:
     """Shared machinery for stepping one (model, grid, bc, source) problem.
 
     Owns the operator workspace, the Newton matrix structure and the
-    right-hand side, which is rank two: g(t) = e(t) p + b(t) gamma / w with
-    the nodal source profile p, so ``g_coefficients(t)`` = (e, b) is all
-    that varies in time, and every dual norm of g or of a difference of gs
-    is the 2x2 Gram form ``coefficient_dual_norm``, built on first use.
-
-    Two pieces of mutable state are kept between calls, so a Stepper serves
-    one run at a time: in 2D, the lagged LU factor that ``linear_solve``
-    reuses across iterations and steps; and the increment of the last
-    accepted step with the State it returned, from which ``step``
-    extrapolates its Newton start when it is handed that State again with
-    the same dt.
+    right-hand side g(t) = e(t) p + b(t) gamma / w, which is rank two:
+    ``g_coefficients(t)`` = (e, b) is all of it that varies in time, and
+    every dual norm of g or g_t is the 2x2 Gram form
+    ``coefficient_dual_norm``.  Two pieces of mutable state are kept
+    between calls, so a Stepper serves one run at a time: in 2D, the lagged
+    LU factor that ``linear_solve`` reuses across iterations and steps; and
+    the increment of the last accepted step with the State it returned,
+    from which ``step`` extrapolates its Newton start when it is handed
+    that State again with the same dt.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -321,18 +319,14 @@ class Stepper:
         """Dual norm against the heat operator's energy norm of the weak
         functional c[0] w p + c[1] gamma: sqrt(c . G c) with the Gram matrix
         G = V K_B^-1 V^T of the rows w p and gamma on the active nodes,
-        built from the workspace's K_B factor when first asked with c != 0
-        (one solve per nonzero row); exactly 0.0 for c = 0."""
+        built with two solves on the workspace's K_B factor when first asked
+        with c != 0; exactly 0.0 for c = 0, which factors nothing."""
         if not any(c):
             return 0.0
         if self._gram is None:
-            rows = np.zeros((2, self.n))
-            if self._profile is not None:
-                rows[0] = self.ws.w * self._profile
-            rows[1] = self.ws.gamma
-            rows = rows[:, self.act]
-            sols = [self.ws.pivot_solve("B", r) if r.any() else r
-                    for r in rows]
+            p = 0.0 if self._profile is None else self._profile
+            rows = np.array([self.ws.w * p, self.ws.gamma])[:, self.act]
+            sols = [self.ws.pivot_solve("B", r) for r in rows]
             self._gram = rows @ np.transpose(sols)
         c = np.asarray(c, dtype=float)
         return math.sqrt(max(float(c @ self._gram @ c), 0.0))
@@ -507,8 +501,6 @@ class Stepper:
             r_theta, r_chi = self._residual(arrays, theta_act, chi_new,
                                             theta_old, chi_old, dt, g)
             res = self._residual_norm(r_theta, r_chi)
-            # an extrapolated start is corrected once before it may be
-            # accepted, or the step's increment would copy the last one
             if res <= config.newton_tol and not (
                     predicted and it == 1 and config.max_newton > 1):
                 # the old state, the checked prediction or a damped

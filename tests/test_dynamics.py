@@ -585,9 +585,8 @@ def _dual_form_bound(stepper, c):
 def _weak_scale(stepper, c):
     """|c0| ||w p|| + |c1| ||gamma||, the rows on the active nodes."""
     ws = stepper.ws
-    p = 0.0 if stepper._profile is None else stepper._profile
-    return sum(abs(ci) * np.linalg.norm((row + np.zeros(ws.w.size))
-                                        [stepper.act])
+    p = np.zeros(ws.w.size) if stepper._profile is None else stepper._profile
+    return sum(abs(ci) * np.linalg.norm(row[stepper.act])
                for ci, row in zip(c, (ws.w * p, ws.gamma)))
 
 
@@ -619,7 +618,7 @@ class TestSourceGram:
             assert stepper.g_dual_norm(t) == 0.0
             assert not np.any(stepper.g_density(t))
 
-    def test_source_report_differences_coefficients(self):
+    def test_source_report_differences_coefficients(self, monkeypatch):
         # the windowed g_t sup against the same central difference taken on
         # g vectors and measured with the workspace's vector dual norm
         model, grid, bc, source = _source_problem("robin_schedule")
@@ -646,13 +645,15 @@ class TestSourceGram:
                          _weak_scale(stepper, c(lo)))
             tol = max(tol, 12 * _U * spread / den * np.sqrt(inv_k)
                       + _dual_form_bound(stepper, dc) / (vec + coef))
+        # the report reads only coefficients and the Gram form built above
+        with monkeypatch.context() as patch:
+            for cls, name in ((Stepper, "g_density"),
+                              (OperatorWorkspace, "dual_norm_weak"),
+                              (OperatorWorkspace, "pivot_solve")):
+                patch.setattr(cls, name, None)
+            rep = source_report(traj)
         # p_tag = inf: the windowed norm is a window maximum, so the sups
         # differ by at most the largest row difference
-        rep = source_report(traj)
-        assert rep.windowed_gt_sup == max(
-            stepper.coefficient_dual_norm(
-                np.subtract(c(t + eps), c(max(t - eps, 0.0)))
-                / (eps + min(eps, t))) for t in traj.times)
         assert gap <= tol
         assert abs(rep.windowed_gt_sup - vec_sup) <= tol
         # and the bound is not vacuous: eps = 1e-6 amplifies round-off to
@@ -678,7 +679,7 @@ class TestSourceGram:
         return calls.count("B")
 
     def test_robin_run_solves_with_k_b_twice(self, monkeypatch):
-        # one solve per nonzero Gram row, for every row and the g_t report
+        # the two Gram solves serve every trace row and the g_t report
         assert self._count_kb_solves(monkeypatch, "robin_schedule") == 2
 
     def test_zero_source_dirichlet_run_factors_no_k_b(self, monkeypatch):
