@@ -202,12 +202,11 @@ class Stepper:
     right-hand side g(t) = e(t) p + b(t) gamma / w, which is rank two:
     ``g_coefficients(t)`` = (e, b) is all of it that varies in time, and
     every dual norm of g or g_t is the 2x2 Gram form
-    ``coefficient_dual_norm``.  Two pieces of mutable state are kept
-    between calls, so a Stepper serves one run at a time: in 2D, the lagged
-    LU factor that ``linear_solve`` reuses across iterations and steps; and
-    the increment of the last accepted step with the State it returned,
-    from which ``step`` extrapolates its Newton start when it is handed
-    that State again with the same dt.
+    ``coefficient_dual_norm``.  A step depends only on its arguments: the
+    caller hands it the state before, from which it extrapolates its Newton
+    start.  What a Stepper keeps between calls is the lagged 2D LU factor
+    that ``linear_solve`` reuses across iterations and steps, and the Gram
+    matrix, a cache of fixed problem data.
     """
 
     def __init__(self, model, grid, bc, source):
@@ -226,9 +225,6 @@ class Stepper:
             + np.zeros(grid.shape)).ravel()
         self._gram = None
         self._lu = None
-        # (returned State, dt, theta increment, chi increment) of the last
-        # accepted step, or None
-        self._last = None
         self._build_jacobian_structure()
 
     def _build_jacobian_structure(self):
@@ -308,8 +304,11 @@ class Stepper:
 
     def g_density(self, t):
         """Right-hand side g(t) as a nodal density: the volumetric source
-        plus, for Robin conditions, the boundary exchange term."""
+        plus, for Robin conditions, the boundary exchange term; None when
+        both coefficients are zero."""
         e, b = self.g_coefficients(t)
+        if not (e or b):
+            return None
         g = np.zeros(self.n) if self._profile is None else self._profile * e
         if self.bc.kind == "robin":
             g = g + b * self.ws.gamma / self.ws.w
@@ -351,7 +350,9 @@ class Stepper:
         kappa = self.model.w.kappa
         r_theta = ((theta_act - theta_old[self.act]) / dt
                    + (lam_new[self.act] - lam_old[self.act]) / dt
-                   + self.ws.B_fd @ u[self.act] - g[self.act])
+                   + self.ws.B_fd @ u[self.act])
+        if g is not None:
+            r_theta = r_theta - g[self.act]
         r_chi = ((chi_new - chi_old) / dt + self.ws.A_fd @ chi_new + wp
                  + kappa * (chi_new - chi_old) - lhat * u)
         return r_theta, r_chi
@@ -448,18 +449,18 @@ class Stepper:
                        DOMAIN_MARGIN)
                 and inside(self.model.w, chi, DOMAIN_MARGIN))
 
-    def step(self, state, config, energy_before=None):
+    def step(self, state, config, energy_before=None, previous=None):
         """Advance one step of config.dt; returns (new state, report).
 
-        Newton starts from the extrapolation x_n + (x_n - x_{n-1}) when
-        ``state`` is the State the previous call returned and dt is the
-        same; otherwise, or when the extrapolation leaves the admissible
-        set (a counted fallback), it starts from the old state.  A start
-        extrapolated from a nonzero increment takes at least one Newton
-        correction (unless max_newton is 1), so an accepted step never
-        repeats the last increment.  Each Newton solve asks only for the
-        relative linear residual of the forcing term (see ETA_MAX); a step
-        is accepted on its nonlinear residual alone.
+        Newton starts from state + (state - previous) when the caller
+        passes ``previous``, the state one step of config.dt earlier, and
+        from ``state`` otherwise or when that extrapolation leaves the
+        admissible set (a counted fallback).  A start extrapolated from a
+        nonzero increment takes at least one Newton correction (unless
+        max_newton is 1), so no step repeats the last increment.  Each
+        Newton solve asks only for the forcing term's relative linear
+        residual (see ETA_MAX); a step is accepted on its nonlinear residual
+        alone, and NewtonDiverged at the cap says if it was still falling.
         """
         dt = config.dt
         # read only: every iterate below is a new array
@@ -476,21 +477,21 @@ class Stepper:
         chi_new = chi_old.copy()
         fallbacks = 0
         predicted = False
-        # a step that raises leaves no increment behind
-        last, self._last = self._last, None
-        if last is not None and last[0] is state and last[1] == dt:
-            theta_try = theta_act + last[2]
-            chi_try = chi_old + last[3]
+        if previous is not None:
+            d_theta = theta_act - previous.theta.flat[self.act]
+            d_chi = chi_old - previous.chi.flat
+            theta_try, chi_try = theta_act + d_theta, chi_old + d_chi
             if self._admissible(theta_try, chi_try):
                 theta_act, chi_new = theta_try, chi_try
                 # a zero increment extrapolates nothing
-                predicted = bool(last[2].any() or last[3].any())
+                predicted = bool(d_theta.any() or d_chi.any())
             else:
                 fallbacks = 1
         damping_events = 0
         solves = factorizations = sweeps = 0
         lin_res = 0.0
         eta, res_prev = ETA_MAX, None
+        res_min, it_min = _INF, 0     # least residual, first iteration
 
         for it in range(1, config.max_newton + 1):
             theta_f = self.theta_full(theta_act)
@@ -510,16 +511,19 @@ class Stepper:
                                                theta_f.reshape(shape)),
                                   Field(self.grid, chi_new.reshape(shape)))
                 e_after = free_energy(theta_f, chi_new, self.model, self.ws)
-                self._last = (new_state, dt, theta_act - theta_old[self.act],
-                              chi_new - chi_old)
                 return new_state, StepReport(
                     it, res, energy_before, e_after, damping_events,
                     solves, factorizations, sweeps, lin_res, fallbacks)
             if it == config.max_newton:
+                trend = "still falling" if res < res_min else (
+                    f"stalled: smallest {res_min:.3e} first reached at "
+                    f"iteration {it_min}")
                 raise NewtonDiverged(
                     f"residual {res:.3e} above tolerance "
-                    f"{config.newton_tol:.1e} after {it} iterations",
-                    residual=res)
+                    f"{config.newton_tol:.1e} after {it} iterations, "
+                    f"{trend}", residual=res)
+            if res < res_min:
+                res_min, it_min = res, it
             if res_prev is not None:
                 eta = min(ETA_MAX, max(ETA_GAMMA * (res / res_prev) ** 2,
                                        ETA_FLOOR * config.newton_tol / res,
@@ -662,13 +666,13 @@ class Trajectory:
         return np.array([self.stepper.g_dual_norm(t) for t in self.times])
 
 
-#: Trajectory.stats keys: StepReport counters summed over every accepted
-#: step and half step, the worst relative linear residual of the run (in 2D
-#: bounded by the forcing cap ETA_MAX, in 1D round-off), and the steps
-#: retried as two half steps
-RUN_STATS = ("newton_iters", "damping_events", "linear_solves",
-             "factorizations", "refinement_sweeps", "predictor_fallbacks",
-             "linear_residual_max", "retried_steps")
+#: Trajectory.stats keys: the StepReport counters SUMMED_STATS over every
+#: accepted step and half step, the worst relative linear residual of the
+#: run (in 2D bounded by the forcing cap ETA_MAX, in 1D round-off), and the
+#: steps retried as two half steps
+SUMMED_STATS = ("newton_iters", "damping_events", "linear_solves",
+                "factorizations", "refinement_sweeps", "predictor_fallbacks")
+RUN_STATS = SUMMED_STATS + ("linear_residual_max", "retried_steps")
 
 
 def _fmt(x):
@@ -683,8 +687,8 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     norms and the stationary residual of the order parameter; writes
     ``trace.csv`` plus two-record field snapshots when ``out_dir`` is
     given.
-    A step whose Newton solve diverges is retried once as two half steps
-    before the error propagates.
+    A step whose Newton solve diverges is retried once as two unpredicted
+    half steps before the error propagates.
     """
     import os
 
@@ -752,14 +756,12 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     stats["linear_residual_max"] = 0.0
 
     def tally(rep):
-        for key in ("newton_iters", "damping_events", "linear_solves",
-                    "factorizations", "refinement_sweeps",
-                    "predictor_fallbacks"):
+        for key in SUMMED_STATS:
             stats[key] += getattr(rep, key)
         stats["linear_residual_max"] = max(stats["linear_residual_max"],
                                            rep.linear_residual)
 
-    state = initial
+    state, previous = initial, None
     energy = e0
     emit_row(state, energy, 0)
     if config.snapshot_every > 0:
@@ -768,19 +770,19 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     try:
         for k in range(1, n_steps + 1):
             try:
-                state, report = stepper.step(state, config,
-                                             energy_before=energy)
+                new, report = stepper.step(state, config, energy_before=energy,
+                                           previous=previous)
                 iters = report.newton_iters
             except NewtonDiverged:
                 half = replace(config, dt=0.5 * config.dt)
-                state, rep1 = stepper.step(state, half, energy_before=energy)
-                stepper._last = None     # the second half starts unpredicted
-                state, report = stepper.step(state, half,
-                                             energy_before=rep1.energy_after)
+                mid, rep1 = stepper.step(state, half, energy_before=energy)
+                new, report = stepper.step(mid, half,
+                                           energy_before=rep1.energy_after)
                 iters = rep1.newton_iters + report.newton_iters
                 stats["retried_steps"] += 1
                 tally(rep1)
             tally(report)
+            previous, state = state, new
             # from the step index: repeated addition of dt drifts
             state.t = k * config.dt
             energy = report.energy_after

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -71,8 +72,9 @@ class TestStep:
         st = cosine_state(g, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
         stepper = Stepper(caginalp_model, g, dirichlet_bc, zero_source())
+        previous = None
         for _ in range(20):
-            st, rep = stepper.step(st, cfg)
+            (st, rep), previous = stepper.step(st, cfg, previous=previous), st
             assert rep.energy_after - rep.energy_before <= 1e-9
 
     def test_report_contents(self, caginalp_model, unit_grid, dirichlet_bc):
@@ -90,6 +92,36 @@ class TestStep:
         with pytest.raises(NewtonDiverged):
             step(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                  zero_source())
+
+    def test_newton_diverged_says_still_falling(self, caginalp_model):
+        # two iterations take the residual from 0.63 to 2.8e-4
+        g = Grid((1.0,), (33,))
+        cfg = TrajectoryConfig(dt=0.1, t_end=0.1, max_newton=2)
+        with pytest.raises(NewtonDiverged, match=r"after 2 iterations, "
+                           r"still falling$"):
+            step(cosine_state(g, caginalp_model), cfg, caginalp_model, g,
+                 BoundarySpec("dirichlet"), zero_source())
+
+    def test_newton_diverged_says_stalled(self, mixed_model):
+        # strong cooling against the wall of mixed_j at -1: the residual
+        # levels off near 6.7e-10 from about iteration 10, above newton_tol
+        g = Grid((1.0,), (9,))
+        cooling = SourceSpec(profile=lambda x: np.full(x.shape, 1.0),
+                             envelope=lambda t: -1e3)
+        st = State.make(0.0, Field.full(g, -0.9), Field.full(g, 0.0),
+                        mixed_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
+        with pytest.raises(NewtonDiverged) as info:
+            step(st, cfg, mixed_model, g, BoundarySpec("robin", eta=0.5),
+                 cooling)
+        found = re.search(r"^residual (\S+) .* after 50 iterations, stalled: "
+                          r"smallest (\S+) first reached at iteration "
+                          r"(\d+)$", str(info.value))
+        assert found, str(info.value)
+        last, least, first = found.groups()
+        assert last == f"{info.value.residual:.3e}"
+        assert float(least) <= float(last)
+        assert 1 < int(first) < 50
 
     def test_domain_exhausted_without_damping_budget(self, monkeypatch):
         # hot start over the logarithmic well: the first Newton direction
@@ -131,8 +163,9 @@ class TestStep:
                         Field(g, 0.1 * np.cos(np.pi * x)), mixed_model)
         cfg = TrajectoryConfig(dt=1e-2, t_end=1e-2)
         stepper = Stepper(mixed_model, g, dirichlet_bc, zero_source())
+        previous = None
         for _ in range(50):
-            st, _ = stepper.step(st, cfg)
+            (st, _), previous = stepper.step(st, cfg, previous=previous), st
             assert np.min(st.theta.values) > -1.0
 
 
@@ -234,12 +267,12 @@ class TestRun:
         original = dyn.Stepper.step
         calls = {"n": 0}
 
-        def flaky(self, state, config, energy_before=None):
+        def flaky(self, state, config, energy_before=None, previous=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NewtonDiverged("injected failure")
             return original(self, state, config,
-                            energy_before=energy_before)
+                            energy_before=energy_before, previous=previous)
 
         monkeypatch.setattr(dyn.Stepper, "step", flaky)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
@@ -259,7 +292,8 @@ class TestRun:
         st = cosine_state(unit_grid, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=5e-3)
 
-        def always_fails(self, state, config, energy_before=None):
+        def always_fails(self, state, config, energy_before=None,
+                         previous=None):
             raise NewtonDiverged("injected failure")
 
         monkeypatch.setattr(dyn.Stepper, "step", always_fails)
@@ -292,7 +326,8 @@ class TestRun:
 
 
 def _fresh_step(state, config, model, grid, bc, source):
-    """What a step from the old state gives: a new Stepper never predicts."""
+    """What a step from the old state gives: without the state before it,
+    a new Stepper does not predict."""
     return Stepper(model, grid, bc, source).step(state, config)
 
 
@@ -310,9 +345,10 @@ class TestPredictor:
         st = cosine_state(unit_grid, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
         stepper = Stepper(*problem)
+        previous = None
         for k in range(8):
             _, fresh = _fresh_step(st, cfg, *problem)
-            st, rep = stepper.step(st, cfg)
+            (st, rep), previous = stepper.step(st, cfg, previous=previous), st
             assert rep.predictor_fallbacks == 0
             if k == 0:
                 assert rep.newton_iters == fresh.newton_iters
@@ -334,7 +370,7 @@ class TestPredictor:
         st1, rep1 = stepper.step(st0, cfg)
         extrapolated = 2 * st1.theta.values - st0.theta.values
         assert np.min(extrapolated) <= model.j.domain[0]
-        second = stepper.step(st1, cfg)
+        second = stepper.step(st1, cfg, previous=st0)
         assert (rep1.predictor_fallbacks, second[1].predictor_fallbacks) \
             == (0, 1)
         assert _same_step(second, _fresh_step(st1, cfg, *problem))
@@ -349,12 +385,13 @@ class TestPredictor:
         original = dyn.Stepper.step
         calls = []
 
-        def flaky(self, state, config, energy_before=None):
+        def flaky(self, state, config, energy_before=None, previous=None):
             if len(calls) == 3:
                 calls.append(None)
                 raise NewtonDiverged("injected failure")
-            out = original(self, state, config, energy_before=energy_before)
-            calls.append((state, config, out))
+            out = original(self, state, config, energy_before=energy_before,
+                           previous=previous)
+            calls.append((state, config, out, previous))
             return out
 
         monkeypatch.setattr(dyn.Stepper, "step", flaky)
@@ -362,25 +399,51 @@ class TestPredictor:
         monkeypatch.undo()
         assert traj.stats["retried_steps"] == 1
         assert calls[3] is None
-        # steps 2 and 3 were predicted, the two half steps were not
-        for k, predicted in ((1, True), (2, True), (4, False), (5, False)):
-            state, config, out = calls[k]
+        # steps 2 and 3 were predicted, the two half steps were not, and the
+        # whole step after the retry was, from the state before the retry
+        for k, predicted in ((1, True), (2, True), (4, False), (5, False),
+                             (6, True)):
+            state, config, out, _ = calls[k]
             assert _same_step(out, _fresh_step(state, config, *problem)) \
                 is not predicted, k
         assert calls[4][1].dt == calls[5][1].dt == 5e-4
+        assert calls[4][3] is calls[5][3] is None
+        assert calls[6][3] is calls[4][0]
+        assert calls[6][1].dt == 1e-3 and len(calls) == 7
 
-    def test_no_prediction_for_a_foreign_state(self, caginalp_model,
-                                               unit_grid, dirichlet_bc):
+    def test_step_without_previous_is_a_fresh_step(self, caginalp_model,
+                                                   unit_grid, dirichlet_bc):
         problem = (caginalp_model, unit_grid, dirichlet_bc, zero_source())
         st = cosine_state(unit_grid, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
         stepper = Stepper(*problem)
+        previous = None
         for _ in range(3):
-            st, _ = stepper.step(st, cfg)
-        # equal values, but not the State the stepper returned
-        own = State(st.t, st.theta.copy(), st.chi.copy())
-        assert _same_step(stepper.step(own, cfg),
+            (st, _), previous = stepper.step(st, cfg, previous=previous), st
+        assert _same_step(stepper.step(st, cfg),
                           _fresh_step(st, cfg, *problem))
+        assert not _same_step(stepper.step(st, cfg, previous=previous),
+                              _fresh_step(st, cfg, *problem))
+
+    def test_step_changes_no_stepper_attribute(self, caginalp_model,
+                                               unit_grid, dirichlet_bc):
+        # in 1D a Stepper keeps no lagged factor, and a zero source needs no
+        # Gram matrix: a step leaves every attribute as it found it
+        stepper = Stepper(caginalp_model, unit_grid, dirichlet_bc,
+                          zero_source())
+        st0 = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
+        st1, _ = stepper.step(st0, cfg)
+        for previous in (None, st0):
+            kept = {k: (v, v.copy() if isinstance(v, np.ndarray) else None)
+                    for k, v in vars(stepper).items()}
+            _, rep = stepper.step(st1, cfg, previous=previous)
+            assert rep.linear_solves > 0
+            assert vars(stepper).keys() == kept.keys()
+            for k, (v, saved) in kept.items():
+                assert vars(stepper)[k] is v, k
+                if saved is not None:
+                    assert np.array_equal(v, saved), k
 
     def test_run_matches_unpredicted_steps(self, caginalp_model, unit_grid,
                                            dirichlet_bc):
