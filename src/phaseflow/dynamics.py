@@ -19,6 +19,7 @@ heat operator; both facts are checked by the test suite rather than trusted.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -679,6 +680,64 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _accepted_steps(stepper, state, energy, config, stats):
+    """Yield (k, state, energy, newton_iters) for k = 0 ... n_steps, the
+    initial state first with 0 iterations; step k's state has time k * dt.
+    A step predicts from the state before it.  One whose Newton solve
+    diverges is retried once as two unpredicted half steps; if a half step
+    diverges too, the NewtonDiverged raised names the whole step's time
+    and both failures.  Every report is summed into ``stats``."""
+    yield 0, state, energy, 0
+    previous = None
+    for k in range(1, round(config.t_end / config.dt) + 1):
+        try:
+            steps = [stepper.step(state, config, energy_before=energy,
+                                  previous=previous)]
+        except NewtonDiverged as whole:
+            half = replace(config, dt=0.5 * config.dt)
+            try:
+                mid, rep1 = stepper.step(state, half, energy_before=energy)
+                steps = [(mid, rep1), stepper.step(
+                    mid, half, energy_before=rep1.energy_after)]
+            except NewtonDiverged as part:
+                msg = (f"step to t = {k * config.dt:.12g}: {whole}; "
+                       f"retried as two half steps: {part}")
+                raise NewtonDiverged(msg, residual=whole.residual) from part
+            stats["retried_steps"] += 1
+        for _, rep in steps:
+            for key in SUMMED_STATS:
+                stats[key] += getattr(rep, key)
+            stats["linear_residual_max"] = max(stats["linear_residual_max"],
+                                               rep.linear_residual)
+        previous, (state, report) = state, steps[-1]
+        # from the step index: repeated addition of dt drifts
+        state.t = k * config.dt
+        energy = report.energy_after
+        yield k, state, energy, sum([rep.newton_iters for _, rep in steps])
+
+
+def _trace_row(state, prev, energy, iters, model, ws):
+    """Trace and aux values of a row after the row ``prev`` (None for the
+    first); each operator product and pointwise law is evaluated once."""
+    th, ch = state.theta.flat, state.chi.flat
+    if prev is None:
+        chit = thetat = 0.0
+    else:
+        dtr = state.t - prev.t
+        chit = ws.h_norm(ch - prev.chi.flat) / dtr
+        thetat = ws.h_norm(th - prev.theta.flat) / dtr
+    stat_vec, a_chi, wprime = stationary_vector(ch, model, ws)
+    dev = th - model.j.theta_inf
+    return {"t": state.t, "energy": energy,
+            "norm_u_V": ws.vcal_norm(evaluate(model.j, 1, th)),
+            "norm_chit_H": chit, "dist_theta_H": ws.h_norm(dev),
+            "stationary_residual": ws.vstar_neumann_norm(stat_vec),
+            "newton_iters": iters,
+            "norm_thetat_H": thetat, "norm_theta_V": ws.vcal_norm(dev),
+            "norm_chi_H2": ws.h_norm(a_chi) + ws.v_norm(ch),
+            "norm_wprime_H": ws.h_norm(wprime)}
+
+
 def run(initial, config, model, grid, bc, source, out_dir=None):
     """Drive a trajectory to the horizon (or to detected convergence).
 
@@ -687,16 +746,11 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     norms and the stationary residual of the order parameter; writes
     ``trace.csv`` plus two-record field snapshots when ``out_dir`` is
     given.
-    A step whose Newton solve diverges is retried once as two unpredicted
-    half steps before the error propagates.
     """
-    import os
-
     stepper = Stepper(model, grid, bc, source)
-    ws = stepper.ws
     n_steps = round(config.t_end / config.dt)
 
-    e0 = free_energy(initial.theta.flat, initial.chi.flat, model, ws)
+    e0 = free_energy(initial.theta.flat, initial.chi.flat, model, stepper.ws)
     if not math.isfinite(e0):
         raise InvalidParameter("initial energy is not finite")
 
@@ -707,103 +761,49 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
         csv_fh = open(os.path.join(out_dir, "trace.csv"), "w", newline="\n")
         csv_fh.write(TRACE_HEADER + "\n")
 
-    times, states = [], []
-    series = {k: [] for k in TRACE_COLUMNS[1:] + AUX_SERIES}
+    states = []
+    series = {k: [] for k in TRACE_COLUMNS + AUX_SERIES}
     prev = None                  # the State of the previous row
     omega = OmegaScan(config.omega_tols)
-
-    def emit_row(state, energy, iters):
-        # each operator product and pointwise law is evaluated once here
-        nonlocal prev
-        th, ch, t = state.theta.flat, state.chi.flat, state.t
-        if prev is None:
-            chit = thetat = 0.0
-        else:
-            dtr = t - prev.t
-            chit = ws.h_norm(ch - prev.chi.flat) / dtr
-            thetat = ws.h_norm(th - prev.theta.flat) / dtr
-        stat_vec, a_chi, wprime = stationary_vector(ch, model, ws)
-        dev = th - model.j.theta_inf
-        row = {"energy": energy,
-               "norm_u_V": ws.vcal_norm(evaluate(model.j, 1, th)),
-               "norm_chit_H": chit, "dist_theta_H": ws.h_norm(dev),
-               "stationary_residual": ws.vstar_neumann_norm(stat_vec),
-               "newton_iters": iters,
-               "norm_thetat_H": thetat, "norm_theta_V": ws.vcal_norm(dev),
-               "norm_chi_H2": ws.h_norm(a_chi) + ws.v_norm(ch),
-               "norm_wprime_H": ws.h_norm(wprime)}
-        times.append(t)
-        for k, v in row.items():
-            series[k].append(v)
-        if csv_fh is not None:
-            csv_fh.write(",".join([_fmt(t)] + [_fmt(row[k])
-                                               for k in TRACE_COLUMNS[1:-1]]
-                                  + [str(iters)]) + "\n")
-        if config.keep_states:
-            states.append((t, state.theta.copy(), state.chi.copy()))
-        # a step returns new arrays and never writes to them: no copy
-        prev = state
-        omega.push(chit, row["stationary_residual"], row["dist_theta_H"])
-
-    def write_snapshot(k, state):
-        if out_dir is None:
-            return
-        path = os.path.join(out_dir, f"snap_{k:08d}.pfld")
-        write_records(path, [(state.theta, state.t), (state.chi, state.t)])
-        snapshot_files.append(path)
-
-    stats = dict.fromkeys(RUN_STATS, 0)
-    stats["linear_residual_max"] = 0.0
-
-    def tally(rep):
-        for key in SUMMED_STATS:
-            stats[key] += getattr(rep, key)
-        stats["linear_residual_max"] = max(stats["linear_residual_max"],
-                                           rep.linear_residual)
-
-    state, previous = initial, None
-    energy = e0
-    emit_row(state, energy, 0)
-    if config.snapshot_every > 0:
-        write_snapshot(0, state)
+    stats = dict(dict.fromkeys(RUN_STATS, 0), linear_residual_max=0.0)
 
     try:
-        for k in range(1, n_steps + 1):
-            try:
-                new, report = stepper.step(state, config, energy_before=energy,
-                                           previous=previous)
-                iters = report.newton_iters
-            except NewtonDiverged:
-                half = replace(config, dt=0.5 * config.dt)
-                mid, rep1 = stepper.step(state, half, energy_before=energy)
-                new, report = stepper.step(mid, half,
-                                           energy_before=rep1.energy_after)
-                iters = rep1.newton_iters + report.newton_iters
-                stats["retried_steps"] += 1
-                tally(rep1)
-            tally(report)
-            previous, state = state, new
-            # from the step index: repeated addition of dt drifts
-            state.t = k * config.dt
-            energy = report.energy_after
+        for k, state, energy, iters in _accepted_steps(stepper, initial, e0,
+                                                       config, stats):
             if k % config.trace_every == 0 or k == n_steps:
-                emit_row(state, energy, iters)
+                row = _trace_row(state, prev, energy, iters, model, stepper.ws)
+                for key, v in row.items():
+                    series[key].append(v)
+                if csv_fh is not None:
+                    csv_fh.write(
+                        ",".join([_fmt(row[c]) for c in TRACE_COLUMNS]) + "\n")
+                if config.keep_states:
+                    states.append((state.t, state.theta.copy(),
+                                   state.chi.copy()))
+                # a step returns new arrays and never writes to them: no copy
+                prev = state
+                omega.push(row["norm_chit_H"], row["stationary_residual"],
+                           row["dist_theta_H"])
             stopping = config.stop_on_converged and omega.row is not None
-            if config.snapshot_every > 0 and (k % config.snapshot_every == 0
-                                              or k == n_steps or stopping):
-                write_snapshot(k, state)
+            if out_dir is not None and config.snapshot_every > 0 and (
+                    k % config.snapshot_every == 0 or k == n_steps
+                    or stopping):
+                path = os.path.join(out_dir, f"snap_{k:08d}.pfld")
+                write_records(path, [(state.theta, state.t),
+                                     (state.chi, state.t)])
+                snapshot_files.append(path)
             if stopping:
                 break
     finally:
         if csv_fh is not None:
             csv_fh.close()
 
-    verdict = omega.verdict(times, series["stationary_residual"],
+    verdict = omega.verdict(series["t"], series["stationary_residual"],
                             model.j.theta_inf)
-    return Trajectory(stepper=stepper, dt=config.dt, times=np.asarray(times),
+    return Trajectory(stepper=stepper, dt=config.dt,
+                      times=np.asarray(series["t"]),
                       columns={k: np.asarray(series[k])
                                for k in TRACE_COLUMNS[1:]},
                       aux={k: np.asarray(series[k]) for k in AUX_SERIES},
-                      states=states,
-                      final_state=state, verdict=verdict, stats=stats,
-                      snapshot_files=tuple(snapshot_files))
+                      states=states, final_state=state, verdict=verdict,
+                      stats=stats, snapshot_files=tuple(snapshot_files))

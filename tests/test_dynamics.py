@@ -14,7 +14,7 @@ from phaseflow.config import make_profile
 from phaseflow.diagnostics import source_report
 from phaseflow.errors import (DomainExhausted, DomainViolation,
                               InvalidParameter, NewtonDiverged)
-from phaseflow.grids import quad_weights
+from phaseflow.grids import quad_weights, read_records
 
 from conftest import cosine_state
 
@@ -53,6 +53,17 @@ class TestDiscreteEnergy:
         expected = 0.5 + 0.25 * (1.0 / 5.0 - 2.0 / 3.0 + 1.0)
         assert _energy(st, caginalp_model, g, dirichlet_bc) \
             == pytest.approx(expected, abs=1e-4)
+
+
+def _cooling_stall(model):
+    """Strong cooling against the wall of mixed_j at -1: at dt 1e-3 the
+    residual of the first step levels off near 6.7e-10 from about
+    iteration 10, above newton_tol.  Returns (state, problem)."""
+    g = Grid((1.0,), (9,))
+    cooling = SourceSpec(profile=lambda x: np.full(x.shape, 1.0),
+                         envelope=lambda t: -1e3)
+    st = State.make(0.0, Field.full(g, -0.9), Field.full(g, 0.0), model)
+    return st, (model, g, BoundarySpec("robin", eta=0.5), cooling)
 
 
 class TestStep:
@@ -103,17 +114,10 @@ class TestStep:
                  BoundarySpec("dirichlet"), zero_source())
 
     def test_newton_diverged_says_stalled(self, mixed_model):
-        # strong cooling against the wall of mixed_j at -1: the residual
-        # levels off near 6.7e-10 from about iteration 10, above newton_tol
-        g = Grid((1.0,), (9,))
-        cooling = SourceSpec(profile=lambda x: np.full(x.shape, 1.0),
-                             envelope=lambda t: -1e3)
-        st = State.make(0.0, Field.full(g, -0.9), Field.full(g, 0.0),
-                        mixed_model)
+        st, problem = _cooling_stall(mixed_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=1e-3)
         with pytest.raises(NewtonDiverged) as info:
-            step(st, cfg, mixed_model, g, BoundarySpec("robin", eta=0.5),
-                 cooling)
+            step(st, cfg, *problem)
         found = re.search(r"^residual (\S+) .* after 50 iterations, stalled: "
                           r"smallest (\S+) first reached at iteration "
                           r"(\d+)$", str(info.value))
@@ -301,6 +305,23 @@ class TestRun:
             run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
                 zero_source())
 
+    def test_failed_retry_names_the_whole_step(self, mixed_model):
+        # the whole first step and the first of its half steps both stall
+        st, problem = _cooling_stall(mixed_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-2)
+        failures = []
+        for config in (cfg, replace(cfg, dt=5e-4)):
+            with pytest.raises(NewtonDiverged) as info:
+                step(st, config, *problem)
+            failures.append(info.value)
+        whole, half = failures
+        with pytest.raises(NewtonDiverged) as info:
+            run(st, cfg, *problem)
+        assert str(info.value) == (f"step to t = 0.001: {whole}; retried "
+                                   f"as two half steps: {half}")
+        assert info.value.residual == whole.residual
+        assert str(whole) != str(half)
+
     def test_snapshots_written(self, caginalp_model, unit_grid,
                                dirichlet_bc, tmp_path):
         st = cosine_state(unit_grid, caginalp_model)
@@ -311,6 +332,31 @@ class TestRun:
         assert names == ["snap_00000000.pfld", "snap_00000005.pfld",
                          "snap_00000010.pfld"]
         assert traj.snapshot_files
+
+    def test_stop_writes_an_off_cadence_snapshot(self, caginalp_model,
+                                                 dirichlet_bc, tmp_path):
+        # converges at step 198, a trace row (every 3) between snapshots
+        # (every 7): the stop adds snap_00000198 after snap_00000196
+        g = Grid((1.0,), (17,))
+        cfg = TrajectoryConfig(dt=1e-2, t_end=20.0, stop_on_converged=True,
+                               trace_every=3, snapshot_every=7)
+        traj = run(cosine_state(g, caginalp_model), cfg, caginalp_model, g,
+                   dirichlet_bc, zero_source(), out_dir=str(tmp_path))
+        assert traj.verdict.converged
+        assert traj.times.size == 67
+        assert traj.verdict.row == traj.times.size - 1
+        assert traj.verdict.t == traj.times[-1] == traj.final_state.t \
+            == 198 * 1e-2
+        expected = [f"snap_{k:08d}.pfld" for k in range(0, 197, 7)] \
+            + ["snap_00000198.pfld"]
+        assert len(expected) == 30
+        assert sorted(p.name for p in tmp_path.glob("snap_*.pfld")) \
+            == expected
+        assert traj.snapshot_files == tuple(str(tmp_path / name)
+                                            for name in expected)
+        (chi, t), = read_records(traj.snapshot_files[-1])[1:]
+        assert t == traj.final_state.t
+        assert np.array_equal(chi.values, traj.final_state.chi.values)
 
     def test_row_times_from_step_index(self, caginalp_model, dirichlet_bc):
         # 2000 additions of 1e-3 end at 1.9999999999998905; the row times
