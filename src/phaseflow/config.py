@@ -65,6 +65,27 @@ def parse_raw(path):
     return raw
 
 
+def _bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _floats(text):
+    return tuple(float(x) for x in text.split())
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split())
+
+
+#: how a violation names a value that a parser rejects
+_REJECTED = {float: "is not a number: ", int: "is not an integer: ",
+             _bool: "must be true or false, got ",
+             _floats: "is not a number list: ",
+             _ints: "is not an integer list: "}
+
+
 class _Reader:
     """Pulls typed values out of the raw tree, accumulating violations."""
 
@@ -73,102 +94,44 @@ class _Reader:
         self.seen = set()
         self.violations = []
 
-    def _fetch(self, key, default, required):
+    def read(self, key, parse, default=None, required=False, choices=None):
+        """``parse`` (str, float, int, _bool, _floats or _ints) of the
+        value of ``key``; ``default`` when the key is absent or its value
+        is rejected, with a violation.  A number must be finite, except
+        that the integrability tags may be infinite."""
         self.seen.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if required:
-            self.violations.append(f"missing required key '{key}'")
-        return default
-
-    def str_(self, key, default=None, required=False, choices=None):
-        val = self._fetch(key, default, required)
-        if val is not None and choices is not None and val not in choices:
+        if key not in self.raw:
+            if required:
+                self.violations.append(f"missing required key '{key}'")
+            return default
+        text = self.raw[key]
+        try:
+            val = parse(text)
+        except ValueError:
+            self.violations.append(f"'{key}' {_REJECTED[parse]}{text!r}")
+            return default
+        values = val if isinstance(val, tuple) else (val,)
+        if parse is not str and not all(
+                math.isfinite(v) or (math.isinf(v) and key in _INF_KEYS)
+                for v in values):
+            kind = "a number" if key in _INF_KEYS else "finite"
+            self.violations.append(f"'{key}' must be {kind}, got "
+                                   f"{' '.join(map(repr, values))}")
+            return default
+        if choices is not None and val not in choices:
             self.violations.append(
                 f"'{key}' must be one of {sorted(choices)}, got {val!r}")
-            return default if default in (choices or ()) else None
-        return val
-
-    def _finite(self, key, values):
-        """False, with a violation, if a value is NaN, or infinite under a
-        key other than the two integrability tags."""
-        if all(math.isfinite(v) or (math.isinf(v) and key in _INF_KEYS)
-               for v in values):
-            return True
-        kind = "a number" if key in _INF_KEYS else "finite"
-        self.violations.append(f"'{key}' must be {kind}, got "
-                               f"{' '.join(map(repr, values))}")
-        return False
-
-    def float_(self, key, default=None, required=False):
-        val = self._fetch(key, default, required)
-        if isinstance(val, str):
-            try:
-                val = float(val)
-            except ValueError:
-                self.violations.append(f"'{key}' is not a number: {val!r}")
-                return default
-            return val if self._finite(key, (val,)) else default
-        return val
-
-    def int_(self, key, default=None, required=False):
-        val = self._fetch(key, default, required)
-        if isinstance(val, str):
-            try:
-                return int(val)
-            except ValueError:
-                self.violations.append(f"'{key}' is not an integer: {val!r}")
-                return default
-        return val
-
-    def bool_(self, key, default=False):
-        val = self._fetch(key, default, False)
-        if isinstance(val, str):
-            if val.lower() in ("true", "false"):
-                return val.lower() == "true"
-            self.violations.append(f"'{key}' must be true or false, "
-                                   f"got {val!r}")
             return default
-        return val
-
-    def floats(self, key, default=None, required=False):
-        val = self._fetch(key, default, required)
-        if isinstance(val, str):
-            try:
-                val = tuple(float(x) for x in val.split())
-            except ValueError:
-                self.violations.append(f"'{key}' is not a number list: "
-                                       f"{val!r}")
-                return default
-            return val if self._finite(key, val) else default
-        return val
-
-    def ints(self, key, default=None, required=False):
-        val = self._fetch(key, default, required)
-        if isinstance(val, str):
-            try:
-                return tuple(int(x) for x in val.split())
-            except ValueError:
-                self.violations.append(f"'{key}' is not an integer list: "
-                                       f"{val!r}")
-                return default
         return val
 
     def params_under(self, prefix):
         """All numeric parameters below a dotted prefix."""
         out = {}
-        for key, val in self.raw.items():
+        for key in self.raw:
             if key.startswith(prefix + "."):
-                self.seen.add(key)
-                name = key[len(prefix) + 1:]
-                try:
-                    value = float(val)
-                except ValueError:
-                    self.violations.append(
-                        f"parameter '{key}' is not a number: {val!r}")
-                    continue
-                if self._finite(key, (value,)):
-                    out[name] = value
+                value = self.read(key, float)
+                if value is not None:
+                    out[key[len(prefix) + 1:]] = value
         return out
 
     def unknown_keys(self):
@@ -187,22 +150,20 @@ def _make_trace_schedule(theta_inf, amp, env):
     return lambda t: theta_inf + amp * env(t)
 
 
-def make_envelope(kind, rd, prefix):
-    if kind in (None, "zero"):
-        return None
-    if kind == "constant":
-        return lambda t: 1.0
-    if kind == "exp":
-        rate = rd.float_(f"{prefix}.rate", 1.0)
-        return lambda t: math.exp(-rate * t)
-    if kind == "power":
-        power = rd.float_(f"{prefix}.power", 3.0)
-        return lambda t: (1.0 + t) ** (-power)
-    if kind == "compact":
-        t_off = rd.float_(f"{prefix}.t_off", 1.0)
-        return lambda t: 1.0 if t <= t_off else 0.0
-    rd.violations.append(f"unknown envelope '{kind}' under '{prefix}'")
-    return None
+def make_envelope(rd, prefix):
+    """The time envelope of kind ``{prefix}.envelope``, None for "zero".
+    Every kind's parameter is read, and so checked, whichever kind is
+    set; only the chosen kind's is used."""
+    kind = rd.read(f"{prefix}.envelope", str, "zero",
+                   choices={"zero", "constant", "exp", "power", "compact"})
+    rate = rd.read(f"{prefix}.rate", float, 1.0)
+    power = rd.read(f"{prefix}.power", float, 3.0)
+    t_off = rd.read(f"{prefix}.t_off", float, 1.0)
+    return {"zero": None,
+            "constant": lambda t: 1.0,
+            "exp": lambda t: math.exp(-rate * t),
+            "power": lambda t: (1.0 + t) ** (-power),
+            "compact": lambda t: 1.0 if t <= t_off else 0.0}[kind]
 
 
 def make_profile(kind, amplitude, grid_extents):
@@ -240,21 +201,23 @@ def make_initial_field(rd, prefix, grid, default_value=0.0):
 
 
 def _initial_field(rd, prefix, grid, default_value):
-    kind = rd.str_(prefix, "constant",
+    # every kind's parameters are read, and so checked and legal keys,
+    # whichever kind is set: a sweep may switch the kind and keep the rest
+    kind = rd.read(prefix, str, "constant",
                    choices={"constant", "cosine", "tanh", "snapshot"})
-    # every kind's parameter names are legal keys, so switching the kind
-    # never turns leftovers into unknown-key errors
-    for name in ("value", "amplitude", "mode", "offset", "center", "width",
-                 "left", "right", "path", "index"):
-        rd.seen.add(f"{prefix}.{name}")
+    value = rd.read(f"{prefix}.value", float, default_value)
+    amp = rd.read(f"{prefix}.amplitude", float, 0.1)
+    mode = rd.read(f"{prefix}.mode", float, 1.0)
+    offset = rd.read(f"{prefix}.offset", float, 0.0)
+    center = rd.read(f"{prefix}.center", float, 0.5 * grid.extents[0])
+    width = rd.read(f"{prefix}.width", float, 1.0)
+    left = rd.read(f"{prefix}.left", float, -1.0)
+    right = rd.read(f"{prefix}.right", float, 1.0)
+    path = rd.read(f"{prefix}.path", str, required=kind == "snapshot")
+    index = rd.read(f"{prefix}.index", int, 0)
     if kind == "constant":
-        value = rd.float_(f"{prefix}.value", default_value)
         return Field.full(grid, value)
     if kind == "cosine":
-        amp = rd.float_(f"{prefix}.amplitude", 0.1)
-        mode = rd.float_(f"{prefix}.mode", 1.0)
-        offset = rd.float_(f"{prefix}.offset", 0.0)
-
         def fn(*xs):
             out = amp * np.cos(mode * np.pi * xs[0] / grid.extents[0])
             if len(xs) > 1:
@@ -262,38 +225,30 @@ def _initial_field(rd, prefix, grid, default_value):
             return offset + out
         return Field.from_function(grid, fn)
     if kind == "tanh":
-        center = rd.float_(f"{prefix}.center", 0.5 * grid.extents[0])
-        width = rd.float_(f"{prefix}.width", 1.0)
-        left = rd.float_(f"{prefix}.left", -1.0)
-        right = rd.float_(f"{prefix}.right", 1.0)
-
         def fn(*xs):
             s = 0.5 * (1.0 + np.tanh((xs[0] - center) / width))
             return left + (right - left) * s
         return Field.from_function(grid, fn)
-    if kind == "snapshot":
-        path = rd.str_(f"{prefix}.path", required=True)
-        index = rd.int_(f"{prefix}.index", 0)
-        if path is None:
-            return None
-        try:
-            records = read_records(path)
-        except SnapshotError as exc:
-            rd.violations.append(f"cannot load snapshot '{path}': {exc}")
-            return None
-        if not 0 <= index < len(records):
-            rd.violations.append(
-                f"'{prefix}.index' = {index} is out of range: snapshot "
-                f"'{path}' holds {len(records)} record(s)")
-            return None
-        fld, _ = records[index]
-        if fld.grid.nodes != grid.nodes or fld.grid.extents != grid.extents:
-            rd.violations.append(
-                f"snapshot '{path}' grid {fld.grid.nodes} does not match "
-                f"configured grid {grid.nodes}")
-            return None
-        return Field(grid, fld.values)
-    return None
+    # snapshot
+    if path is None:
+        return None
+    try:
+        records = read_records(path)
+    except SnapshotError as exc:
+        rd.violations.append(f"cannot load snapshot '{path}': {exc}")
+        return None
+    if not 0 <= index < len(records):
+        rd.violations.append(
+            f"'{prefix}.index' = {index} is out of range: snapshot "
+            f"'{path}' holds {len(records)} record(s)")
+        return None
+    fld, _ = records[index]
+    if fld.grid.nodes != grid.nodes or fld.grid.extents != grid.extents:
+        rd.violations.append(
+            f"snapshot '{path}' grid {fld.grid.nodes} does not match "
+            f"configured grid {grid.nodes}")
+        return None
+    return Field(grid, fld.values)
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +278,9 @@ def _read_model(rd):
     violation."""
     model = None
     j = w = lam = None
-    j_name = rd.str_("model.j", required=True)
-    w_name = rd.str_("model.w", required=True)
-    lam_name = rd.str_("model.lambda", required=True)
+    j_name = rd.read("model.j", str, required=True)
+    w_name = rd.read("model.w", str, required=True)
+    lam_name = rd.read("model.lambda", str, required=True)
     for name, attr in ((j_name, "model.j"), (w_name, "model.w"),
                        (lam_name, "model.lambda")):
         if name is not None and name not in builtin_names():
@@ -354,32 +309,28 @@ def build_config(raw, base_dir="."):
 
     # grid
     grid = None
-    dim = rd.int_("grid.dimension", 1)
-    extents = rd.floats("grid.extents", (1.0,))
-    nodes = rd.ints("grid.nodes", (65,))
+    dim = rd.read("grid.dimension", int, 1)
+    extents = rd.read("grid.extents", _floats, (1.0,))
+    nodes = rd.read("grid.nodes", _ints, (65,))
     try:
-        if extents is not None and nodes is not None:
-            if dim is not None and (len(extents) != dim
-                                    or len(nodes) != dim):
-                rd.violations.append(
-                    "grid.dimension must match the lengths of grid.extents "
-                    "and grid.nodes")
-            else:
-                grid = Grid(extents, nodes)
+        if len(extents) != dim or len(nodes) != dim:
+            rd.violations.append("grid.dimension must match the lengths of "
+                                 "grid.extents and grid.nodes")
+        else:
+            grid = Grid(extents, nodes)
     except InvalidParameter as exc:
         rd.violations.append(f"grid: {exc}")
 
     # boundary conditions
     bc = None
-    bc_kind = rd.str_("bc.kind", "dirichlet", choices={"dirichlet", "robin"})
+    bc_kind = rd.read("bc.kind", str, "dirichlet",
+                      choices={"dirichlet", "robin"})
+    eta = rd.read("bc.eta", float, required=bc_kind == "robin")
+    amp = rd.read("bc.theta_gamma.amplitude", float, 0.0)
+    env = make_envelope(rd, "bc.theta_gamma")
     if bc_kind == "dirichlet":
-        rd.float_("bc.eta", None)  # tolerated but unused
         bc = BoundarySpec("dirichlet")
-    elif bc_kind == "robin":
-        eta = rd.float_("bc.eta", required=True)
-        amp = rd.float_("bc.theta_gamma.amplitude", 0.0)
-        env_kind = rd.str_("bc.theta_gamma.envelope", "zero")
-        env = make_envelope(env_kind, rd, "bc.theta_gamma")
+    else:
         theta_inf = model.j.theta_inf if model is not None else 0.0
         trace = _make_trace_schedule(theta_inf, amp, env)
         try:
@@ -389,34 +340,33 @@ def build_config(raw, base_dir="."):
             rd.violations.append(f"bc: {exc}")
 
     # source
-    prof_kind = rd.str_("source.profile", "zero",
+    prof_kind = rd.read("source.profile", str, "zero",
                         choices={"zero", "constant", "sin_pi", "bump"})
-    amp = rd.float_("source.amplitude", 1.0)
-    env_kind = rd.str_("source.envelope", "zero")
-    env = make_envelope(env_kind, rd, "source")
+    amp = rd.read("source.amplitude", float, 1.0)
+    env = make_envelope(rd, "source")
     prof = make_profile(prof_kind, amp, grid.extents if grid else (1.0, 1.0))
-    p_tag = rd.float_("source.p", _INF)
+    p_tag = rd.read("source.p", float, _INF)
     if not p_tag > 0:
         rd.violations.append(f"'source.p' must be positive, got {p_tag!r}")
-    q_tag = rd.float_("source.q", None)
-    delta_src = rd.float_("source.delta_src", None)
+    q_tag = rd.read("source.q", float, None)
+    delta_src = rd.read("source.delta_src", float, None)
     source = SourceSpec(profile=prof, envelope=env, p_tag=p_tag,
                         q_tag=q_tag, delta_src=delta_src)
 
     # run parameters
-    dt = rd.float_("run.dt", required=True)
-    t_end = rd.float_("run.t_end", required=True)
+    dt = rd.read("run.dt", float, required=True)
+    t_end = rd.read("run.t_end", float, required=True)
     run_cfg = None
-    allow_unstable = rd.bool_("run.allow_unstable", False)
+    allow_unstable = rd.read("run.allow_unstable", _bool, False)
+    settings = dict(
+        newton_tol=rd.read("run.newton_tol", float, 1e-10),
+        max_newton=rd.read("run.max_newton", int, 50),
+        trace_every=rd.read("run.trace_every", int, 1),
+        snapshot_every=rd.read("run.snapshot_every", int, 0),
+        stop_on_converged=rd.read("run.stop_on_converged", _bool, False))
     try:
         if dt is not None and t_end is not None:
-            run_cfg = TrajectoryConfig(
-                dt=dt, t_end=t_end,
-                newton_tol=rd.float_("run.newton_tol", 1e-10),
-                max_newton=rd.int_("run.max_newton", 50),
-                trace_every=rd.int_("run.trace_every", 1),
-                snapshot_every=rd.int_("run.snapshot_every", 0),
-                stop_on_converged=rd.bool_("run.stop_on_converged", False))
+            run_cfg = TrajectoryConfig(dt=dt, t_end=t_end, **settings)
     except InvalidParameter as exc:
         rd.violations.append(f"run.{exc}")
 
@@ -439,15 +389,17 @@ def build_config(raw, base_dir="."):
 
     # diagnostics options
     diagnostics = {
-        "dissipation": rd.bool_("diagnostics.dissipation", True),
-        "dissipation_tol": rd.float_("diagnostics.dissipation_tol", 1e-9),
-        "omega": rd.bool_("diagnostics.omega", True),
-        "assert_converged": rd.bool_("diagnostics.assert_converged", False),
-        "monitors": rd.bool_("diagnostics.monitors", False),
-        "assert_bounded": rd.bool_("diagnostics.assert_bounded", False),
-        "s": rd.float_("diagnostics.s", 1.0),
-        "validate_model": rd.bool_("diagnostics.validate_model", True),
-        "reference_steady": rd.str_("diagnostics.reference_steady", None),
+        "dissipation": rd.read("diagnostics.dissipation", _bool, True),
+        "dissipation_tol": rd.read("diagnostics.dissipation_tol", float,
+                                   1e-9),
+        "omega": rd.read("diagnostics.omega", _bool, True),
+        "assert_converged": rd.read("diagnostics.assert_converged", _bool,
+                                    False),
+        "monitors": rd.read("diagnostics.monitors", _bool, False),
+        "assert_bounded": rd.read("diagnostics.assert_bounded", _bool, False),
+        "s": rd.read("diagnostics.s", float, 1.0),
+        "validate_model": rd.read("diagnostics.validate_model", _bool, True),
+        "reference_steady": rd.read("diagnostics.reference_steady", str, None),
     }
     for key in ("dissipation_tol", "s"):
         value = diagnostics[key]
@@ -466,14 +418,14 @@ def build_config(raw, base_dir="."):
             f"diagnostics.monitors needs run.t_end >= diagnostics.s + 2, "
             f"got t_end = {run_cfg.t_end} and s = {diagnostics['s']}")
 
-    out_dir = rd.str_("output.dir", "out")
+    out_dir = rd.read("output.dir", str, "out")
 
     # settings of the steady entry point
     steady = {
-        "guesses": rd.str_("steady.guesses", "constants",
+        "guesses": rd.read("steady.guesses", str, "constants",
                            choices={"constants", "layers", "both"}),
-        "tol": rd.float_("steady.tol", 1e-10),
-        "layers": rd.int_("steady.layers", 3),
+        "tol": rd.read("steady.tol", float, 1e-10),
+        "layers": rd.read("steady.layers", int, 3),
     }
     if not steady["tol"] > 0:
         rd.violations.append(

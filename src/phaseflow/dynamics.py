@@ -78,6 +78,10 @@ class State:
 
     @classmethod
     def make(cls, t, theta, chi, model):
+        if theta.grid != chi.grid:
+            raise InvalidParameter(
+                f"theta and chi lie on different grids: {theta.grid} and "
+                f"{chi.grid}")
         for name, fld, law in (("theta", theta, model.j),
                                ("chi", chi, model.w)):
             if not inside(law, fld.values):
@@ -747,6 +751,9 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     ``trace.csv`` plus two-record field snapshots when ``out_dir`` is
     given.
     """
+    if initial.theta.grid != grid or initial.chi.grid != grid:
+        raise InvalidParameter(
+            f"the initial state does not lie on the run's grid {grid}")
     stepper = Stepper(model, grid, bc, source)
     n_steps = round(config.t_end / config.dt)
 

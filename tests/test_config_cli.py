@@ -12,8 +12,8 @@ from phaseflow.cli import fit_command, main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
 from phaseflow.diagnostics import (check_dissipation,
                                    estimate_lojasiewicz_trajectory)
-from phaseflow.dynamics import TRACE_HEADER, run
-from phaseflow.errors import ParseError, ValidationError
+from phaseflow.dynamics import TRACE_HEADER, State, run
+from phaseflow.errors import InvalidParameter, ParseError, ValidationError
 from phaseflow.grids import Field, Grid, read_records, write_records
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -33,10 +33,6 @@ def early_stop_raw(**overrides):
                           "run.stop_on_converged": "true",
                           "diagnostics.monitors": "true",
                           "diagnostics.s": "0.0"}, **overrides)
-
-
-#: what a bad setting needs besides minimal_raw to be read at all
-BAD_SETTING_CONTEXT = {"bc.eta": {"bc.kind": "robin"}}
 
 
 def minimal_raw(**overrides):
@@ -182,6 +178,34 @@ class TestValidation:
         raw["run.t_end"] = "3.0"
         assert build_config(raw).run.t_end == 3.0
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("run.newton_tol", "abc", "'run.newton_tol' is not a number: 'abc'"),
+        ("run.trace_every", "2.5",
+         "'run.trace_every' is not an integer: '2.5'"),
+        ("run.stop_on_converged", "yes",
+         "'run.stop_on_converged' must be true or false, got 'yes'"),
+        ("grid.extents", "1 x", "'grid.extents' is not a number list: '1 x'"),
+        ("grid.nodes", "3 x", "'grid.nodes' is not an integer list: '3 x'"),
+        ("bc.kind", "neumann",
+         "'bc.kind' must be one of ['dirichlet', 'robin'], got 'neumann'"),
+        ("model.j.tau_c", "x", "'model.j.tau_c' is not a number: 'x'"),
+        ("source.envelope", "cosh", "'source.envelope' must be one of "
+         "['compact', 'constant', 'exp', 'power', 'zero'], got 'cosh'"),
+        ("run.dt", None, "missing required key 'run.dt'")])
+    def test_violation_message(self, key, value, message):
+        raw = {k: v for k, v in minimal_raw(**{key: value}).items()
+               if v is not None}
+        with pytest.raises(ValidationError) as err:
+            build_config(raw)
+        assert message in err.value.violations
+
+    def test_missing_dt_leaves_run_keys_known(self):
+        raw = minimal_raw(**{"run.trace_every": "5"})
+        del raw["run.dt"]
+        with pytest.raises(ValidationError) as err:
+            build_config(raw)
+        assert err.value.violations == ["missing required key 'run.dt'"]
+
     def test_shipped_configs_are_valid(self):
         for name in os.listdir(CONFIG_DIR):
             parse_config(os.path.join(CONFIG_DIR, name))
@@ -198,6 +222,60 @@ class TestValidation:
             raw["output.dir"] = str(tmp_path / name.replace(".", "_"))
             cfg = build_config(raw)
             assert run_experiment(cfg, quiet=True) == 0, name
+
+
+class TestConfigKinds:
+    """Each kind a config can name, against its closed form."""
+
+    def test_tanh_initial_fields(self):
+        cfg = build_config(minimal_raw(**{
+            "initial.theta": "tanh", "initial.theta.width": "0.2",
+            "initial.chi": "tanh", "initial.chi.center": "0.3",
+            "initial.chi.width": "0.1", "initial.chi.left": "-0.8",
+            "initial.chi.right": "0.6"}))
+        x = cfg.grid.axes()[0]
+
+        def tanh(center, width, left, right):
+            s = 0.5 * (1.0 + np.tanh((x - center) / width))
+            return left + (right - left) * s
+        np.testing.assert_allclose(cfg.initial_theta.values,
+                                   tanh(0.5, 0.2, -1.0, 1.0), atol=1e-15)
+        np.testing.assert_allclose(cfg.initial_chi.values,
+                                   tanh(0.3, 0.1, -0.8, 0.6), atol=1e-15)
+
+    def test_compact_envelope(self):
+        env = build_config(minimal_raw(**{
+            "source.profile": "constant", "source.envelope": "compact",
+            "source.t_off": "0.3"})).source.envelope
+        assert [env(t) for t in (0.0, 0.3, 0.30001, 5.0)] == [1, 1, 0, 0]
+        env = build_config(minimal_raw(**{
+            "source.profile": "constant",
+            "source.envelope": "compact"})).source.envelope
+        assert (env(1.0), env(1.001)) == (1.0, 0.0)
+
+    def test_constant_profile(self):
+        cfg = build_config(minimal_raw(**{
+            "source.profile": "constant", "source.amplitude": "0.7",
+            "source.envelope": "constant"}))
+        x = cfg.grid.axes()[0]
+        np.testing.assert_array_equal(cfg.source.profile(x),
+                                      np.full(x.shape, 0.7))
+
+    def test_2d_cosine_and_sin_pi(self):
+        cfg = build_config(minimal_raw(**{
+            "grid.dimension": "2", "grid.extents": "1.0 2.0",
+            "grid.nodes": "9 17", "initial.chi.amplitude": "0.1",
+            "initial.chi.mode": "2", "initial.chi.offset": "0.05",
+            "source.profile": "sin_pi", "source.amplitude": "0.3",
+            "source.envelope": "constant"}))
+        x, y = cfg.grid.meshgrid()
+        np.testing.assert_allclose(
+            cfg.initial_chi.values,
+            0.05 + 0.1 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y / 2.0),
+            atol=1e-15)
+        np.testing.assert_allclose(
+            cfg.source.profile(x, y),
+            0.3 * np.sin(np.pi * x) * np.sin(np.pi * y / 2.0), atol=1e-15)
 
 
 class TestRunExperiment:
@@ -268,6 +346,36 @@ class TestRunExperiment:
                               "diagnostics.json").read_text())
         assert "does not match" in payload["reference_error"]
         assert "distance_to_reference" not in payload
+
+    def test_reference_steady_distance(self, tmp_path):
+        ref = tmp_path / "ref.pfld"
+        ref_chi = build_config(minimal_raw(**{
+            "initial.chi.amplitude": "0.05"})).initial_chi
+        write_records(ref, [(ref_chi, 0.0)])
+        raw = minimal_raw(**{"output.dir": str(tmp_path / "r"),
+                             "diagnostics.reference_steady": str(ref)})
+        cfg = build_config(raw)
+        assert run_experiment(cfg, quiet=True) == 0
+        payload = json.loads((tmp_path / "r" /
+                              "diagnostics.json").read_text())
+        assert "reference_error" not in payload
+        traj = run(cfg.initial_state(), cfg.run, cfg.model, cfg.grid,
+                   cfg.bc, cfg.source)
+        want = traj.stepper.ws.h_norm(traj.final_state.chi.flat
+                                      - ref_chi.flat)
+        assert want > 0
+        assert payload["distance_to_reference"] == want
+
+    def test_infinite_initial_energy(self, tmp_path, capsys):
+        raw = minimal_raw(**{"initial.theta.value": "1e200"})
+        assert main(["validate", write_cfg(tmp_path / "c.cfg", raw)]) == 2
+        assert "initial energy is not finite" in capsys.readouterr().err
+        cfg = build_config(minimal_raw())
+        hot = State.make(0.0, Field.full(cfg.grid, 1e200), cfg.initial_chi,
+                         cfg.model)
+        with pytest.raises(InvalidParameter,
+                           match="initial energy is not finite"):
+            run(hot, cfg.run, cfg.model, cfg.grid, cfg.bc, cfg.source)
 
     def test_monitors_after_early_stop(self, tmp_path):
         raw = early_stop_raw(**{"output.dir": str(tmp_path / "e")})
@@ -349,7 +457,7 @@ class TestCliEntry:
                                          value):
         # each once ended in a traceback, a crash after the run, a wrong
         # exit code, or (the NaN tolerances) a check that passed everything
-        raw = minimal_raw(**BAD_SETTING_CONTEXT.get(key, {}), **{key: value})
+        raw = minimal_raw(**{key: value})
         path = write_cfg(tmp_path / "c.cfg", raw)
         assert main(["validate", path]) == 2
         assert key in capsys.readouterr().err
@@ -432,6 +540,46 @@ class TestCliEntry:
         src = os.path.dirname(os.path.dirname(phaseflow.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=src))
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m phaseflow`, the entry point the README documents
+        src = os.path.dirname(os.path.dirname(phaseflow.__file__))
+        bad = write_cfg(tmp_path / "c.cfg", minimal_raw(**{"run.dtt": "1"}))
+        for path, code in ((os.path.join(CONFIG_DIR, "equilibrium.cfg"), 0),
+                           (bad, 2)):
+            done = subprocess.run(
+                [sys.executable, "-m", "phaseflow", "validate", path],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src))
+            assert done.returncode == code, done.stderr
+        assert "unknown key 'run.dtt'" in done.stderr
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"initial.chi": "constant", "initial.chi.amplitude": "nan"},
+         "'initial.chi.amplitude' must be finite"),
+        ({"bc.theta_gamma.rate": "abc"},
+         "'bc.theta_gamma.rate' is not a number"),
+        ({"initial.chi.amplitud": "0.1"}, "unknown key 'initial.chi.amplitud'")])
+    def test_every_given_value_checked(self, tmp_path, capsys, overrides,
+                                       message):
+        # a value under a kind that is not set is checked all the same
+        path = write_cfg(tmp_path / "c.cfg", minimal_raw(**overrides))
+        assert main(["validate", path]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key, values", [
+        ("robin_exchange.cfg", "bc.kind", ("robin", "dirichlet")),
+        ("decaying_source.cfg", "source.envelope", ("power", "exp"))])
+    def test_sweep_switches_kind(self, tmp_path, name, key, values):
+        # the other kind's keys stay in the file and are legal
+        raw = parse_raw(os.path.join(CONFIG_DIR, name))
+        raw["run.t_end"] = "0.01"
+        path = write_cfg(tmp_path / name, raw)
+        out = tmp_path / "sw"
+        assert main(["--quiet", "--out", str(out), "sweep", path, key,
+                     *values]) == 0
+        for k in range(len(values)):
+            assert (out / f"sweep_{k:03d}" / "trace.csv").exists()
 
     def test_run_with_out_flag(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -25,6 +25,21 @@ class TestState:
             State.make(0.0, Field.full(unit_grid, -1.5),
                        Field.full(unit_grid, 0.0), mixed_model)
 
+    def test_fields_on_one_grid(self, caginalp_model, unit_grid):
+        with pytest.raises(InvalidParameter, match="grid"):
+            State.make(0.0, Field.full(unit_grid, 0.0),
+                       Field.full(Grid((2.0,), (65,)), 0.0), caginalp_model)
+
+    @pytest.mark.parametrize("other", [Grid((2.0,), (65,)),
+                                       Grid((1.0,), (33,))])
+    def test_run_on_another_grid(self, caginalp_model, unit_grid,
+                                 dirichlet_bc, other):
+        # other extents on the same node count, and another node count
+        cfg = TrajectoryConfig(dt=1e-3, t_end=2e-3)
+        with pytest.raises(InvalidParameter, match="grid"):
+            run(cosine_state(other, caginalp_model), cfg, caginalp_model,
+                unit_grid, dirichlet_bc, zero_source())
+
 
 def _energy(st, model, grid, bc):
     return free_energy(st.theta.flat, st.chi.flat, model,
