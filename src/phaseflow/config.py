@@ -97,7 +97,7 @@ class _Reader:
     def read(self, key, parse, default=None, required=False, choices=None):
         """``parse`` (str, float, int, _bool, _floats or _ints) of the
         value of ``key``; ``default`` when the key is absent or its value
-        is rejected, with a violation.  A number must be finite, except
+        is rejected, with a violation.  A float must be finite, except
         that the integrability tags may be infinite."""
         self.seen.add(key)
         if key not in self.raw:
@@ -111,7 +111,7 @@ class _Reader:
             self.violations.append(f"'{key}' {_REJECTED[parse]}{text!r}")
             return default
         values = val if isinstance(val, tuple) else (val,)
-        if parse is not str and not all(
+        if parse in (float, _floats) and not all(
                 math.isfinite(v) or (math.isinf(v) and key in _INF_KEYS)
                 for v in values):
             kind = "a number" if key in _INF_KEYS else "finite"

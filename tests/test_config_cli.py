@@ -35,6 +35,10 @@ def early_stop_raw(**overrides):
                           "diagnostics.s": "0.0"}, **overrides)
 
 
+#: what a bad setting needs besides minimal_raw to be used by the run
+BAD_SETTING_CONTEXT = {"bc.eta": {"bc.kind": "robin"}}
+
+
 def minimal_raw(**overrides):
     raw = {
         "model.j": "caginalp_j",
@@ -85,12 +89,14 @@ class TestValidation:
                              "run.t_end": "20.0",
                              "mystery.key": "1",
                              "run.keep_states": "true",
-                             "diagnostics.eps_loj": "0.1"})
+                             "diagnostics.eps_loj": "0.1",
+                             "initial.chi.amplitud": "0.1"})
         with pytest.raises(ValidationError) as err:
             build_config(raw)
         text = str(err.value)
         assert "no_such_well" in text
-        for key in ("mystery.key", "run.keep_states", "diagnostics.eps_loj"):
+        for key in ("mystery.key", "run.keep_states", "diagnostics.eps_loj",
+                    "initial.chi.amplitud"):
             assert f"unknown key '{key}'" in text
 
     def test_stability_bound(self):
@@ -452,12 +458,13 @@ class TestCliEntry:
         ("grid.extents", "nan"), ("initial.chi.amplitude", "nan"),
         ("initial.theta.value", "inf"), ("bc.eta", "nan"),
         ("source.amplitude", "nan"), ("steady.tol", "nan"),
-        ("steady.layers", "0"), ("run.snapshot_every", "-3")])
+        ("steady.layers", "0"), ("run.snapshot_every", "-3"),
+        ("bc.theta_gamma.rate", "abc")])
     def test_validate_bad_setting_exit_2(self, tmp_path, capsys, key,
                                          value):
         # each once ended in a traceback, a crash after the run, a wrong
         # exit code, or (the NaN tolerances) a check that passed everything
-        raw = minimal_raw(**{key: value})
+        raw = minimal_raw(**BAD_SETTING_CONTEXT.get(key, {}), **{key: value})
         path = write_cfg(tmp_path / "c.cfg", raw)
         assert main(["validate", path]) == 2
         assert key in capsys.readouterr().err
@@ -554,18 +561,19 @@ class TestCliEntry:
             assert done.returncode == code, done.stderr
         assert "unknown key 'run.dtt'" in done.stderr
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"initial.chi": "constant", "initial.chi.amplitude": "nan"},
-         "'initial.chi.amplitude' must be finite"),
-        ({"bc.theta_gamma.rate": "abc"},
-         "'bc.theta_gamma.rate' is not a number"),
-        ({"initial.chi.amplitud": "0.1"}, "unknown key 'initial.chi.amplitud'")])
-    def test_every_given_value_checked(self, tmp_path, capsys, overrides,
-                                       message):
+    def test_inactive_kind_value_checked(self, tmp_path, capsys):
         # a value under a kind that is not set is checked all the same
-        path = write_cfg(tmp_path / "c.cfg", minimal_raw(**overrides))
+        path = write_cfg(tmp_path / "c.cfg", minimal_raw(**{
+            "initial.chi": "constant", "initial.chi.amplitude": "nan"}))
         assert main(["validate", path]) == 2
-        assert message in capsys.readouterr().err
+        assert "'initial.chi.amplitude' must be finite" in \
+            capsys.readouterr().err
+
+    def test_huge_integer_setting(self, tmp_path, capsys):
+        # an integer too large for a float is a value, not a traceback
+        path = write_cfg(tmp_path / "c.cfg",
+                         minimal_raw(**{"run.max_newton": "1" + "0" * 400}))
+        assert main(["validate", path]) == 0
 
     @pytest.mark.parametrize("name, key, values", [
         ("robin_exchange.cfg", "bc.kind", ("robin", "dirichlet")),
