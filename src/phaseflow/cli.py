@@ -31,7 +31,7 @@ from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
                      InsufficientDecay, InsufficientSamples, InvalidParameter,
                      NewtonDiverged, OracleFailed, ParseError, PhaseflowError,
                      SingularSolve, SnapshotError, ValidationError)
-from .grids import Field, OperatorWorkspace, read_records
+from .grids import Field, OperatorWorkspace, grid_mismatch, read_records
 from .models import validate_hypotheses
 
 EXIT_OK = 0
@@ -46,11 +46,6 @@ _SOLVER_ERRORS = (NewtonDiverged, DomainExhausted, DegenerateJacobian,
 def _say(quiet, *msg):
     if not quiet:
         print(*msg)
-
-
-def _grid_mismatch(path, grid, other):
-    return (f"the grid of '{path}' ({grid.nodes} nodes on {grid.extents}) "
-            f"does not match {other.nodes} nodes on {other.extents}")
 
 
 def _write_json(path, payload):
@@ -127,8 +122,8 @@ def run_experiment(config, quiet=False):
         try:
             ref_field, _ = read_records(ref_path)[0]
             if ref_field.grid != config.grid:
-                raise SnapshotError(_grid_mismatch(ref_path, ref_field.grid,
-                                                   config.grid))
+                raise SnapshotError(grid_mismatch(ref_path, ref_field.grid,
+                                                  config.grid))
         except SnapshotError as exc:
             report["reference_error"] = str(exc)
         else:
@@ -202,7 +197,7 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
         records = read_records(os.path.join(run_dir, name))
         chi, t = records[1] if len(records) > 1 else records[0]
         if chi.grid != ref_field.grid:
-            print(_grid_mismatch(steady_path, ref_field.grid, chi.grid)
+            print(grid_mismatch(steady_path, ref_field.grid, chi.grid)
                   + f" of the snapshot {name}", file=sys.stderr)
             return EXIT_CONFIG
         times.append(t)

@@ -29,7 +29,8 @@ import numpy as np
 from .dynamics import SourceSpec, State, TrajectoryConfig, free_energy
 from .errors import (InvalidParameter, ParseError, SnapshotError,
                      UnknownModel, ValidationError)
-from .grids import BoundarySpec, Field, Grid, OperatorWorkspace, read_records
+from .grids import (BoundarySpec, Field, Grid, OperatorWorkspace,
+                    grid_mismatch, read_records)
 from .models import ModelSpec, builtin, builtin_names
 
 _INF = float("inf")
@@ -243,10 +244,8 @@ def _initial_field(rd, prefix, grid, default_value):
             f"'{path}' holds {len(records)} record(s)")
         return None
     fld, _ = records[index]
-    if fld.grid.nodes != grid.nodes or fld.grid.extents != grid.extents:
-        rd.violations.append(
-            f"snapshot '{path}' grid {fld.grid.nodes} does not match "
-            f"configured grid {grid.nodes}")
+    if fld.grid != grid:
+        rd.violations.append(grid_mismatch(path, fld.grid, grid))
         return None
     return Field(grid, fld.values)
 
@@ -441,8 +440,9 @@ def build_config(raw, base_dir="."):
     if not rd.violations and model is not None and grid is not None:
         try:
             st = State.make(0.0, initial_theta, initial_chi, model)
-            e0 = free_energy(st.theta.flat, st.chi.flat, model,
-                             OperatorWorkspace(grid, None))
+            with np.errstate(over="ignore"):   # an overflow reads inf
+                e0 = free_energy(st.theta.flat, st.chi.flat, model,
+                                 OperatorWorkspace(grid, None))
             if not math.isfinite(e0):
                 rd.violations.append("initial energy is not finite")
         except Exception as exc:  # noqa: BLE001 - reported as a violation

@@ -419,7 +419,7 @@ def stability_gap(traj_a, traj_b):
     their states at the same cadence.
     """
     ga, gb = traj_a.stepper.grid, traj_b.stepper.grid
-    if ga.nodes != gb.nodes or ga.extents != gb.extents:
+    if ga != gb:
         raise ConfigMismatch("different grids")
     if traj_a.dt != traj_b.dt or not np.array_equal(traj_a.times,
                                                     traj_b.times):

@@ -757,7 +757,9 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     stepper = Stepper(model, grid, bc, source)
     n_steps = round(config.t_end / config.dt)
 
-    e0 = free_energy(initial.theta.flat, initial.chi.flat, model, stepper.ws)
+    with np.errstate(over="ignore"):   # an overflow reads inf
+        e0 = free_energy(initial.theta.flat, initial.chi.flat, model,
+                         stepper.ws)
     if not math.isfinite(e0):
         raise InvalidParameter("initial energy is not finite")
 

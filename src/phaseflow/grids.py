@@ -71,6 +71,12 @@ class Grid:
         return np.meshgrid(*self.axes(), indexing="ij")
 
 
+def grid_mismatch(path, grid, other):
+    """The one wording of a file's grid that is not the expected one."""
+    return (f"the grid of '{path}' ({grid.nodes} nodes on {grid.extents}) "
+            f"does not match {other.nodes} nodes on {other.extents}")
+
+
 @dataclass
 class Field:
     """Nodal scalar field on a grid; values carry the grid's shape."""

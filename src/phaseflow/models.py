@@ -355,98 +355,85 @@ def validate_hypotheses(spec, sample_count=1000):
 # ----------------------------------------------------------------------
 
 def _prox(d1, domain, rho, r, wall_gap=1e-13):
-    """argmin_s f(s) + (s-r)^2/(2 rho) for convex f, via the monotone
-    optimality equation s + rho f'(s) = r (bisection).
-
-    Finite domain walls where f' stays bounded act as clamps, which realizes
-    the closed (lower semicontinuous) extension of f.
-    """
-    lo, hi = domain
-
-    def psi(s):
-        return s + rho * float(d1(np.float64(s))) - r
-
-    # bracket
-    if math.isfinite(lo):
-        a = lo + wall_gap * (1.0 + abs(lo))
-        if psi(a) >= 0.0:
-            return a
-    else:
-        a = min(r, 0.0) - 1.0
-        step = 1.0
-        while psi(a) > 0.0:
-            step *= 2.0
-            a -= step
-            if step > 1e12:
-                raise InvalidParameter("proximal bracketing failed (left)")
-    if math.isfinite(hi):
-        b = hi - wall_gap * (1.0 + abs(hi))
-        if psi(b) <= 0.0:
-            return b
-    else:
-        b = max(r, 0.0) + 1.0
-        step = 1.0
-        while psi(b) < 0.0:
-            step *= 2.0
-            b += step
-            if step > 1e12:
-                raise InvalidParameter("proximal bracketing failed (right)")
-
-    return _bisect(psi, a, b)
+    """argmin_s f(s) + (s-r)^2/(2 rho) for convex f, entrywise over the
+    array r, via the monotone optimality equation s + rho f'(s) = r
+    (bisection).  Finite domain walls where f' stays bounded act as clamps,
+    which realizes the closed (lower semicontinuous) extension of f; towards
+    an infinite wall the bracket end doubles its step past the root."""
+    psi = lambda s: s + rho * d1(s) - r
+    ends = []
+    clamped = np.zeros(r.shape, bool)
+    at_wall = np.zeros(r.shape)
+    for wall, side, name in zip(domain, (-1.0, 1.0), ("left", "right")):
+        # side * psi(end) < 0: the end lies short of the root
+        if math.isfinite(wall):
+            end = np.full(r.shape, wall - side * wall_gap * (1.0 + abs(wall)))
+            clamp = ~clamped & (side * psi(end) <= 0.0)
+            at_wall = np.where(clamp, end, at_wall)
+            clamped |= clamp
+        else:
+            end = side * (np.maximum(side * r, 0.0) + 1.0)
+            step = 1.0
+            short = ~clamped & (side * psi(end) < 0.0)
+            while short.any():
+                step *= 2.0
+                if step > 1e12:
+                    raise InvalidParameter(
+                        f"proximal bracketing failed ({name})")
+                end = np.where(short, end + side * step, end)
+                short &= side * psi(end) < 0.0
+        ends.append(end)
+    return np.where(clamped, at_wall, _bisect(psi, *ends))
 
 
 def _bisect(fn, a, b):
-    """Root of fn in [a, b] by bisection, for fn(a) < 0 <= fn(b) with a
-    single sign change; stops at a relative width of 1e-15."""
+    """Roots of fn in [a, b] by bisection, entrywise over arrays, for
+    fn(a) < 0 <= fn(b) with a single sign change; each entry stops at a
+    relative width of 1e-15 and is left alone after."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.ones(a.shape, bool)
     for _ in range(90):
         m = 0.5 * (a + b)
-        if fn(m) < 0.0:
-            a = m
-        else:
-            b = m
-        if b - a <= 1e-15 * (1.0 + abs(a) + abs(b)):
+        neg = fn(m) < 0.0
+        a = np.where(live & neg, m, a)
+        b = np.where(live & ~neg, m, b)
+        live &= b - a > 1e-15 * (1.0 + np.abs(a) + np.abs(b))
+        if not live.any():
             break
     return 0.5 * (a + b)
 
 
-def _vectorize_scalar(fn):
-    def wrapped(r):
-        arr = np.asarray(r, dtype=float)
-        out = np.empty(arr.shape)
-        flat_in = arr.ravel()
-        flat_out = out.ravel()
-        for i in range(flat_in.size):
-            flat_out[i] = fn(flat_in[i])
-        return out if arr.ndim else float(flat_out[0])
-    return wrapped
+def _moreau_shifted(potential, c, rho):
+    """Value/first/second derivative of env_rho[f + c Id^2/2] - c Id^2/2,
+    for f the potential and f + c Id^2/2 convex."""
+    lo, hi = potential.domain
+    shifted_d1 = lambda s: potential.d1(s) + c * s
 
+    def prox(r):
+        r = np.asarray(r, dtype=float)
+        return r, _prox(shifted_d1, potential.domain, rho, r)
 
-def _moreau_parts(value, d1, d2, domain, rho):
-    """Value/first/second derivative of the Moreau envelope of a convex f."""
-    lo, hi = domain
+    def value(r):
+        r, s = prox(r)
+        return (potential.value(s) + 0.5 * c * s * s
+                + (s - r) ** 2 / (2.0 * rho) - 0.5 * c * r ** 2)
 
-    def near_wall(s):
-        gap = 2e-13
-        return ((math.isfinite(lo) and s - lo <= gap * (1.0 + abs(lo)))
-                or (math.isfinite(hi) and hi - s <= gap * (1.0 + abs(hi))))
+    def d1(r):
+        r, s = prox(r)
+        return (r - s) / rho - c * r
 
-    def env_value(r):
-        s = _prox(d1, domain, rho, r)
-        return float(value(np.float64(s))) + (s - r) ** 2 / (2.0 * rho)
+    def d2(r):
+        r, s = prox(r)
+        f2 = potential.d2(s) + c
+        env = f2 / (1.0 + rho * f2)
+        # at a clamped wall the envelope is the quadratic (s - r)^2/(2 rho)
+        if math.isfinite(lo):
+            env = np.where(s - lo <= 2e-13 * (1.0 + abs(lo)), 1.0 / rho, env)
+        if math.isfinite(hi):
+            env = np.where(hi - s <= 2e-13 * (1.0 + abs(hi)), 1.0 / rho, env)
+        return env - c
 
-    def env_d1(r):
-        s = _prox(d1, domain, rho, r)
-        return (r - s) / rho
-
-    def env_d2(r):
-        s = _prox(d1, domain, rho, r)
-        if near_wall(s):
-            return 1.0 / rho
-        f2 = float(d2(np.float64(s)))
-        return f2 / (1.0 + rho * f2)
-
-    return (_vectorize_scalar(env_value), _vectorize_scalar(env_d1),
-            _vectorize_scalar(env_d2))
+    return value, d1, d2
 
 
 def regularize(potential, n):
@@ -466,55 +453,35 @@ def regularize(potential, n):
     target (checked, with warnings, by validate_hypotheses), not a theorem.
 
     Both guarantees hold from n = 1 on, so the threshold index recorded in
-    the metadata is 1.
+    the metadata is 1.  The smoothed laws take arrays like the others.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameter(f"smoothing index must be an integer >= 1, "
                                f"got {n!r}")
     rho = 1.0 / float(n)
+    name = f"{potential.name}~smoothed(n={n})"
+    meta = {"smoothed": True, "n": int(n), "rho": rho,
+            "threshold_index": 1, "parent": potential.name}
 
     if isinstance(potential, ConvexPotential):
         sig = potential.sigma
-        shift_value = lambda s: potential.value(s) - 0.25 * sig * s * s
-        shift_d1 = lambda s: potential.d1(s) - 0.5 * sig * s
-        shift_d2 = lambda s: potential.d2(s) - 0.5 * sig
-        ev, e1, e2 = _moreau_parts(shift_value, shift_d1, shift_d2,
-                                   potential.domain, rho)
-        value = lambda r: 0.25 * sig * np.asarray(r) ** 2 + ev(r)
-        d1 = lambda r: 0.5 * sig * np.asarray(r) + e1(r)
-        d2 = lambda r: 0.5 * sig + np.asarray(e2(r))
-
+        value, d1, d2 = _moreau_shifted(potential, -0.5 * sig, rho)
         # the minimum moves unless theta_inf = 0; relocate it
-        g = lambda t: float(d1(np.float64(t)))
         t0 = potential.theta_inf
         width = 1.0
-        while g(t0 - width) > 0 or g(t0 + width) < 0:
+        while d1(t0 - width) > 0 or d1(t0 + width) < 0:
             width *= 2.0
-        theta_inf = _bisect(g, t0 - width, t0 + width)
-        return ConvexPotential(
-            name=f"{potential.name}~smoothed(n={n})",
-            domain=(-_INF, _INF), value=value, d1=d1, d2=d2,
-            sigma=0.5 * sig, theta_inf=theta_inf, alpha=None,
-            meta={"smoothed": True, "n": int(n), "rho": rho,
-                  "threshold_index": 1, "parent": potential.name})
+        theta_inf = float(_bisect(d1, t0 - width, t0 + width))
+        return ConvexPotential(name, (-_INF, _INF), value, d1, d2,
+                               sigma=0.5 * sig, theta_inf=theta_inf,
+                               alpha=None, meta=meta)
 
     if isinstance(potential, NonconvexPotential):
-        kap = potential.kappa
-        cvx_value = lambda s: potential.value(s) + 0.5 * kap * s * s
-        cvx_d1 = lambda s: potential.d1(s) + kap * s
-        cvx_d2 = lambda s: potential.d2(s) + kap
-        ev, e1, e2 = _moreau_parts(cvx_value, cvx_d1, cvx_d2,
-                                   potential.domain, rho)
-        value = lambda r: ev(r) - 0.5 * kap * np.asarray(r) ** 2
-        d1 = lambda r: e1(r) - kap * np.asarray(r)
-        d2 = lambda r: np.asarray(e2(r)) - kap
-        return NonconvexPotential(
-            name=f"{potential.name}~smoothed(n={n})",
-            domain=(-_INF, _INF), core=potential.core,
-            value=value, d1=d1, d2=d2, kappa=kap, mu=0.5 * potential.mu,
-            d1_zeros=None,
-            meta={"smoothed": True, "n": int(n), "rho": rho,
-                  "threshold_index": 1, "parent": potential.name})
+        value, d1, d2 = _moreau_shifted(potential, potential.kappa, rho)
+        return NonconvexPotential(name, (-_INF, _INF), potential.core,
+                                  value, d1, d2, kappa=potential.kappa,
+                                  mu=0.5 * potential.mu, d1_zeros=None,
+                                  meta=meta)
 
     raise InvalidParameter("only heat-flux laws and configuration "
                            "potentials can be smoothed")
@@ -594,7 +561,7 @@ def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
         raise InvalidParameter("logarithmic well minima closer than 1e-12 "
                                "to the walls; raise the ratio theta1/theta_c")
     # bisection to a relative 1e-15, then one Newton step to the last bit
-    rstar = _bisect(f, 1e-3, 1.0 - 1e-12)
+    rstar = float(_bisect(f, 1e-3, 1.0 - 1e-12))
     rstar = float(rstar - f(rstar) / (t1 / (1.0 - rstar * rstar) - tc))
     w0_min = (0.5 * t1 * ((1 + rstar) * np.log1p(rstar)
                           + (1 - rstar) * np.log1p(-rstar))

@@ -171,6 +171,18 @@ class TestValidation:
             assert main(["--quiet", "run", p]) == 2
             assert "out of range" in capsys.readouterr().err
 
+    def test_snapshot_on_other_extents(self, tmp_path, capsys):
+        # same node count, other extents: the message names both extents
+        path = tmp_path / "init.pfld"
+        wide = Grid((2.0,), (33,))
+        write_records(path, [(Field(wide, np.zeros(33)), 0.0)])
+        raw = minimal_raw(**{"initial.chi": "snapshot",
+                             "initial.chi.path": str(path)})
+        assert main(["validate", write_cfg(tmp_path / "c.cfg", raw)]) == 2
+        err = capsys.readouterr().err
+        assert "(33,) nodes on (2.0,)" in err
+        assert "does not match (33,) nodes on (1.0,)" in err
+
     def test_monitors_need_two_windows(self, tmp_path, capsys):
         raw = minimal_raw(**{"diagnostics.monitors": "true",
                              "diagnostics.s": "1.0", "run.t_end": "2.9"})

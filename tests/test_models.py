@@ -287,7 +287,74 @@ class TestValidateHypotheses:
             assert abs(evaluate(j, 0, j.theta_inf)) <= 1e-14
 
 
+def scalar_envelope(potential, c, rho, r, order):
+    """Reference: one point of env_rho[f + c Id^2/2] - c Id^2/2 by a scalar
+    loop in Python floats.  The prox is clamped at a finite wall 1e-13
+    inside, bracketed by doubling towards an infinite one, then bisected to
+    a relative width of 1e-15."""
+    lo, hi = potential.domain
+
+    def psi(s):
+        return s + rho * (float(potential.d1(np.float64(s))) + c * s) - r
+
+    def prox():
+        if np.isfinite(lo):
+            a = lo + 1e-13 * (1.0 + abs(lo))
+            if psi(a) >= 0.0:
+                return a
+        else:
+            a, step = min(r, 0.0) - 1.0, 1.0
+            while psi(a) > 0.0:
+                step *= 2.0
+                a -= step
+        if np.isfinite(hi):
+            b = hi - 1e-13 * (1.0 + abs(hi))
+            if psi(b) <= 0.0:
+                return b
+        else:
+            b, step = max(r, 0.0) + 1.0, 1.0
+            while psi(b) < 0.0:
+                step *= 2.0
+                b += step
+        for _ in range(90):
+            m = 0.5 * (a + b)
+            a, b = (m, b) if psi(m) < 0.0 else (a, m)
+            if b - a <= 1e-15 * (1.0 + abs(a) + abs(b)):
+                break
+        return 0.5 * (a + b)
+
+    s = prox()
+    if order == 0:
+        return (float(potential.value(np.float64(s))) + 0.5 * c * s * s
+                + (s - r) ** 2 / (2.0 * rho) - 0.5 * c * r * r)
+    if order == 1:
+        return (r - s) / rho - c * r
+    if ((np.isfinite(lo) and s - lo <= 2e-13 * (1.0 + abs(lo)))
+            or (np.isfinite(hi) and hi - s <= 2e-13 * (1.0 + abs(hi)))):
+        return 1.0 / rho - c
+    f2 = float(potential.d2(np.float64(s))) + c
+    return f2 / (1.0 + rho * f2) - c
+
+
 class TestRegularize:
+    @pytest.mark.parametrize("name, n", [("caginalp_j", 1), ("quartic_W", 10),
+                                         ("logarithmic_W", 5),
+                                         ("penrose_fife_j", 3),
+                                         ("mixed_j", 10)])
+    def test_matches_scalar_reference(self, name, n):
+        # the arithmetic is the loop's; only numpy's array kernels may
+        # round differently, within 4 ulp
+        p = builtin(name)
+        c = p.kappa if name.endswith("_W") else -0.5 * p.sigma
+        pn = regularize(p, n)
+        r = np.linspace(-3.0, 3.0, 121)
+        for order in (0, 1, 2):
+            want = np.array([scalar_envelope(p, c, 1.0 / n, x, order)
+                             for x in r])
+            got = evaluate(pn, order, r)
+            ulp = np.spacing(np.maximum(np.abs(want), np.abs(got)))
+            assert np.all(np.abs(got - want) <= 4 * ulp), order
+
     def test_quadratic_closed_form(self):
         # keeping sigma/4 r^2 explicit and smoothing the rest of r^2/2 with
         # parameter 1 turns the remainder r^2/4 into r^2/6
@@ -350,6 +417,53 @@ class TestRegularize:
         assert np.isfinite(evaluate(wl, 0, -10.0))
         jn = regularize(builtin("mixed_j", tau_c=1.0), 5)
         assert np.isfinite(evaluate(jn, 0, -2.0))
+
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("name", ["caginalp_j", "quartic_W",
+                                      "logarithmic_W", "penrose_fife_j",
+                                      "mixed_j"])
+    def test_array_equals_pointwise(self, name, n):
+        # every entry of an array gets the bisection a lone scalar gets
+        p = regularize(builtin(name), n)
+        r = np.linspace(-3.0, 3.0, 61)
+        for order in (0, 1, 2):
+            each = np.array([evaluate(p, order, float(x)) for x in r])
+            np.testing.assert_array_equal(evaluate(p, order, r), each)
+
+    @pytest.mark.parametrize("r", [-10.0, -3.0, 3.0, 10.0])
+    def test_log_well_near_and_past_walls(self, r):
+        # at |r| = 10 the prox clamps at the wall gap 1e-13; at |r| = 3 it
+        # lies 5.5e-10 off the wall.  The brute force searches the gap
+        # e^-u on a log scale, s = sign(r) (1 - e^-u).
+        w = builtin("logarithmic_W")
+        rho = 1.0 / 5
+        wn = regularize(w, 5)
+
+        def objective(u):
+            s = np.sign(r) * -np.expm1(-u)
+            return (float(evaluate(w, 0, s)) + 0.5 * w.kappa * s * s
+                    + (s - r) ** 2 / (2 * rho))
+
+        res = minimize_scalar(objective, bounds=(0.0, 36.0),
+                              method="bounded", options={"xatol": 1e-12})
+        brute = res.fun - 0.5 * w.kappa * r * r
+        assert evaluate(wn, 0, r) == pytest.approx(brute, abs=1e-8)
+
+    @pytest.mark.parametrize("r", [-1.5, -3.0, -10.0])
+    def test_penrose_fife_left_of_wall(self, r):
+        j = builtin("penrose_fife_j", tau_c=1.0)
+        rho = 1.0 / 5
+        jn = regularize(j, 5)
+        sig = j.sigma
+
+        def objective(s):
+            return (float(evaluate(j, 0, s)) - 0.25 * sig * s * s
+                    + (s - r) ** 2 / (2 * rho))
+
+        res = minimize_scalar(objective, bounds=(-1.0 + 1e-9, 30.0),
+                              method="bounded", options={"xatol": 1e-12})
+        brute = 0.25 * sig * r * r + res.fun
+        assert evaluate(jn, 0, r) == pytest.approx(brute, abs=1e-8)
 
     def test_smoothing_metadata(self):
         jn = regularize(builtin("caginalp_j"), 7)
