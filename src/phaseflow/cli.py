@@ -181,7 +181,7 @@ def steady_command(config, quiet=False):
 
 def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
                 quiet=False):
-    trace = diag.EnergyTrace.from_csv(trace_path)
+    diag.EnergyTrace.from_csv(trace_path)       # checked: a bad one exits 2
     ref_field, _ = read_records(steady_path)[0]
     run_dir = os.path.dirname(os.path.abspath(trace_path))
     snaps = sorted(p for p in os.listdir(run_dir)
@@ -218,7 +218,8 @@ def fit_command(trace_path, steady_path, config_path=None, eps_loj=0.1,
 
     if config_path is not None:
         model = parse_model(config_path)
-        resid = np.interp(times, trace.t, trace.stationary_residual)
+        resid = [steady_mod.residual_stationary(chi, model, ws.grid, ws)
+                 for chi in chis]
         try:
             loj = diag.estimate_lojasiewicz_states(
                 chis, resid, ref_field.flat, model, ws, eps_loj=eps_loj)

@@ -29,17 +29,13 @@ import scipy.sparse as sps
 from scipy.linalg import LinAlgError, solve_banded
 from scipy.sparse.linalg import splu
 
-from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
-                     NewtonDiverged)
+from .errors import DomainViolation, InvalidParameter, NewtonDiverged
 from .grids import Field, OperatorWorkspace, write_records
-from .models import DOMAIN_MARGIN, evaluate, inside, secant_arrays
+from .models import (DOMAIN_MARGIN, damped_update, evaluate, inside,
+                     secant_arrays)
 from .steady import stationary_energy, stationary_vector
 
 _INF = float("inf")
-
-#: step halvings of the fraction-to-the-boundary damping before a Newton
-#: iterate counts as stuck at a domain wall
-MAX_HALVINGS = 30
 
 #: default thresholds of the convergence (omega-limit) test on the phase
 #: velocity, the stationary residual and the temperature distance
@@ -171,9 +167,14 @@ class TrajectoryConfig:
                 f"newton_tol must be positive, got {self.newton_tol!r}")
         for name, least in (("trace_every", 1), ("max_newton", 1),
                             ("snapshot_every", 0)):
-            if getattr(self, name) < least:
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer))
+            if not integer or isinstance(value, bool):
+                raise InvalidParameter(
+                    f"{name} must be an integer, got {value!r}")
+            if value < least:
                 raise InvalidParameter(f"{name} must be at least {least}, "
-                                       f"got {getattr(self, name)!r}")
+                                       f"got {value!r}")
 
 
 def free_energy(theta_flat, chi_flat, model, ws):
@@ -347,25 +348,22 @@ class Stepper:
         full[self.act] = theta_act
         return full
 
-    def _residual(self, arrays, theta_act, chi_new, theta_old, chi_old,
-                  dt, g):
-        u = arrays[0]
-        wp, lam_old, lam_new = arrays[2], arrays[4], arrays[5]
-        lhat = arrays[7]
-        kappa = self.model.w.kappa
-        r_theta = ((theta_act - theta_old[self.act]) / dt
-                   + (lam_new[self.act] - lam_old[self.act]) / dt
-                   + self.ws.B_fd @ u[self.act])
+    def _residual(self, arrays, z, z_old, dt, g):
+        """Newton residual at the iterate z of a step from z_old, both in
+        the Newton ordering: the heat rows, then the phase rows."""
+        u, wp, lam_old, lam_new, lhat = (arrays[i] for i in (0, 2, 4, 5, 7))
+        act, m, dz = self.act, self.m, z - z_old
+        heat = (dz[:m] / dt + (lam_new[act] - lam_old[act]) / dt
+                + self.ws.B_fd @ u[act])
         if g is not None:
-            r_theta = r_theta - g[self.act]
-        r_chi = ((chi_new - chi_old) / dt + self.ws.A_fd @ chi_new + wp
-                 + kappa * (chi_new - chi_old) - lhat * u)
-        return r_theta, r_chi
+            heat = heat - g[act]
+        return np.concatenate([heat, dz[m:] / dt + self.ws.A_fd @ z[m:] + wp
+                               + self.model.w.kappa * dz[m:] - lhat * u])
 
-    def _residual_norm(self, r_theta, r_chi):
+    def _residual_norm(self, r):
         full = np.zeros(self.n)
-        full[self.act] = r_theta
-        return max(self.ws.h_norm(full), self.ws.h_norm(r_chi))
+        full[self.act] = r[:self.m]
+        return max(self.ws.h_norm(full), self.ws.h_norm(r[self.m:]))
 
     def _jacobian(self, arrays, dt):
         u, jpp, _, wpp = arrays[0], arrays[1], arrays[2], arrays[3]
@@ -448,11 +446,11 @@ class Stepper:
             x, r, rel = x_new, r_new, rel_new
         return x, sweeps, rel
 
-    def _admissible(self, theta_act, chi):
-        """Both fields DOMAIN_MARGIN inside the domains of j and W."""
-        return (inside(self.model.j, self.theta_full(theta_act),
+    def _admissible(self, z):
+        """Both fields of z DOMAIN_MARGIN inside the domains of j and W."""
+        return (inside(self.model.j, self.theta_full(z[:self.m]),
                        DOMAIN_MARGIN)
-                and inside(self.model.w, chi, DOMAIN_MARGIN))
+                and inside(self.model.w, z[self.m:], DOMAIN_MARGIN))
 
     def step(self, state, config, energy_before=None, previous=None):
         """Advance one step of config.dt; returns (new state, report).
@@ -466,6 +464,8 @@ class Stepper:
         Newton solve asks only for the forcing term's relative linear
         residual (see ETA_MAX); a step is accepted on its nonlinear residual
         alone, and NewtonDiverged at the cap says if it was still falling.
+        Each update is damped by ``models.damped_update``, whose halvings
+        are the report's damping events.
         """
         dt = config.dt
         # read only: every iterate below is a new array
@@ -478,20 +478,20 @@ class Stepper:
             energy_before = free_energy(theta_old, chi_old, self.model,
                                         self.ws)
 
-        theta_act = theta_old[self.act]
-        chi_new = chi_old.copy()
+        # the iterate in the Newton ordering: active thetas, then all chis
+        z_old = np.concatenate([theta_old[self.act], chi_old])
+        z = z_old
         fallbacks = 0
         predicted = False
         if previous is not None:
-            d_theta = theta_act - previous.theta.flat[self.act]
-            d_chi = chi_old - previous.chi.flat
-            theta_try, chi_try = theta_act + d_theta, chi_old + d_chi
-            if self._admissible(theta_try, chi_try):
-                theta_act, chi_new = theta_try, chi_try
+            dz = z_old - np.concatenate([previous.theta.flat[self.act],
+                                         previous.chi.flat])
+            z = z_old + dz
+            if self._admissible(z):
                 # a zero increment extrapolates nothing
-                predicted = bool(d_theta.any() or d_chi.any())
+                predicted = bool(dz.any())
             else:
-                fallbacks = 1
+                z, fallbacks = z_old, 1
         damping_events = 0
         solves = factorizations = sweeps = 0
         lin_res = 0.0
@@ -499,14 +499,13 @@ class Stepper:
         res_min, it_min = _INF, 0     # least residual, first iteration
 
         for it in range(1, config.max_newton + 1):
-            theta_f = self.theta_full(theta_act)
-            arrays = self.constitutive(theta_f, chi_old, lam_old, chi_new)
+            theta_f, chi = self.theta_full(z[:self.m]), z[self.m:]
+            arrays = self.constitutive(theta_f, chi_old, lam_old, chi)
             if self.dirichlet:
                 # boundary flux vanishes exactly there (j'(theta_inf) = 0)
                 arrays[0][self.ws.bmask] = 0.0
-            r_theta, r_chi = self._residual(arrays, theta_act, chi_new,
-                                            theta_old, chi_old, dt, g)
-            res = self._residual_norm(r_theta, r_chi)
+            r = self._residual(arrays, z, z_old, dt, g)
+            res = self._residual_norm(r)
             if res <= config.newton_tol and not (
                     predicted and it == 1 and config.max_newton > 1):
                 # the old state, the checked prediction or a damped
@@ -514,8 +513,8 @@ class Stepper:
                 shape = self.grid.shape
                 new_state = State(t_new, Field(self.grid,
                                                theta_f.reshape(shape)),
-                                  Field(self.grid, chi_new.reshape(shape)))
-                e_after = free_energy(theta_f, chi_new, self.model, self.ws)
+                                  Field(self.grid, chi.reshape(shape)))
+                e_after = free_energy(theta_f, chi, self.model, self.ws)
                 return new_state, StepReport(
                     it, res, energy_before, e_after, damping_events,
                     solves, factorizations, sweeps, lin_res, fallbacks)
@@ -534,9 +533,8 @@ class Stepper:
                                        ETA_FLOOR * config.newton_tol / res,
                                        REFINE_TOL))
             res_prev = res
-            rhs = -np.concatenate([r_theta, r_chi])
             delta, factored, swept, rel = self.linear_solve(
-                self._jacobian(arrays, dt), rhs, eta)
+                self._jacobian(arrays, dt), -r, eta)
             solves += 1
             factorizations += factored
             sweeps += swept
@@ -544,25 +542,12 @@ class Stepper:
             if not np.all(np.isfinite(delta)):
                 raise NewtonDiverged("singular linearization in step solve",
                                      residual=res)
-            d_theta = delta[:self.m]
-            d_chi = delta[self.m:]
-            # fraction-to-the-boundary damping: halve until the trial
-            # iterate keeps DOMAIN_MARGIN off both domain walls
-            alpha = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                theta_try = theta_act + alpha * d_theta
-                chi_try = chi_new + alpha * d_chi
-                if self._admissible(theta_try, chi_try):
-                    break
-                alpha *= 0.5
-                damping_events += 1
-            else:
-                raise DomainExhausted(
-                    "step damping exhausted: iterates cannot stay inside "
-                    "the admissible set (reduce dt or move data away from "
-                    "the potential wall)")
-            theta_act = theta_try
-            chi_new = chi_try
+            z, halvings = damped_update(
+                z, delta, self._admissible,
+                "step damping exhausted: iterates cannot stay inside the "
+                "admissible set (reduce dt or move data away from the "
+                "potential wall)")
+            damping_events += halvings
         raise AssertionError("unreachable")
 
 

@@ -26,7 +26,7 @@ class NewtonDiverged(PhaseflowError):
 
 
 class DomainExhausted(PhaseflowError):
-    """Step damping could not keep Newton iterates inside the admissible set."""
+    """Damping could not keep a Newton iterate inside the admissible set."""
 
 
 class OracleFailed(PhaseflowError):

@@ -218,6 +218,30 @@ def stiffness_neumann(grid):
 # norms
 # ----------------------------------------------------------------------
 
+#: confidence parameter lambda of the probabilistic rounding-error bound
+#: of an LU solve (Higham & Mary 2019, SIAM J. Sci. Comput. 41): the bound
+#: fails with probability of order n^3 exp(-lambda^2 / 2), below 1e-13 for
+#: n up to 1e6
+PIVOT_LAMBDA = 12.0
+
+
+def _backward_error_bound(K, k_norm, lu=None):
+    """Round-off bound on the max-norm backward error of a solve with the
+    factor Pr K Pc = L U of the n x n matrix K: the solve's own error
+    (3 g + g^2) || |L| |U| || / ||K||, with g = exp(lambda sqrt(n) u +
+    n u^2 / (1 - u)) - 1, plus gamma_(k+1) = (k+1) u / (1 - (k+1) u) for
+    evaluating the residual with at most k entries per row.  The ratio
+    || |L| |U| || / ||K|| is read from ``lu``; without it, it takes its
+    least value 1 (|K| <= |L| |U| entrywise), which reads no factor."""
+    u = 0.5 * np.finfo(float).eps
+    n = K.shape[0]
+    g = math.expm1(PIVOT_LAMBDA * math.sqrt(n) * u + n * u * u / (1 - u))
+    ratio = 1.0 if lu is None else float(
+        np.max(abs(lu.L) @ (abs(lu.U) @ np.ones(n)))) / k_norm
+    k1 = int(np.max(np.diff(K.indptr))) + 1    # K symmetric: row counts
+    return (3 * g + g * g) * ratio + k1 * u / (1 - k1 * u)
+
+
 class OperatorWorkspace:
     """The one owner of the discrete operators of a (grid, bc) problem: it
     assembles, scales and factors them and measures fields with them.  A
@@ -275,21 +299,29 @@ class OperatorWorkspace:
 
     def pivot_solve(self, pivot, g):
         """K^-1 g for the pivot 'B' (K_B) or 'neumann' (K_V), factored once
-        per workspace; one step of iterative refinement, then SingularSolve
-        above tolerance."""
+        per workspace.  Raises SingularSolve when the max-norm backward
+        error ||g - K x|| / (||K|| ||x|| + ||g||) of the solve is not
+        finite or exceeds the factor's round-off bound
+        ``_backward_error_bound``.  A solve within the least value of that
+        bound passes without reading the factor, which then keeps no copy
+        of L and U."""
         if pivot not in self._factors:
-            K = self.K_B if pivot == "B" else self.K_V
-            self._factors[pivot] = (splu(K.tocsc()), K)
-        lu, K = self._factors[pivot]
+            K = (self.K_B if pivot == "B" else self.K_V).tocsc()
+            k_norm = float(abs(K).sum(axis=1).max())
+            self._factors[pivot] = (splu(K), K, k_norm,
+                                    _backward_error_bound(K, k_norm))
+        lu, K, k_norm, least = self._factors[pivot]
         sol = lu.solve(g)
-        scale = 1.0 + float(np.linalg.norm(g))
-        res = float(np.linalg.norm(K @ sol - g))
-        if res > 1e-12 * scale:
-            sol = sol + lu.solve(g - K @ sol)
-            res = float(np.linalg.norm(K @ sol - g))
-            if res > 1e-10 * scale:
+        res = float(np.max(np.abs(g - K @ sol)))
+        scale = k_norm * float(np.max(np.abs(sol))) \
+            + float(np.max(np.abs(g)))
+        err = res / scale if scale else res
+        if not err <= least:                  # NaN fails too
+            bound = _backward_error_bound(K, k_norm, lu)
+            if not err <= bound:
                 raise SingularSolve(
-                    f"pivot solve residual {res:.3e} exceeds tolerance")
+                    f"pivot solve backward error {err:.3e} exceeds its "
+                    f"round-off bound {bound:.3e}")
         return sol
 
     def vstar_neumann_norm(self, flat):

@@ -37,7 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter, UnknownModel
+from .errors import (DomainExhausted, DomainViolation, InvalidParameter,
+                     UnknownModel)
 
 _INF = float("inf")
 
@@ -46,6 +47,10 @@ GROWTH_RATIO_CAP = 1e6
 
 #: distance by which damped Newton iterates are kept off the domain walls
 DOMAIN_MARGIN = 1e-8
+
+#: step halvings of the fraction-to-the-boundary damping before a Newton
+#: iterate counts as stuck at a domain wall
+MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,18 @@ def inside(potential, arr, margin=0.0):
     potential shrunk by ``margin``; NaN and +-inf are never inside."""
     lo, hi = potential.domain
     return bool((arr > lo + margin).all() and (arr < hi - margin).all())
+
+
+def damped_update(x, dx, admissible, what):
+    """Fraction-to-the-boundary damping of the Newton update x + dx: the
+    first x + dx / 2^k, k = 0 ... MAX_HALVINGS, that ``admissible``
+    accepts, returned with k.  Raises DomainExhausted with the message
+    ``what`` when none is admissible."""
+    for k in range(MAX_HALVINGS + 1):
+        trial = x + 0.5 ** k * dx
+        if admissible(trial):
+            return trial, k
+    raise DomainExhausted(what)
 
 
 def evaluate(potential, order, r):

@@ -17,10 +17,10 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
-from .errors import (DegenerateJacobian, DomainViolation, InvalidParameter,
-                     NewtonDiverged)
+from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
+                     InvalidParameter, NewtonDiverged)
 from .grids import Field, OperatorWorkspace, write_records
-from .models import DOMAIN_MARGIN, evaluate, inside
+from .models import DOMAIN_MARGIN, damped_update, evaluate, inside
 
 
 @dataclass
@@ -102,10 +102,10 @@ def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
     """Damped Newton for the stationary problem from a given guess.
 
     Which solution is found depends on the guess.  The residual is measured
-    in the Neumann dual norm; fraction-to-the-boundary damping keeps the
-    iterates models.DOMAIN_MARGIN inside the domain of W.  A caller that
-    solves repeatedly passes its own workspace, as for
-    ``residual_stationary``.
+    in the Neumann dual norm; ``models.damped_update`` keeps the iterates
+    models.DOMAIN_MARGIN inside the domain of W and raises DomainExhausted
+    when it cannot.  A caller that solves repeatedly passes its own
+    workspace, as for ``residual_stationary``.
     """
     if tol <= 0:
         raise InvalidParameter("tolerance must be positive")
@@ -139,16 +139,10 @@ def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
             raise DegenerateJacobian(
                 "stationary linearization is numerically singular; this "
                 "marks a bifurcation point")
-        alpha = 1.0
-        for _ in range(41):                  # alpha = 1, 1/2, ..., 2^-40
-            trial = chi + alpha * delta
-            if inside(model.w, trial, DOMAIN_MARGIN):
-                break
-            alpha *= 0.5
-        else:
-            raise NewtonDiverged("damping exhausted in stationary solve",
-                                 residual=res)
-        chi = trial
+        chi = damped_update(
+            chi, delta, lambda c: inside(model.w, c, DOMAIN_MARGIN),
+            "stationary solve damping exhausted: iterates cannot stay "
+            "inside the domain of W")[0]
 
     fld = Field(grid, chi.reshape(grid.shape))
     conf = default_confinement(model)
@@ -180,7 +174,7 @@ def solve_catalog(guesses, model, grid, tol=1e-10, out_dir=None):
     for guess in guesses:
         try:
             st = solve_stationary(guess, model, grid, tol=tol, ws=ws)
-        except (NewtonDiverged, DegenerateJacobian):
+        except (NewtonDiverged, DomainExhausted, DegenerateJacobian):
             continue
         if all(ws.h_norm(st.chi.flat - other.chi.flat) > CATALOG_DEDUPE_TOL
                for other in found):

@@ -11,10 +11,13 @@ import phaseflow
 from phaseflow.cli import fit_command, main, run_experiment
 from phaseflow.config import build_config, parse_config, parse_raw
 from phaseflow.diagnostics import (check_dissipation,
+                                   estimate_lojasiewicz_states,
                                    estimate_lojasiewicz_trajectory)
 from phaseflow.dynamics import TRACE_HEADER, State, run
 from phaseflow.errors import InvalidParameter, ParseError, ValidationError
-from phaseflow.grids import Field, Grid, read_records, write_records
+from phaseflow.grids import (Field, Grid, OperatorWorkspace, read_records,
+                             write_records)
+from phaseflow.steady import residual_stationary
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -725,6 +728,30 @@ class TestCliEntry:
         want = estimate_lojasiewicz_trajectory(traj, Field.zeros(cfg.grid))
         assert got == asdict(want)
 
+
+    def test_fit_residuals_are_the_snapshots_own(self, tmp_path):
+        # snapshots off the trace rows: each is fitted with its own
+        # stationary residual, not one interpolated from the trace
+        p = write_cfg(tmp_path / "c.cfg", minimal_raw(**{
+            "grid.nodes": "32", "run.dt": "1e-2", "run.t_end": "20.0",
+            "run.stop_on_converged": "true", "run.trace_every": "3",
+            "run.snapshot_every": "5"}))
+        out = tmp_path / "run"
+        assert main(["--quiet", "--out", str(out), "run", p]) == 0
+        cfg = parse_config(p)
+        steady = tmp_path / "zero.pfld"
+        write_records(steady, [(Field.zeros(cfg.grid), 0.0)])
+        assert main(["--quiet", "fit", str(out / "trace.csv"), str(steady),
+                     "--config", p]) == 0
+        got = json.loads((out / "diagnostics.json").read_text())["loj_fit"]
+        ws = OperatorWorkspace(cfg.grid, None)
+        chis = [read_records(snap)[1][0].flat
+                for snap in sorted(out.glob("snap_*.pfld"))]
+        resid = [residual_stationary(chi, cfg.model, cfg.grid, ws)
+                 for chi in chis]
+        want = estimate_lojasiewicz_states(
+            chis, resid, np.zeros(cfg.grid.n_total), cfg.model, ws)
+        assert got == asdict(want)
 
 class TestPublicSurface:
     def test_all_names_resolve(self):

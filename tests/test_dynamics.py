@@ -10,6 +10,7 @@ from phaseflow import (BoundarySpec, Field, Grid, ModelSpec,
                        oracle_step, regularize, residual_stationary, run,
                        step, zero_source)
 from phaseflow import dynamics as dyn
+from phaseflow import models
 from phaseflow.config import make_profile
 from phaseflow.diagnostics import source_report
 from phaseflow.errors import (DomainExhausted, DomainViolation,
@@ -153,7 +154,7 @@ class TestStep:
         st = State.make(0.0, Field.full(g, 5.0), Field.full(g, 0.3), model)
         cfg = TrajectoryConfig(dt=0.9, t_end=0.9, max_newton=80)
         with monkeypatch.context() as patch:
-            patch.setattr(dyn, "MAX_HALVINGS", 0)
+            patch.setattr(models, "MAX_HALVINGS", 0)
             with pytest.raises(DomainExhausted):
                 step(st, cfg, model, g, bc, zero_source())
         new, rep = step(st, cfg, model, g, bc, zero_source())
@@ -278,6 +279,23 @@ class TestRun:
         settings = {"dt": 1e-3, "t_end": 1.0, **bad}
         with pytest.raises(InvalidParameter, match=f"^{name} must"):
             TrajectoryConfig(**settings)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("max_newton", 2.5), ("trace_every", 2.5), ("snapshot_every", 1.5),
+        ("max_newton", True), ("snapshot_every", False),
+        ("trace_every", "3"), ("max_newton", np.float64(4.0))])
+    def test_counts_must_be_integers(self, name, bad):
+        # a float trace_every would trace every few steps unannounced, a
+        # float max_newton die in range() inside the step
+        with pytest.raises(InvalidParameter,
+                           match=f"^{name} must be an integer, got"):
+            TrajectoryConfig(dt=1e-3, t_end=1e-2, **{name: bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-2, max_newton=np.int64(3),
+                               trace_every=np.int32(2),
+                               snapshot_every=np.uint8(0))
+        assert cfg.max_newton == 3
 
     def test_retry_splits_step_once(self, caginalp_model, unit_grid,
                                     dirichlet_bc, monkeypatch):

@@ -3,8 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from phaseflow import BoundarySpec, Field, Grid, integrate
-from phaseflow.errors import InvalidParameter, ParseError, SnapshotError
+from phaseflow import (BoundarySpec, Field, Grid, ModelSpec, State,
+                       TrajectoryConfig, builtin, integrate, run, zero_source)
+from phaseflow import grids
+from phaseflow.errors import (InvalidParameter, ParseError, SingularSolve,
+                              SnapshotError)
 from phaseflow.grids import (OperatorWorkspace, boundary_measure,
                              quad_weights, read_records, write_records)
 
@@ -203,6 +206,62 @@ class TestOperators:
                     want_b, rel=1e-12)
                 assert ws.vstar_neumann_norm(flat) == pytest.approx(
                     want_n, rel=1e-12)
+
+
+class TestPivotSolve:
+    def _cosine_norm(self, nodes):
+        g = Grid((1.0,), (nodes,))
+        return OperatorWorkspace(g, None).vstar_neumann_norm(
+            0.1 * np.cos(np.pi * g.axes()[0]))
+
+    def test_fine_grid_run(self):
+        # round-off in the pivot solves of this grid exceeds 1e-10 of the
+        # data: only a bound that scales with it lets the run finish
+        model = ModelSpec(builtin("caginalp_j"), builtin("quartic_W"),
+                          builtin("linear_lambda", ell=1.0))
+        rows = {}
+        for nodes in (2049, 196609):
+            g = Grid((1.0,), (nodes,))
+            st = State.make(0.0, Field.full(g, 0.0),
+                            Field(g, 0.1 * np.cos(np.pi * g.axes()[0])),
+                            model)
+            traj = run(st, TrajectoryConfig(dt=1e-3, t_end=1e-3,
+                                            newton_tol=1e-6),
+                       model, g, BoundarySpec("dirichlet"), zero_source())
+            rows[nodes] = traj.columns["stationary_residual"][0]
+        # row 0 is the residual of 0.1 cos(pi x) alone.  The dual norm is
+        # at most the H norm, so the bound is the H norm of the stencil's
+        # consistency error on the coarse grid, 0.1 pi^4 h^2 / 12, plus
+        # that of its rounding on the fine grid, 4 u 0.1 / h^2
+        h_c, h_f = 1 / 2048, 1 / 196608
+        u = np.finfo(float).eps / 2
+        bound = 0.1 * np.pi ** 4 / 12 * h_c ** 2 + 4 * u * 0.1 / h_f ** 2
+        assert abs(rows[196609] - rows[2049]) <= bound
+
+    def test_poisoned_factor_raises(self, monkeypatch):
+        # a factor whose solve is off by a relative 1e-8 is caught; the
+        # exact one passes
+        self._cosine_norm(65)
+        real = grids.splu
+
+        class Poisoned:
+            def __init__(self, K):
+                self.lu = real(K)
+                self.L, self.U = self.lu.L, self.lu.U
+
+            def solve(self, g):
+                return self.lu.solve(g) * (1 + 1e-8)
+
+        monkeypatch.setattr(grids, "splu", Poisoned)
+        with pytest.raises(SingularSolve, match="backward error"):
+            self._cosine_norm(65)
+
+    def test_nonfinite_data_raises(self):
+        g = Grid((1.0,), (17,))
+        flat = np.zeros(17)
+        flat[3] = np.nan
+        with pytest.raises(SingularSolve, match="backward error nan"):
+            OperatorWorkspace(g, None).vstar_neumann_norm(flat)
 
 
 class TestNorms:

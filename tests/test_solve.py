@@ -49,10 +49,10 @@ def _newton_system(stepper, state, dt, chi_new):
     lam_old = stepper.model.lam.value(state.chi.flat)
     arrays = stepper.constitutive(theta, state.chi.flat, lam_old, chi_new)
     g = stepper.g_density(state.t + dt)
-    r_theta, r_chi = stepper._residual(arrays, theta[stepper.act], chi_new,
-                                       theta, state.chi.flat, dt, g)
+    z_old = np.concatenate([theta[stepper.act], state.chi.flat])
+    z = np.concatenate([theta[stepper.act], chi_new])
     return (stepper._jacobian(arrays, dt),
-            -np.concatenate([r_theta, r_chi]))
+            -stepper._residual(arrays, z, z_old, dt, g))
 
 
 def _spsolve(stepper, data, rhs):

@@ -5,7 +5,9 @@ from scipy.optimize import brentq
 
 from phaseflow import (Field, Grid, ModelSpec, builtin, check_range,
                        residual_stationary, solve_catalog, solve_stationary)
-from phaseflow.errors import DegenerateJacobian, DomainViolation
+from phaseflow import models
+from phaseflow.errors import (DegenerateJacobian, DomainExhausted,
+                              DomainViolation)
 from phaseflow.models import NonconvexPotential
 from phaseflow.steady import default_confinement
 
@@ -161,3 +163,28 @@ class TestDegenerateJacobian:
         g = Grid((1.0,), (17,))
         with pytest.raises(DegenerateJacobian):
             solve_stationary(Field.full(g, 0.1), model, g)
+
+
+class TestDamping:
+    @pytest.fixture
+    def log_model(self, caginalp_model):
+        return ModelSpec(caginalp_model.j,
+                         builtin("logarithmic_W", theta1=1.0, theta_c=2.0),
+                         caginalp_model.lam)
+
+    def test_converges_with_halvings(self, log_model):
+        # the first Newton update from 0.70 overshoots the wall at -1
+        g = Grid((1.0,), (9,))
+        st = solve_stationary(Field.full(g, 0.70), log_model, g)
+        assert st.newton_iters == 9 and st.residual <= 1e-10
+
+    def test_exhausted_damping_raises_and_catalog_skips(self, log_model,
+                                                        monkeypatch):
+        g = Grid((1.0,), (9,))
+        monkeypatch.setattr(models, "MAX_HALVINGS", 0)
+        with pytest.raises(DomainExhausted, match="stationary solve"):
+            solve_stationary(Field.full(g, 0.70), log_model, g)
+        found = solve_catalog([Field.full(g, 0.70), Field.full(g, 0.0)],
+                              log_model, g)
+        assert len(found) == 1
+        np.testing.assert_array_equal(found[0].chi.values, 0.0)
