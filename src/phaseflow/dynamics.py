@@ -19,21 +19,22 @@ heat operator; both facts are checked by the test suite rather than trusted.
 """
 
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse.linalg import splu
 
 from .errors import DomainViolation, InvalidParameter, NewtonDiverged
 from .grids import Field, OperatorWorkspace, write_records
 from .models import (DOMAIN_MARGIN, damped_update, evaluate, inside,
-                     secant_arrays)
-from .steady import stationary_energy, stationary_vector
+                     secant, secant_derivative)
+from .steady import stationary_energy
 
 _INF = float("inf")
 
@@ -113,6 +114,33 @@ def zero_source():
     return SourceSpec()
 
 
+class Iterate(NamedTuple):
+    """Pointwise arrays of one Newton iterate (theta, chi) of a step from
+    the old order parameter: what the residual reads, and the secant's
+    switch (see ``models.secant``), which the Jacobian reuses."""
+
+    theta: np.ndarray
+    chi: np.ndarray
+    u: np.ndarray                # j'(theta)
+    wp: np.ndarray               # W'(chi)
+    lam_old: np.ndarray          # lam of the old chi, fixed over the step
+    lam: np.ndarray              # lam(chi)
+    lhat: np.ndarray             # secant of lam from the old chi to chi
+    switch: tuple                # the secant's (dsafe, narrow, mid)
+
+
+class StateValues(NamedTuple):
+    """Pointwise values of an accepted state, evaluated once: its trace row
+    reads the first three, and the next step takes ``lam``.  Only the
+    active nodes of ``u`` are read; a step sets it to 0 on Dirichlet
+    boundary nodes."""
+
+    u: np.ndarray                # j'(theta)
+    wp: np.ndarray               # W'(chi)
+    a_chi: np.ndarray            # A chi
+    lam: np.ndarray              # lam(chi)
+
+
 @dataclass(frozen=True)
 class StepReport:
     """What one accepted step did.  ``linear_residual`` is the worst
@@ -121,7 +149,8 @@ class StepReport:
     ``refinement_sweeps`` counts the triangular solves with the kept 2D
     factor (0 in 1D, where every solve factors); ``predictor_fallbacks``
     is 1 when the extrapolated start left the admissible set and Newton
-    started from the old state instead."""
+    started from the old state instead.  ``values`` are the new state's
+    StateValues from the accepting iteration."""
 
     newton_iters: int
     residual: float
@@ -133,6 +162,7 @@ class StepReport:
     refinement_sweeps: int
     linear_residual: float
     predictor_fallbacks: int
+    values: StateValues = field(compare=False, repr=False)
 
 
 @dataclass
@@ -175,6 +205,13 @@ class TrajectoryConfig:
             if value < least:
                 raise InvalidParameter(f"{name} must be at least {least}, "
                                        f"got {value!r}")
+        tols = self.omega_tols
+        if not (isinstance(tols, (tuple, list)) and len(tols) == 3
+                and all(isinstance(v, numbers.Real)
+                        and not isinstance(v, bool) and math.isfinite(v)
+                        and v > 0 for v in tols)):
+            raise InvalidParameter(f"omega_tols must be three finite positive "
+                                   f"numbers, got {tols!r}")
 
 
 def free_energy(theta_flat, chi_flat, model, ws):
@@ -241,8 +278,10 @@ class Stepper:
 
         In 1D the unknowns are interleaved per node as (theta_k, chi_k),
         without the Dirichlet boundary thetas, which gives a band of two
-        sub- and two superdiagonals in LAPACK band storage; in 2D the
-        storage is the data array of a fixed CSC pattern.
+        sub- and two superdiagonals, stored as LAPACK gbsv takes it:
+        a[i, j] in row lower + upper + i - j, with the first ``lower`` rows
+        zero for the factor's fill-in; in 2D the storage is the data array
+        of a fixed CSC pattern.
         """
         m, n = self.m, self.n
         size = m + n
@@ -270,8 +309,8 @@ class Stepper:
             r, c = pos[rows], pos[cols]
             lower, upper = int(np.max(r - c)), int(np.max(c - r))
             self._band = (lower, upper)
-            self._slot = (upper + r - c) * size + c
-            self._nslots = (lower + upper + 1) * size
+            self._slot = (lower + upper + r - c) * size + c
+            self._nslots = (2 * lower + upper + 1) * size
         else:
             keys, self._slot = np.unique(cols * size + rows,
                                          return_inverse=True)
@@ -283,18 +322,24 @@ class Stepper:
 
     # -- constitutive evaluation ------------------------------------------
     def constitutive(self, theta, chi_old, lam_old, chi_new):
-        """All pointwise arrays one Newton iterate needs; ``lam_old`` is
-        lam(chi_old), fixed over the step."""
+        """The Iterate of (theta, chi_new) in a step from chi_old: the
+        pointwise arrays the Newton residual needs; ``lam_old`` is
+        lam(chi_old), fixed over the step.  The derivative arrays only the
+        Jacobian needs are left to ``_jacobian``."""
         m = self.model
         u = np.asarray(m.j.d1(theta), dtype=float)
-        jpp = np.asarray(m.j.d2(theta), dtype=float)
         wp = np.asarray(m.w.d1(chi_new), dtype=float)
-        wpp = np.asarray(m.w.d2(chi_new), dtype=float)
         lam_new = np.asarray(m.lam.value(chi_new), dtype=float)
-        lam_p = np.asarray(m.lam.d1(chi_new), dtype=float)
-        lhat, dlhat = secant_arrays(
-            m.lam.d1, m.lam.d2, chi_old, chi_new, lam_old, lam_new, lam_p)
-        return u, jpp, wp, wpp, lam_old, lam_new, lam_p, lhat, dlhat
+        lhat, switch = secant(m.lam.d1, chi_old, chi_new, lam_old, lam_new)
+        return Iterate(theta, chi_new, u, wp, lam_old, lam_new, lhat, switch)
+
+    def state_values(self, theta, chi):
+        """StateValues of a state that no step accepted, such as a run's
+        initial state; j' and W' are checked against their domains."""
+        m = self.model
+        return StateValues(evaluate(m.j, 1, theta), evaluate(m.w, 1, chi),
+                           self.ws.A_fd @ chi,
+                           np.asarray(m.lam.value(chi), dtype=float))
 
     def g_coefficients(self, t):
         """(e, b) of g(t) = e p + b gamma / w: the source envelope, and for
@@ -350,15 +395,17 @@ class Stepper:
 
     def _residual(self, arrays, z, z_old, dt, g):
         """Newton residual at the iterate z of a step from z_old, both in
-        the Newton ordering: the heat rows, then the phase rows."""
-        u, wp, lam_old, lam_new, lhat = (arrays[i] for i in (0, 2, 4, 5, 7))
+        the Newton ordering (the heat rows, then the phase rows), with the
+        iterate's A chi."""
         act, m, dz = self.act, self.m, z - z_old
-        heat = (dz[:m] / dt + (lam_new[act] - lam_old[act]) / dt
-                + self.ws.B_fd @ u[act])
+        heat = (dz[:m] / dt + (arrays.lam[act] - arrays.lam_old[act]) / dt
+                + self.ws.B_fd @ arrays.u[act])
         if g is not None:
             heat = heat - g[act]
-        return np.concatenate([heat, dz[m:] / dt + self.ws.A_fd @ z[m:] + wp
-                               + self.model.w.kappa * dz[m:] - lhat * u])
+        a_chi = self.ws.A_fd @ z[m:]
+        return np.concatenate([heat, dz[m:] / dt + a_chi + arrays.wp
+                               + self.model.w.kappa * dz[m:]
+                               - arrays.lhat * arrays.u]), a_chi
 
     def _residual_norm(self, r):
         full = np.zeros(self.n)
@@ -366,9 +413,16 @@ class Stepper:
         return max(self.ws.h_norm(full), self.ws.h_norm(r[self.m:]))
 
     def _jacobian(self, arrays, dt):
-        u, jpp, _, wpp = arrays[0], arrays[1], arrays[2], arrays[3]
-        lam_p, lhat, dlhat = arrays[6], arrays[7], arrays[8]
-        kappa = self.model.w.kappa
+        """Newton matrix entries at an Iterate, in the order of the static
+        structure; j'', W'', lam' and the secant's derivative are evaluated
+        here, on the iterations that solve."""
+        m = self.model
+        u, lhat = arrays.u, arrays.lhat
+        jpp = np.asarray(m.j.d2(arrays.theta), dtype=float)
+        wpp = np.asarray(m.w.d2(arrays.chi), dtype=float)
+        lam_p = np.asarray(m.lam.d1(arrays.chi), dtype=float)
+        dlhat = secant_derivative(m.lam.d2, lam_p, lhat, arrays.switch)
+        kappa = m.w.kappa
         jpp_act = jpp[self.act]
         data = np.concatenate([
             self._btt_data * jpp_act[self._btt_col],   # B j''(theta) block
@@ -398,15 +452,16 @@ class Stepper:
         storage = np.bincount(self._slot, weights=data,
                               minlength=self._nslots)
         if self.grid.dim == 1:
+            lower, upper = self._band
             ab = storage.reshape(-1, rhs.size)
             b = rhs[self._perm]
-            try:
-                x = solve_banded(self._band, ab, b, check_finite=False)
-            except LinAlgError as exc:
+            # gbsv factors and solves on copies: ab and b stay intact
+            x, info = dgbsv(lower, upper, ab, b)[2:]
+            if info > 0:
                 raise NewtonDiverged(
-                    f"singular linearization in step solve ({exc})") from None
-            rel = float(np.linalg.norm(_band_matvec(ab, self._band, x) - b)) \
-                / scale
+                    "singular linearization in step solve (singular matrix)")
+            rel = float(np.linalg.norm(
+                _band_matvec(ab[lower:], self._band, x) - b)) / scale
             return x[self._pos], 1, 0, rel
         jac = sps.csc_matrix((storage, self._indices, self._indptr),
                              shape=self._jshape)
@@ -452,7 +507,8 @@ class Stepper:
                        DOMAIN_MARGIN)
                 and inside(self.model.w, z[self.m:], DOMAIN_MARGIN))
 
-    def step(self, state, config, energy_before=None, previous=None):
+    def step(self, state, config, energy_before=None, previous=None,
+             lam_before=None):
         """Advance one step of config.dt; returns (new state, report).
 
         Newton starts from state + (state - previous) when the caller
@@ -465,13 +521,16 @@ class Stepper:
         residual (see ETA_MAX); a step is accepted on its nonlinear residual
         alone, and NewtonDiverged at the cap says if it was still falling.
         Each update is damped by ``models.damped_update``, whose halvings
-        are the report's damping events.
+        are the report's damping events.  ``energy_before`` and
+        ``lam_before``, the free energy and lam(chi) of ``state``, are
+        evaluated here when the caller does not pass them.
         """
         dt = config.dt
         # read only: every iterate below is a new array
         theta_old = state.theta.flat
         chi_old = state.chi.flat
-        lam_old = np.asarray(self.model.lam.value(chi_old), dtype=float)
+        lam_old = lam_before if lam_before is not None else np.asarray(
+            self.model.lam.value(chi_old), dtype=float)
         t_new = state.t + dt
         g = self.g_density(t_new)
         if energy_before is None:
@@ -503,8 +562,8 @@ class Stepper:
             arrays = self.constitutive(theta_f, chi_old, lam_old, chi)
             if self.dirichlet:
                 # boundary flux vanishes exactly there (j'(theta_inf) = 0)
-                arrays[0][self.ws.bmask] = 0.0
-            r = self._residual(arrays, z, z_old, dt, g)
+                arrays.u[self.ws.bmask] = 0.0
+            r, a_chi = self._residual(arrays, z, z_old, dt, g)
             res = self._residual_norm(r)
             if res <= config.newton_tol and not (
                     predicted and it == 1 and config.max_newton > 1):
@@ -517,7 +576,8 @@ class Stepper:
                 e_after = free_energy(theta_f, chi, self.model, self.ws)
                 return new_state, StepReport(
                     it, res, energy_before, e_after, damping_events,
-                    solves, factorizations, sweeps, lin_res, fallbacks)
+                    solves, factorizations, sweeps, lin_res, fallbacks,
+                    StateValues(arrays.u, arrays.wp, a_chi, arrays.lam))
             if it == config.max_newton:
                 trend = "still falling" if res < res_min else (
                     f"stalled: smallest {res_min:.3e} first reached at "
@@ -670,24 +730,29 @@ def _fmt(x):
 
 
 def _accepted_steps(stepper, state, energy, config, stats):
-    """Yield (k, state, energy, newton_iters) for k = 0 ... n_steps, the
-    initial state first with 0 iterations; step k's state has time k * dt.
-    A step predicts from the state before it.  One whose Newton solve
-    diverges is retried once as two unpredicted half steps; if a half step
-    diverges too, the NewtonDiverged raised names the whole step's time
-    and both failures.  Every report is summed into ``stats``."""
-    yield 0, state, energy, 0
+    """Yield (k, state, energy, values, newton_iters) for k = 0 ... n_steps,
+    the initial state first with 0 iterations; step k's state has time
+    k * dt, and ``values`` are its StateValues, of the initial state
+    evaluated once here and of a step's state from its report.  A step
+    predicts from the state before it.  One whose Newton solve diverges is
+    retried once as two unpredicted half steps; if a half step diverges
+    too, the NewtonDiverged raised names the whole step's time and both
+    failures.  Every report is summed into ``stats``."""
+    values = stepper.state_values(state.theta.flat, state.chi.flat)
+    yield 0, state, energy, values, 0
     previous = None
     for k in range(1, round(config.t_end / config.dt) + 1):
         try:
             steps = [stepper.step(state, config, energy_before=energy,
-                                  previous=previous)]
+                                  previous=previous, lam_before=values.lam)]
         except NewtonDiverged as whole:
             half = replace(config, dt=0.5 * config.dt)
             try:
-                mid, rep1 = stepper.step(state, half, energy_before=energy)
+                mid, rep1 = stepper.step(state, half, energy_before=energy,
+                                         lam_before=values.lam)
                 steps = [(mid, rep1), stepper.step(
-                    mid, half, energy_before=rep1.energy_after)]
+                    mid, half, energy_before=rep1.energy_after,
+                    lam_before=rep1.values.lam)]
             except NewtonDiverged as part:
                 msg = (f"step to t = {k * config.dt:.12g}: {whole}; "
                        f"retried as two half steps: {part}")
@@ -701,13 +766,15 @@ def _accepted_steps(stepper, state, energy, config, stats):
         previous, (state, report) = state, steps[-1]
         # from the step index: repeated addition of dt drifts
         state.t = k * config.dt
-        energy = report.energy_after
-        yield k, state, energy, sum([rep.newton_iters for _, rep in steps])
+        energy, values = report.energy_after, report.values
+        yield (k, state, energy, values,
+               sum([rep.newton_iters for _, rep in steps]))
 
 
-def _trace_row(state, prev, energy, iters, model, ws):
+def _trace_row(state, prev, energy, values, iters, model, ws):
     """Trace and aux values of a row after the row ``prev`` (None for the
-    first); each operator product and pointwise law is evaluated once."""
+    first), read off the state's StateValues: no pointwise law or operator
+    product is evaluated again."""
     th, ch = state.theta.flat, state.chi.flat
     if prev is None:
         chit = thetat = 0.0
@@ -715,16 +782,16 @@ def _trace_row(state, prev, energy, iters, model, ws):
         dtr = state.t - prev.t
         chit = ws.h_norm(ch - prev.chi.flat) / dtr
         thetat = ws.h_norm(th - prev.theta.flat) / dtr
-    stat_vec, a_chi, wprime = stationary_vector(ch, model, ws)
     dev = th - model.j.theta_inf
     return {"t": state.t, "energy": energy,
-            "norm_u_V": ws.vcal_norm(evaluate(model.j, 1, th)),
+            "norm_u_V": ws.vcal_norm(values.u),
             "norm_chit_H": chit, "dist_theta_H": ws.h_norm(dev),
-            "stationary_residual": ws.vstar_neumann_norm(stat_vec),
+            "stationary_residual": ws.vstar_neumann_norm(values.a_chi
+                                                         + values.wp),
             "newton_iters": iters,
             "norm_thetat_H": thetat, "norm_theta_V": ws.vcal_norm(dev),
-            "norm_chi_H2": ws.h_norm(a_chi) + ws.v_norm(ch),
-            "norm_wprime_H": ws.h_norm(wprime)}
+            "norm_chi_H2": ws.h_norm(values.a_chi) + ws.v_norm(ch),
+            "norm_wprime_H": ws.h_norm(values.wp)}
 
 
 def run(initial, config, model, grid, bc, source, out_dir=None):
@@ -762,10 +829,11 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     stats = dict(dict.fromkeys(RUN_STATS, 0), linear_residual_max=0.0)
 
     try:
-        for k, state, energy, iters in _accepted_steps(stepper, initial, e0,
-                                                       config, stats):
+        for k, state, energy, values, iters in _accepted_steps(
+                stepper, initial, e0, config, stats):
             if k % config.trace_every == 0 or k == n_steps:
-                row = _trace_row(state, prev, energy, iters, model, stepper.ws)
+                row = _trace_row(state, prev, energy, values, iters, model,
+                                 stepper.ws)
                 for key, v in row.items():
                     series[key].append(v)
                 if csv_fh is not None:

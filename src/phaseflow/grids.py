@@ -312,9 +312,9 @@ class OperatorWorkspace:
                                     _backward_error_bound(K, k_norm))
         lu, K, k_norm, least = self._factors[pivot]
         sol = lu.solve(g)
-        res = float(np.max(np.abs(g - K @ sol)))
-        scale = k_norm * float(np.max(np.abs(sol))) \
-            + float(np.max(np.abs(g)))
+        res, sol_max, g_max = np.abs([g - K @ sol, sol, g]).max(
+            axis=1).tolist()
+        scale = k_norm * sol_max + g_max
         err = res / scale if scale else res
         if not err <= least:                  # NaN fails too
             bound = _backward_error_bound(K, k_norm, lu)

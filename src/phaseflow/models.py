@@ -112,6 +112,8 @@ def inside(potential, arr, margin=0.0):
     """True iff every entry of ``arr`` lies in the open domain of the
     potential shrunk by ``margin``; NaN and +-inf are never inside."""
     lo, hi = potential.domain
+    if lo == -_INF and hi == _INF:
+        return bool(np.isfinite(arr).all())
     return bool((arr > lo + margin).all() and (arr < hi - margin).all())
 
 
@@ -150,7 +152,7 @@ def evaluate(potential, order, r):
 
 #: switching tolerance of the public divided difference (its documented
 #: contract); the stepper uses the coarser, noise-balanced SECANT_RTOL
-#: of secant_arrays instead
+#: of secant instead
 DIVIDED_DIFFERENCE_RTOL = 1e-12
 
 
@@ -179,25 +181,38 @@ def divided_difference_lambda(lam, a, b):
 SECANT_RTOL = 1e-5
 
 
-def secant_arrays(lam_d1, lam_d2, a, b, lam_a, lam_b, lam_p_b):
-    """Secant (lam(b)-lam(a))/(b-a) and its derivative w.r.t. b, vectorized.
+def secant(lam_d1, a, b, lam_a, lam_b):
+    """Secant (lam(b)-lam(a))/(b-a), vectorized, with its switch: the
+    divisor ``dsafe`` (b - a, or 1 below the switching tolerance), the
+    switched nodes ``narrow`` and their midpoints, which
+    ``secant_derivative`` reuses.
 
-    Below the switching tolerance the secant degenerates to lam'(mid) and the
-    derivative to lam''(mid)/2 (the analytic limits); lam' and lam'' are
-    evaluated on those nodes only.
+    Below the switching tolerance the secant degenerates to lam'(mid), the
+    analytic limit; lam' is evaluated on those nodes only.
     """
     d = b - a
     tol = SECANT_RTOL * (1.0 + np.abs(a) + np.abs(b))
     wide = np.abs(d) > tol
     dsafe = np.where(wide, d, 1.0)
     lhat = (lam_b - lam_a) / dsafe
-    dlhat = (lam_p_b - lhat) / dsafe
     narrow = np.flatnonzero(~wide)
+    mid = None
     if narrow.size:
         mid = 0.5 * (a[narrow] + b[narrow])
         lhat[narrow] = lam_d1(mid)
+    return lhat, (dsafe, narrow, mid)
+
+
+def secant_derivative(lam_d2, lam_p_b, lhat, switch):
+    """Derivative w.r.t. b of the secant ``lhat`` with its ``switch`` from
+    ``secant``, given lam_p_b = lam'(b): (lam'(b) - lhat)/(b - a), and on the
+    switched nodes lam''(mid)/2, the analytic limit, with lam'' evaluated
+    on those nodes only."""
+    dsafe, narrow, mid = switch
+    dlhat = (lam_p_b - lhat) / dsafe
+    if narrow.size:
         dlhat[narrow] = 0.5 * lam_d2(mid)
-    return lhat, dlhat
+    return dlhat
 
 
 # ----------------------------------------------------------------------

@@ -78,10 +78,8 @@ def stationary_energy(chi_flat, model, ws):
 
 
 def stationary_vector(chi_flat, model, ws):
-    """Nodal residual A chi + W'(chi) of the stationary equation, with its
-    two terms A chi and W'(chi), which the trace monitors also read."""
-    a_chi, wprime = ws.A_fd @ chi_flat, evaluate(model.w, 1, chi_flat)
-    return a_chi + wprime, a_chi, wprime
+    """Nodal residual A chi + W'(chi) of the stationary equation."""
+    return ws.A_fd @ chi_flat + evaluate(model.w, 1, chi_flat)
 
 
 def residual_stationary(chi, model, grid, ws=None):
@@ -95,7 +93,7 @@ def residual_stationary(chi, model, grid, ws=None):
     if ws is None:
         ws = OperatorWorkspace(grid, None)
     flat = chi.flat if isinstance(chi, Field) else np.asarray(chi).ravel()
-    return ws.vstar_neumann_norm(stationary_vector(flat, model, ws)[0])
+    return ws.vstar_neumann_norm(stationary_vector(flat, model, ws))
 
 
 def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
@@ -116,7 +114,7 @@ def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
         raise DomainViolation("guess leaves the domain of W")
 
     for it in range(1, STATIONARY_MAX_ITER + 1):
-        r = stationary_vector(chi, model, ws)[0]
+        r = stationary_vector(chi, model, ws)
         res = ws.vstar_neumann_norm(r)
         if res <= tol:
             break

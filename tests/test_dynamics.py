@@ -291,11 +291,29 @@ class TestRun:
                            match=f"^{name} must be an integer, got"):
             TrajectoryConfig(dt=1e-3, t_end=1e-2, **{name: bad})
 
+    @pytest.mark.parametrize("tols", [
+        (1e-7, 1e-6), "1e-7", (float("nan"),) * 3, (-1.0, 1e-6, 1e-6),
+        (1e-7, 0.0, 1e-6), (1e-7, 1e-6, float("inf")), (1e-7, "1e-6", 1e-6),
+        (1e-7, True, 1e-6), (1e-7, 1e-6, 1e-6, 1e-6), np.array(1e-7)])
+    def test_omega_tols_must_be_three_positive_numbers(self, tols):
+        # a pair failed at the second trace row, a string with a raw
+        # TypeError, and NaN or negative thresholds ran on to PENDING
+        with pytest.raises(InvalidParameter,
+                           match="^omega_tols must be three finite positive "
+                                 "numbers, got"):
+            TrajectoryConfig(dt=1e-3, t_end=1e-2, omega_tols=tols)
+
     def test_numpy_integer_counts_accepted(self):
         cfg = TrajectoryConfig(dt=1e-3, t_end=1e-2, max_newton=np.int64(3),
                                trace_every=np.int32(2),
                                snapshot_every=np.uint8(0))
         assert cfg.max_newton == 3
+
+    def test_omega_tols_of_any_real_type_accepted(self):
+        cfg = TrajectoryConfig(dt=1e-3, t_end=1e-2,
+                               omega_tols=[1, np.float64(1e-6), np.int64(2)])
+        scan = dyn.OmegaScan(cfg.omega_tols)
+        assert [scan.push(0.0, 0.0, 0.0) for _ in range(4)][-1] == 3
 
     def test_retry_splits_step_once(self, caginalp_model, unit_grid,
                                     dirichlet_bc, monkeypatch):
@@ -304,12 +322,11 @@ class TestRun:
         original = dyn.Stepper.step
         calls = {"n": 0}
 
-        def flaky(self, state, config, energy_before=None, previous=None):
+        def flaky(self, state, config, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NewtonDiverged("injected failure")
-            return original(self, state, config,
-                            energy_before=energy_before, previous=previous)
+            return original(self, state, config, **kwargs)
 
         monkeypatch.setattr(dyn.Stepper, "step", flaky)
         traj = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
@@ -329,8 +346,7 @@ class TestRun:
         st = cosine_state(unit_grid, caginalp_model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=5e-3)
 
-        def always_fails(self, state, config, energy_before=None,
-                         previous=None):
+        def always_fails(self, state, config, **kwargs):
             raise NewtonDiverged("injected failure")
 
         monkeypatch.setattr(dyn.Stepper, "step", always_fails)
@@ -464,12 +480,11 @@ class TestPredictor:
         original = dyn.Stepper.step
         calls = []
 
-        def flaky(self, state, config, energy_before=None, previous=None):
+        def flaky(self, state, config, previous=None, **kwargs):
             if len(calls) == 3:
                 calls.append(None)
                 raise NewtonDiverged("injected failure")
-            out = original(self, state, config, energy_before=energy_before,
-                           previous=previous)
+            out = original(self, state, config, previous=previous, **kwargs)
             calls.append((state, config, out, previous))
             return out
 
@@ -631,20 +646,24 @@ class TestTraceRows:
         model = _wall_model()
         g = Grid((1.0,), (33,))
         st = cosine_state(g, model)
-        counts = dict.fromkeys(("j_d1", "w_d1", "lam"), 0)
-        j = replace(model.j, d1=_counted(model.j.d1, counts, "j_d1"))
-        w = replace(model.w, d1=_counted(model.w.d1, counts, "w_d1"))
+        counts = dict.fromkeys(("j_d1", "j_d2", "w_d1", "w_d2", "lam"), 0)
+        j = replace(model.j, d1=_counted(model.j.d1, counts, "j_d1"),
+                    d2=_counted(model.j.d2, counts, "j_d2"))
+        w = replace(model.w, d1=_counted(model.w.d1, counts, "w_d1"),
+                    d2=_counted(model.w.d2, counts, "w_d2"))
         lam = replace(model.lam,
                       value=_counted(model.lam.value, counts, "lam"))
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.05, trace_every=5)
         traj = run(st, cfg, ModelSpec(j, w, lam), g, dirichlet_bc,
                    zero_source())
-        iters, rows, steps = traj.stats["newton_iters"], traj.times.size, 50
-        assert (iters, rows) == (150, 11)
-        # j' and W' once per Newton iteration and once per row; lam(chi)
-        # at the iterate, and at the old state once per step
-        assert counts == {"j_d1": iters + rows, "w_d1": iters + rows,
-                          "lam": iters + steps}
+        iters, rows = traj.stats["newton_iters"], traj.times.size
+        solves = traj.stats["linear_solves"]
+        assert (iters, rows, solves) == (150, 11, 100)
+        # j', W' and lam(chi) once per Newton iteration and once for the
+        # initial state: a row and the next step read the accepting
+        # iteration's; j'' and W'' only on iterations that solve
+        assert counts == {"j_d1": iters + 1, "w_d1": iters + 1,
+                          "lam": iters + 1, "j_d2": solves, "w_d2": solves}
 
 
 class TestEnergyInequality:

@@ -7,7 +7,7 @@ from phaseflow import (Grid, ModelSpec, builtin, builtin_names,
                        residual_stationary, validate_hypotheses)
 from phaseflow.errors import (DomainViolation, InvalidParameter,
                               UnknownModel)
-from phaseflow.models import SECANT_RTOL, secant_arrays
+from phaseflow.models import SECANT_RTOL, secant, secant_derivative
 
 
 class TestEvaluate:
@@ -164,6 +164,13 @@ class TestDividedDifference:
             assert abs(lhat - float(lam.d1(np.float64(a)))) <= bound
 
 
+def _secant_pair(lam_d1, lam_d2, a, b, lam_a, lam_b, lam_p_b):
+    """The secant and its derivative as a step's Newton iteration that
+    solves evaluates them: ``secant``, then ``secant_derivative``."""
+    lhat, switch = secant(lam_d1, a, b, lam_a, lam_b)
+    return lhat, secant_derivative(lam_d2, lam_p_b, lhat, switch)
+
+
 class TestSecantKernel:
     def test_switch_tolerance(self):
         lam = builtin("tanh_lambda")
@@ -172,8 +179,8 @@ class TestSecantKernel:
         lam_a = np.asarray(lam.value(a))
         lam_b = np.asarray(lam.value(b))
         lam_p = np.asarray(lam.d1(b))
-        lhat, dlhat = secant_arrays(lam.d1, lam.d2, a, b, lam_a, lam_b,
-                                    lam_p)
+        lhat, dlhat = _secant_pair(lam.d1, lam.d2, a, b, lam_a, lam_b,
+                                   lam_p)
         assert lhat[0] == pytest.approx(float(lam.d1(np.float64(0.5))))
         secant = (lam_b[1] - lam_a[1]) / 1e-3
         assert lhat[1] == pytest.approx(secant)
@@ -187,7 +194,7 @@ class TestSecantKernel:
         a = np.array([0.4])
         d = 1e-6
         b = a + d
-        lhat, _ = secant_arrays(
+        lhat, _ = _secant_pair(
             lam.d1, lam.d2, a, b, np.asarray(lam.value(a)),
             np.asarray(lam.value(b)), np.asarray(lam.d1(b)))
         m = 0.4 + 0.5 * d
@@ -205,8 +212,8 @@ class TestSecantKernel:
         b = a + rng.uniform(-0.5, 0.5, 100)
         lam_a = np.asarray(lam.value(a))
         lam_b = np.asarray(lam.value(b))
-        lhat, _ = secant_arrays(lam.d1, lam.d2, a, b, lam_a, lam_b,
-                                np.asarray(lam.d1(b)))
+        lhat, _ = _secant_pair(lam.d1, lam.d2, a, b, lam_a, lam_b,
+                               np.asarray(lam.d1(b)))
         np.testing.assert_allclose(lhat * (b - a), lam_b - lam_a,
                                    atol=1e-15)
 
@@ -229,9 +236,9 @@ class TestSecantKernel:
         assert np.count_nonzero(narrow) == 10
         lam_a, lam_b = np.asarray(lam.value(a)), np.asarray(lam.value(b))
         lam_p = np.asarray(lam.d1(b))
-        lhat, dlhat = secant_arrays(counted(lam.d1, "d1"),
-                                    counted(lam.d2, "d2"), a, b, lam_a,
-                                    lam_b, lam_p)
+        lhat, dlhat = _secant_pair(counted(lam.d1, "d1"),
+                                   counted(lam.d2, "d2"), a, b, lam_a,
+                                   lam_b, lam_p)
         assert points == {"d1": 10, "d2": 10}
         # the same arrays as the limits evaluated everywhere and selected
         mid = 0.5 * (a + b)
@@ -242,8 +249,8 @@ class TestSecantKernel:
         assert np.array_equal(lhat, ref_lhat)
         assert np.array_equal(dlhat, ref_dlhat)
         # no narrow node: no evaluation at all
-        secant_arrays(counted(lam.d1, "d1"), counted(lam.d2, "d2"),
-                      a[1:5], b[1:5], lam_a[1:5], lam_b[1:5], lam_p[1:5])
+        _secant_pair(counted(lam.d1, "d1"), counted(lam.d2, "d2"),
+                     a[1:5], b[1:5], lam_a[1:5], lam_b[1:5], lam_p[1:5])
         assert points == {"d1": 10, "d2": 10}
 
 class TestValidateHypotheses:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
 from phaseflow import (BoundarySpec, Field, Grid, ModelSpec, State, Stepper,
@@ -52,7 +53,7 @@ def _newton_system(stepper, state, dt, chi_new):
     z_old = np.concatenate([theta[stepper.act], state.chi.flat])
     z = np.concatenate([theta[stepper.act], chi_new])
     return (stepper._jacobian(arrays, dt),
-            -stepper._residual(arrays, z, z_old, dt, g))
+            -stepper._residual(arrays, z, z_old, dt, g)[0])
 
 
 def _spsolve(stepper, data, rhs):
@@ -114,6 +115,39 @@ class TestLinearSolve:
         assert factorizations == sweeps == 0 and rel == 0.0
         np.testing.assert_array_equal(x, np.zeros_like(rhs))
         assert stepper._lu is None
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "robin"])
+    def test_1d_solve_matches_solve_banded_bitwise(self, wall_model, kind):
+        # pins the gbsv storage: the band a[i, j] in row lower + upper +
+        # i - j, under ``lower`` rows left for the factor's fill-in
+        grid = Grid((1.0,), (129,))
+        state = _near_wall_state(grid, wall_model)
+        stepper = Stepper(wall_model, grid, _bc(kind), zero_source())
+        data, rhs = _newton_system(stepper, state, 1e-2, state.chi.flat)
+        size, perm = rhs.size, stepper._perm
+        dense = np.zeros((size, size))
+        np.add.at(dense, (stepper._jrows, stepper._jcols), data)
+        banded = dense[np.ix_(perm, perm)]
+        lower, upper = stepper._band
+        ab = np.zeros((lower + upper + 1, size))
+        for d in range(-lower, upper + 1):     # d = j - i
+            ab[upper - d, max(d, 0):size + min(d, 0)] = np.diagonal(banded, d)
+        ref = np.empty(size)
+        ref[perm] = solve_banded((lower, upper), ab, rhs[perm])
+        assert np.array_equal(stepper.linear_solve(data, rhs)[0], ref)
+
+    @pytest.mark.parametrize("nodes, cause", [((33,), "singular matrix"),
+                                              ((8, 8), "exactly singular")])
+    def test_zero_matrix_diverges(self, wall_model, nodes, cause):
+        # LAPACK gbsv's info > 0 in 1D, SuperLU's factor error in 2D
+        grid = Grid((1.0,) * len(nodes), nodes)
+        state = _near_wall_state(grid, wall_model)
+        stepper = Stepper(wall_model, grid, _bc("robin"), zero_source())
+        _, rhs = _newton_system(stepper, state, 1e-2, state.chi.flat)
+        with pytest.raises(NewtonDiverged,
+                           match=f"^singular linearization in step solve "
+                                 f"\\(.*{cause}"):
+            stepper.linear_solve(np.zeros(stepper._jrows.size), rhs)
 
     def test_1d_band_is_two_wide(self, wall_model):
         for kind in ("dirichlet", "robin"):
