@@ -193,9 +193,11 @@ def make_profile(kind, amplitude, grid_extents):
 
 
 def make_initial_field(rd, prefix, grid, default_value=0.0):
-    """The initial field under ``prefix``, or None after a violation."""
+    """The initial field under ``prefix``, or None after a violation.  An
+    overflow reads inf, which Field reports as a non-finite value."""
     try:
-        return _initial_field(rd, prefix, grid, default_value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _initial_field(rd, prefix, grid, default_value)
     except InvalidParameter as exc:
         rd.violations.append(f"'{prefix}': {exc}")
         return None

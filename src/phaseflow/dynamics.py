@@ -130,11 +130,12 @@ class Iterate(NamedTuple):
 
 
 class StateValues(NamedTuple):
-    """Pointwise values of an accepted state, evaluated once: its trace row
-    reads the first three, and the next step takes ``lam``.  Only the
+    """What an accepted state hands forward, evaluated once: its trace row
+    reads all but ``lam``, and the next step takes ``lam``.  Only the
     active nodes of ``u`` are read; a step sets it to 0 on Dirichlet
     boundary nodes."""
 
+    energy: float                # free_energy of the state
     u: np.ndarray                # j'(theta)
     wp: np.ndarray               # W'(chi)
     a_chi: np.ndarray            # A chi
@@ -144,23 +145,23 @@ class StateValues(NamedTuple):
 @dataclass(frozen=True)
 class StepReport:
     """What one accepted step did.  ``linear_residual`` is the worst
-    relative linear residual ||J d + r|| / ||r|| of its Newton solves, in
-    2D bounded by the forcing cap ETA_MAX and in 1D round-off;
-    ``refinement_sweeps`` counts the triangular solves with the kept 2D
-    factor (0 in 1D, where every solve factors); ``predictor_fallbacks``
-    is 1 when the extrapolated start left the admissible set and Newton
-    started from the old state instead.  ``values`` are the new state's
-    StateValues from the accepting iteration."""
+    relative linear residual ||J d + r|| / ||r|| of its 2D Newton solves,
+    bounded by the forcing cap ETA_MAX, and None when no solve measured one
+    (every 1D step, where the direct band solve reports none, and a step
+    without a solve); ``refinement_sweeps`` counts the triangular solves
+    with the kept 2D factor (0 in 1D, where every solve factors);
+    ``predictor_fallbacks`` is 1 when the extrapolated start left the
+    admissible set and Newton started from the old state instead.
+    ``values`` are the new state's StateValues from the accepting
+    iteration, its free energy among them."""
 
     newton_iters: int
     residual: float
-    energy_before: float
-    energy_after: float
     damping_events: int
     linear_solves: int
     factorizations: int
     refinement_sweeps: int
-    linear_residual: float
+    linear_residual: Optional[float]
     predictor_fallbacks: int
     values: StateValues = field(compare=False, repr=False)
 
@@ -221,17 +222,14 @@ def free_energy(theta_flat, chi_flat, model, ws):
         np.dot(ws.w, np.asarray(model.j.value(theta_flat))))
 
 
-def _band_matvec(ab, band, x):
-    """a @ x for the matrix a in LAPACK band storage ab[u + i - j, j]."""
-    lower, upper = band
-    y = np.zeros_like(x)
-    for row in range(lower + upper + 1):
-        d = row - upper                         # i - j on this diagonal
-        if d >= 0:
-            y[d:] += ab[row, :x.size - d] * x[:x.size - d]
-        else:
-            y[:d] += ab[row, -d:] * x[-d:]
-    return y
+def _worst(a, b):
+    """The larger of two linear residuals, where None is no measurement
+    and NaN wins: ``max`` would drop a NaN against an earlier value."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return float(np.maximum(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +335,8 @@ class Stepper:
         """StateValues of a state that no step accepted, such as a run's
         initial state; j' and W' are checked against their domains."""
         m = self.model
-        return StateValues(evaluate(m.j, 1, theta), evaluate(m.w, 1, chi),
+        return StateValues(free_energy(theta, chi, m, self.ws),
+                           evaluate(m.j, 1, theta), evaluate(m.w, 1, chi),
                            self.ws.A_fd @ chi,
                            np.asarray(m.lam.value(chi), dtype=float))
 
@@ -440,10 +439,11 @@ class Stepper:
         (active thetas, then all chis).
 
         Returns (x, factorizations, sweeps, relative residual
-        ||J x - rhs|| / ||rhs||).  1D factors the band directly and ignores
-        ``tol``; 2D reuses the lagged factor by iterative refinement down
-        to the relative residual ``tol`` and refactors with the current
-        Jacobian when that misses it.  A zero rhs gives x = 0 without a
+        ||J x - rhs|| / ||rhs||).  1D factors the band directly, ignores
+        ``tol`` and measures no residual (None); 2D reuses the lagged
+        factor by iterative refinement down to the relative residual
+        ``tol`` and refactors with the current Jacobian when that misses
+        it.  A zero rhs gives x = 0, and the residual 0.0, without a
         factorization.  A singular factor raises NewtonDiverged.
         """
         scale = float(np.linalg.norm(rhs))
@@ -453,16 +453,13 @@ class Stepper:
                               minlength=self._nslots)
         if self.grid.dim == 1:
             lower, upper = self._band
-            ab = storage.reshape(-1, rhs.size)
-            b = rhs[self._perm]
-            # gbsv factors and solves on copies: ab and b stay intact
-            x, info = dgbsv(lower, upper, ab, b)[2:]
+            # gbsv factors and solves on copies of the band and rhs
+            x, info = dgbsv(lower, upper, storage.reshape(-1, rhs.size),
+                            rhs[self._perm])[2:]
             if info > 0:
                 raise NewtonDiverged(
                     "singular linearization in step solve (singular matrix)")
-            rel = float(np.linalg.norm(
-                _band_matvec(ab[lower:], self._band, x) - b)) / scale
-            return x[self._pos], 1, 0, rel
+            return x[self._pos], 1, 0, None
         jac = sps.csc_matrix((storage, self._indices, self._indptr),
                              shape=self._jshape)
         factorizations = 0
@@ -507,8 +504,7 @@ class Stepper:
                        DOMAIN_MARGIN)
                 and inside(self.model.w, z[self.m:], DOMAIN_MARGIN))
 
-    def step(self, state, config, energy_before=None, previous=None,
-             lam_before=None):
+    def step(self, state, config, values=None, previous=None):
         """Advance one step of config.dt; returns (new state, report).
 
         Newton starts from state + (state - previous) when the caller
@@ -521,21 +517,18 @@ class Stepper:
         residual (see ETA_MAX); a step is accepted on its nonlinear residual
         alone, and NewtonDiverged at the cap says if it was still falling.
         Each update is damped by ``models.damped_update``, whose halvings
-        are the report's damping events.  ``energy_before`` and
-        ``lam_before``, the free energy and lam(chi) of ``state``, are
-        evaluated here when the caller does not pass them.
+        are the report's damping events.  ``values`` are the StateValues
+        of ``state``, evaluated here when the caller does not pass them.
         """
         dt = config.dt
         # read only: every iterate below is a new array
         theta_old = state.theta.flat
         chi_old = state.chi.flat
-        lam_old = lam_before if lam_before is not None else np.asarray(
-            self.model.lam.value(chi_old), dtype=float)
+        if values is None:
+            values = self.state_values(theta_old, chi_old)
+        lam_old = values.lam
         t_new = state.t + dt
         g = self.g_density(t_new)
-        if energy_before is None:
-            energy_before = free_energy(theta_old, chi_old, self.model,
-                                        self.ws)
 
         # the iterate in the Newton ordering: active thetas, then all chis
         z_old = np.concatenate([theta_old[self.act], chi_old])
@@ -553,7 +546,7 @@ class Stepper:
                 z, fallbacks = z_old, 1
         damping_events = 0
         solves = factorizations = sweeps = 0
-        lin_res = 0.0
+        lin_res = None
         eta, res_prev = ETA_MAX, None
         res_min, it_min = _INF, 0     # least residual, first iteration
 
@@ -573,11 +566,14 @@ class Stepper:
                 new_state = State(t_new, Field(self.grid,
                                                theta_f.reshape(shape)),
                                   Field(self.grid, chi.reshape(shape)))
-                e_after = free_energy(theta_f, chi, self.model, self.ws)
                 return new_state, StepReport(
-                    it, res, energy_before, e_after, damping_events,
-                    solves, factorizations, sweeps, lin_res, fallbacks,
-                    StateValues(arrays.u, arrays.wp, a_chi, arrays.lam))
+                    newton_iters=it, residual=res,
+                    damping_events=damping_events, linear_solves=solves,
+                    factorizations=factorizations, refinement_sweeps=sweeps,
+                    linear_residual=lin_res, predictor_fallbacks=fallbacks,
+                    values=StateValues(
+                        free_energy(theta_f, chi, self.model, self.ws),
+                        arrays.u, arrays.wp, a_chi, arrays.lam))
             if it == config.max_newton:
                 trend = "still falling" if res < res_min else (
                     f"stalled: smallest {res_min:.3e} first reached at "
@@ -598,7 +594,7 @@ class Stepper:
             solves += 1
             factorizations += factored
             sweeps += swept
-            lin_res = max(lin_res, rel)
+            lin_res = _worst(lin_res, rel)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDiverged("singular linearization in step solve",
                                      residual=res)
@@ -716,43 +712,42 @@ class Trajectory:
         return np.array([self.stepper.g_dual_norm(t) for t in self.times])
 
 
-#: Trajectory.stats keys: the StepReport counters SUMMED_STATS over every
-#: accepted step and half step, the worst relative linear residual of the
-#: run (in 2D bounded by the forcing cap ETA_MAX, in 1D round-off), and the
-#: steps retried as two half steps
+#: Trajectory.stats keys: the StepReport counters SUMMED_STATS summed, and
+#: MAXED_STATS maximized into <field>_max, over every accepted step and
+#: half step, and the steps retried as two half steps.  A maximum skips a
+#: report's None (no measurement), is None when every report's is, and
+#: keeps a NaN
 SUMMED_STATS = ("newton_iters", "damping_events", "linear_solves",
                 "factorizations", "refinement_sweeps", "predictor_fallbacks")
-RUN_STATS = SUMMED_STATS + ("linear_residual_max", "retried_steps")
+MAXED_STATS = ("linear_residual",)
+RUN_STATS = SUMMED_STATS + tuple(f"{key}_max" for key in MAXED_STATS) + (
+    "retried_steps",)
 
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _accepted_steps(stepper, state, energy, config, stats):
-    """Yield (k, state, energy, values, newton_iters) for k = 0 ... n_steps,
-    the initial state first with 0 iterations; step k's state has time
-    k * dt, and ``values`` are its StateValues, of the initial state
-    evaluated once here and of a step's state from its report.  A step
-    predicts from the state before it.  One whose Newton solve diverges is
-    retried once as two unpredicted half steps; if a half step diverges
-    too, the NewtonDiverged raised names the whole step's time and both
-    failures.  Every report is summed into ``stats``."""
-    values = stepper.state_values(state.theta.flat, state.chi.flat)
-    yield 0, state, energy, values, 0
+def _accepted_steps(stepper, state, values, config, stats):
+    """Yield (k, state, values, newton_iters) for k = 0 ... n_steps, the
+    initial state first, with its given StateValues and 0 iterations; step
+    k's state has time k * dt, and its values come from its report.  A
+    step predicts from the state before it.  One whose Newton solve
+    diverges is retried once as two unpredicted half steps; if a half step
+    diverges too, the NewtonDiverged raised names the whole step's time and
+    both failures.  Every report is reduced into ``stats``."""
+    yield 0, state, values, 0
     previous = None
     for k in range(1, round(config.t_end / config.dt) + 1):
         try:
-            steps = [stepper.step(state, config, energy_before=energy,
-                                  previous=previous, lam_before=values.lam)]
+            steps = [stepper.step(state, config, values=values,
+                                  previous=previous)]
         except NewtonDiverged as whole:
             half = replace(config, dt=0.5 * config.dt)
             try:
-                mid, rep1 = stepper.step(state, half, energy_before=energy,
-                                         lam_before=values.lam)
-                steps = [(mid, rep1), stepper.step(
-                    mid, half, energy_before=rep1.energy_after,
-                    lam_before=rep1.values.lam)]
+                mid, rep1 = stepper.step(state, half, values=values)
+                steps = [(mid, rep1),
+                         stepper.step(mid, half, values=rep1.values)]
             except NewtonDiverged as part:
                 msg = (f"step to t = {k * config.dt:.12g}: {whole}; "
                        f"retried as two half steps: {part}")
@@ -761,17 +756,17 @@ def _accepted_steps(stepper, state, energy, config, stats):
         for _, rep in steps:
             for key in SUMMED_STATS:
                 stats[key] += getattr(rep, key)
-            stats["linear_residual_max"] = max(stats["linear_residual_max"],
-                                               rep.linear_residual)
+            for key in MAXED_STATS:
+                stats[f"{key}_max"] = _worst(stats[f"{key}_max"],
+                                             getattr(rep, key))
         previous, (state, report) = state, steps[-1]
         # from the step index: repeated addition of dt drifts
         state.t = k * config.dt
-        energy, values = report.energy_after, report.values
-        yield (k, state, energy, values,
-               sum([rep.newton_iters for _, rep in steps]))
+        values = report.values
+        yield k, state, values, sum([rep.newton_iters for _, rep in steps])
 
 
-def _trace_row(state, prev, energy, values, iters, model, ws):
+def _trace_row(state, prev, values, iters, model, ws):
     """Trace and aux values of a row after the row ``prev`` (None for the
     first), read off the state's StateValues: no pointwise law or operator
     product is evaluated again."""
@@ -783,7 +778,7 @@ def _trace_row(state, prev, energy, values, iters, model, ws):
         chit = ws.h_norm(ch - prev.chi.flat) / dtr
         thetat = ws.h_norm(th - prev.theta.flat) / dtr
     dev = th - model.j.theta_inf
-    return {"t": state.t, "energy": energy,
+    return {"t": state.t, "energy": values.energy,
             "norm_u_V": ws.vcal_norm(values.u),
             "norm_chit_H": chit, "dist_theta_H": ws.h_norm(dev),
             "stationary_residual": ws.vstar_neumann_norm(values.a_chi
@@ -810,9 +805,8 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     n_steps = round(config.t_end / config.dt)
 
     with np.errstate(over="ignore"):   # an overflow reads inf
-        e0 = free_energy(initial.theta.flat, initial.chi.flat, model,
-                         stepper.ws)
-    if not math.isfinite(e0):
+        values = stepper.state_values(initial.theta.flat, initial.chi.flat)
+    if not math.isfinite(values.energy):
         raise InvalidParameter("initial energy is not finite")
 
     csv_fh = None
@@ -826,14 +820,14 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     series = {k: [] for k in TRACE_COLUMNS + AUX_SERIES}
     prev = None                  # the State of the previous row
     omega = OmegaScan(config.omega_tols)
-    stats = dict(dict.fromkeys(RUN_STATS, 0), linear_residual_max=0.0)
+    stats = dict.fromkeys(RUN_STATS, 0) | dict.fromkeys(
+        f"{key}_max" for key in MAXED_STATS)
 
     try:
-        for k, state, energy, values, iters in _accepted_steps(
-                stepper, initial, e0, config, stats):
+        for k, state, values, iters in _accepted_steps(
+                stepper, initial, values, config, stats):
             if k % config.trace_every == 0 or k == n_steps:
-                row = _trace_row(state, prev, energy, values, iters, model,
-                                 stepper.ws)
+                row = _trace_row(state, prev, values, iters, model, stepper.ws)
                 for key, v in row.items():
                     series[key].append(v)
                 if csv_fh is not None:

@@ -28,6 +28,10 @@ from scipy.sparse.linalg import splu
 from .errors import InvalidParameter, SingularSolve, SnapshotError
 
 
+#: most float64 values one numpy array can hold
+_MAX_VALUES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 @dataclass(frozen=True)
 class Grid:
     """Tensor grid on a box, d in {1, 2}, at least 3 nodes per axis."""
@@ -43,6 +47,10 @@ class Grid:
             raise InvalidParameter("extents must be finite and positive")
         if any(n < 3 for n in self.nodes):
             raise InvalidParameter("need at least 3 nodes per axis")
+        if math.prod(self.nodes) > _MAX_VALUES:
+            raise InvalidParameter(
+                f"grid.nodes give {math.prod(self.nodes)} nodes, more than "
+                f"the {_MAX_VALUES} values a float array can hold")
         object.__setattr__(self, "extents",
                            tuple(float(e) for e in self.extents))
         object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
@@ -238,8 +246,40 @@ def _backward_error_bound(K, k_norm, lu=None):
     g = math.expm1(PIVOT_LAMBDA * math.sqrt(n) * u + n * u * u / (1 - u))
     ratio = 1.0 if lu is None else float(
         np.max(abs(lu.L) @ (abs(lu.U) @ np.ones(n)))) / k_norm
-    k1 = int(np.max(np.diff(K.indptr))) + 1    # K symmetric: row counts
+    # K's sparsity pattern is symmetric: its column counts are row counts
+    k1 = int(np.max(np.diff(K.indptr))) + 1
     return (3 * g + g * g) * ratio + k1 * u / (1 - k1 * u)
+
+
+def _max_norm(K):
+    """||K|| in the max norm: the largest absolute row sum."""
+    return float(abs(K).sum(axis=1).max())
+
+
+def checked_solve(lu, K, g, k_norm=None, least=None):
+    """K^-1 g with the factor ``lu`` of K, a CSC matrix with a symmetric
+    sparsity pattern.  Raises SingularSolve when the max-norm backward
+    error ||g - K x|| / (||K|| ||x|| + ||g||) of the solve is not finite
+    or exceeds the factor's round-off bound ``_backward_error_bound``.  A
+    solve within ``least``, the least value of that bound, passes without
+    reading the factor, which then keeps no copy of L and U.  A caller
+    that solves repeatedly with one K passes ``k_norm`` = ``_max_norm(K)``
+    and ``least`` = ``_backward_error_bound(K, k_norm)``."""
+    if k_norm is None:
+        k_norm = _max_norm(K)
+    if least is None:
+        least = _backward_error_bound(K, k_norm)
+    sol = lu.solve(g)
+    res, sol_max, g_max = np.abs([g - K @ sol, sol, g]).max(axis=1).tolist()
+    scale = k_norm * sol_max + g_max
+    err = res / scale if scale else res
+    if not err <= least:                      # NaN fails too
+        bound = _backward_error_bound(K, k_norm, lu)
+        if not err <= bound:
+            raise SingularSolve(
+                f"pivot solve backward error {err:.3e} exceeds its "
+                f"round-off bound {bound:.3e}")
+    return sol
 
 
 class OperatorWorkspace:
@@ -299,30 +339,20 @@ class OperatorWorkspace:
 
     def pivot_solve(self, pivot, g):
         """K^-1 g for the pivot 'B' (K_B) or 'neumann' (K_V), factored once
-        per workspace.  Raises SingularSolve when the max-norm backward
-        error ||g - K x|| / (||K|| ||x|| + ||g||) of the solve is not
-        finite or exceeds the factor's round-off bound
-        ``_backward_error_bound``.  A solve within the least value of that
-        bound passes without reading the factor, which then keeps no copy
-        of L and U."""
+        per workspace and checked by ``checked_solve``; a pivot SuperLU
+        cannot factor raises SingularSolve."""
         if pivot not in self._factors:
             K = (self.K_B if pivot == "B" else self.K_V).tocsc()
-            k_norm = float(abs(K).sum(axis=1).max())
-            self._factors[pivot] = (splu(K), K, k_norm,
+            try:
+                lu = splu(K)
+            except RuntimeError as exc:
+                raise SingularSolve(
+                    f"pivot factorization failed ({exc})") from None
+            k_norm = _max_norm(K)
+            self._factors[pivot] = (lu, K, k_norm,
                                     _backward_error_bound(K, k_norm))
         lu, K, k_norm, least = self._factors[pivot]
-        sol = lu.solve(g)
-        res, sol_max, g_max = np.abs([g - K @ sol, sol, g]).max(
-            axis=1).tolist()
-        scale = k_norm * sol_max + g_max
-        err = res / scale if scale else res
-        if not err <= least:                  # NaN fails too
-            bound = _backward_error_bound(K, k_norm, lu)
-            if not err <= bound:
-                raise SingularSolve(
-                    f"pivot solve backward error {err:.3e} exceeds its "
-                    f"round-off bound {bound:.3e}")
-        return sol
+        return checked_solve(lu, K, g, k_norm, least)
 
     def vstar_neumann_norm(self, flat):
         """Dual norm with the Neumann pivot regardless of bc (used for the

@@ -18,8 +18,8 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from .errors import (DegenerateJacobian, DomainExhausted, DomainViolation,
-                     InvalidParameter, NewtonDiverged)
-from .grids import Field, OperatorWorkspace, write_records
+                     InvalidParameter, NewtonDiverged, SingularSolve)
+from .grids import Field, OperatorWorkspace, checked_solve, write_records
 from .models import DOMAIN_MARGIN, damped_update, evaluate, inside
 
 
@@ -130,13 +130,12 @@ def solve_stationary(guess, model, grid, tol=1e-10, ws=None):
             raise DegenerateJacobian(
                 f"singular stationary linearization ({exc}); this marks a "
                 "bifurcation point") from None
-        delta = lu.solve(-r)
-        lin_res = float(np.linalg.norm(jac @ delta + r))
-        if not np.all(np.isfinite(delta)) or \
-                lin_res > 1e-8 * (1.0 + float(np.linalg.norm(r))):
+        try:
+            delta = checked_solve(lu, jac, -r)
+        except SingularSolve:
             raise DegenerateJacobian(
                 "stationary linearization is numerically singular; this "
-                "marks a bifurcation point")
+                "marks a bifurcation point") from None
         chi = damped_update(
             chi, delta, lambda c: inside(model.w, c, DOMAIN_MARGIN),
             "stationary solve damping exhausted: iterates cannot stay "

@@ -452,6 +452,15 @@ class TestRunExperiment:
             "output.dir": str(tmp_path / "s")})
         assert run_experiment(build_config(raw), quiet=True) == 3
 
+    def test_singular_robin_pivot_exit_code(self, tmp_path, capsys):
+        # eta = 1e-320 leaves K_B the singular Neumann stiffness
+        raw = parse_raw(os.path.join(CONFIG_DIR, "robin_exchange.cfg"))
+        raw.update({"bc.eta": "1e-320", "run.t_end": "0.01"})
+        path = write_cfg(tmp_path / "c.cfg", raw)
+        assert main(["--quiet", "--out", str(tmp_path / "o"), "run",
+                     path]) == 3
+        assert "pivot factorization failed" in capsys.readouterr().err
+
 
 class TestCliEntry:
     def test_validate_ok(self, tmp_path, capsys):
@@ -589,6 +598,34 @@ class TestCliEntry:
         path = write_cfg(tmp_path / "c.cfg",
                          minimal_raw(**{"run.max_newton": "1" + "0" * 400}))
         assert main(["validate", path]) == 0
+
+    @pytest.mark.parametrize("name", ["caginalp_quartic.cfg",
+                                      "mixed_wall.cfg"])
+    @pytest.mark.parametrize("nodes", ["1" + "0" * 400,
+                                       f"{2 ** 40} {2 ** 40}"],
+                             ids=["1d_400_digits", "2d_2_to_80"])
+    def test_node_count_beyond_any_array(self, tmp_path, capsys, name,
+                                         nodes):
+        # counts numpy rejects before it allocates anything: a violation
+        # naming the key, not numpy's traceback
+        raw = parse_raw(os.path.join(CONFIG_DIR, name))
+        raw["grid.dimension"] = str(len(nodes.split()))
+        raw["grid.extents"] = " ".join(["1.0"] * len(nodes.split()))
+        raw["grid.nodes"] = nodes
+        assert main(["validate", write_cfg(tmp_path / name, raw)]) == 2
+        assert "grid.nodes give" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("grid.extents", "1e308"),
+                                            ("initial.chi.mode", "1e308")])
+    def test_overflowing_initial_field(self, key, value):
+        # the overflow reads inf without a numpy warning, which this suite
+        # turns into an error
+        raw = parse_raw(os.path.join(CONFIG_DIR, "caginalp_quartic.cfg"))
+        raw[key] = value
+        with pytest.raises(ValidationError) as err:
+            build_config(raw)
+        assert err.value.violations == [
+            "'initial.chi': field contains non-finite values"]
 
     @pytest.mark.parametrize("name, key, values", [
         ("robin_exchange.cfg", "bc.kind", ("robin", "dirichlet")),

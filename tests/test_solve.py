@@ -2,6 +2,7 @@
 sparse LU with iterative refinement in 2D, and the counters a run reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +86,10 @@ class TestLinearSolve:
         jac = sps.coo_matrix((data, (stepper._jrows, stepper._jcols)),
                              shape=stepper._jshape).tocsc()
         scale = np.linalg.norm(rhs)
-        assert abs(rel - np.linalg.norm(jac @ x - rhs) / scale) <= 1e-15
+        if grid.dim == 1:
+            assert rel is None      # the direct band solve measures none
+        else:
+            assert abs(rel - np.linalg.norm(jac @ x - rhs) / scale) <= 1e-15
 
     @pytest.mark.parametrize("nodes, kind", SOLVE_CASES)
     def test_refined_solve_meets_its_tolerance(self, wall_model, nodes,
@@ -102,7 +106,7 @@ class TestLinearSolve:
                                        0.9 * chi + 0.01)
             x, _, _, rel = stepper.linear_solve(data, rhs, tol)
             assert _relative_residual(stepper, data, x, rhs) <= tol
-            assert rel <= tol
+            assert rel is None if grid.dim == 1 else rel <= tol
 
     @pytest.mark.parametrize("nodes", [(17,), (8, 8)])
     def test_zero_rhs_solves_nothing(self, wall_model, nodes):
@@ -272,7 +276,33 @@ class TestRunStats:
         assert stats["factorizations"] == stats["linear_solves"]
         assert stats["refinement_sweeps"] == 0
         assert stats["retried_steps"] == 0
-        assert 0.0 < stats["linear_residual_max"] <= 1e-12
+        # the direct band solve measures no linear residual
+        assert stats["linear_residual_max"] is None
+
+    @pytest.mark.parametrize("residuals, worst", [
+        ((None, 1e-3, None, 2e-3, None), 2e-3),
+        ((None, 1e-3, float("nan"), 2e-3, None), "nan"),
+        ((None,) * 5, None)])
+    def test_linear_residual_reduction(self, caginalp_model, unit_grid,
+                                       dirichlet_bc, monkeypatch, residuals,
+                                       worst):
+        # the run's maximum skips None and keeps a NaN, wherever it falls
+        st = cosine_state(unit_grid, caginalp_model)
+        cfg = TrajectoryConfig(dt=1e-3, t_end=5e-3)
+        original = dyn.Stepper.step
+        fed = iter(residuals)
+
+        def step(self, state, config, **kwargs):
+            new, rep = original(self, state, config, **kwargs)
+            return new, replace(rep, linear_residual=next(fed))
+
+        monkeypatch.setattr(dyn.Stepper, "step", step)
+        got = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
+                  zero_source()).stats["linear_residual_max"]
+        if worst == "nan":
+            assert np.isnan(got)
+        else:
+            assert got == worst
 
 
 def _robin_wall_raw(tmp_path):

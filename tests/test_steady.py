@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from phaseflow import (Field, Grid, ModelSpec, builtin, check_range,
                        residual_stationary, solve_catalog, solve_stationary)
-from phaseflow import models
+from phaseflow import models, steady
 from phaseflow.errors import (DegenerateJacobian, DomainExhausted,
                               DomainViolation)
 from phaseflow.models import NonconvexPotential
@@ -163,6 +163,39 @@ class TestDegenerateJacobian:
         g = Grid((1.0,), (17,))
         with pytest.raises(DegenerateJacobian):
             solve_stationary(Field.full(g, 0.1), model, g)
+
+    @staticmethod
+    def _layer_guess(nodes):
+        g = Grid((10.0,), (nodes,))
+        x = g.axes()[0]
+        return g, Field(g, np.tanh((x - 5) / np.sqrt(2))
+                        + 0.05 * np.cos(np.pi * x / 10))
+
+    def test_fine_grid_layer_converges(self, caginalp_model):
+        # the solve's residual grows with the node count while its
+        # backward error stays at round-off: only a bound on the latter
+        # lets this grid through
+        g, guess = self._layer_guess(65537)
+        st = solve_stationary(guess, caginalp_model, g, tol=1e-8)
+        assert st.residual <= 1e-8 and st.newton_iters == 4
+
+    def test_poisoned_factor_is_surfaced(self, caginalp_model,
+                                         monkeypatch):
+        # a factor whose solve is off by a relative 1e-8 is caught
+        g, guess = self._layer_guess(129)
+        real = steady.splu
+
+        class Poisoned:
+            def __init__(self, K):
+                self.lu = real(K)
+                self.L, self.U = self.lu.L, self.lu.U
+
+            def solve(self, b):
+                return self.lu.solve(b) * (1 + 1e-8)
+
+        monkeypatch.setattr(steady, "splu", Poisoned)
+        with pytest.raises(DegenerateJacobian, match="numerically singular"):
+            solve_stationary(guess, caginalp_model, g, tol=1e-8)
 
 
 class TestDamping:
