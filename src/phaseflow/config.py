@@ -193,7 +193,8 @@ def make_profile(kind, amplitude, grid_extents):
 
 
 def make_initial_field(rd, prefix, grid, default_value=0.0):
-    """The initial field under ``prefix``, or None after a violation.  An
+    """The initial field under ``prefix``, or None after a violation or
+    without a grid (``grid`` None), whose keys are read all the same.  An
     overflow reads inf, which Field reports as a non-finite value."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -212,12 +213,15 @@ def _initial_field(rd, prefix, grid, default_value):
     amp = rd.read(f"{prefix}.amplitude", float, 0.1)
     mode = rd.read(f"{prefix}.mode", float, 1.0)
     offset = rd.read(f"{prefix}.offset", float, 0.0)
-    center = rd.read(f"{prefix}.center", float, 0.5 * grid.extents[0])
+    center = rd.read(f"{prefix}.center", float,
+                     None if grid is None else 0.5 * grid.extents[0])
     width = rd.read(f"{prefix}.width", float, 1.0)
     left = rd.read(f"{prefix}.left", float, -1.0)
     right = rd.read(f"{prefix}.right", float, 1.0)
     path = rd.read(f"{prefix}.path", str, required=kind == "snapshot")
     index = rd.read(f"{prefix}.index", int, 0)
+    if grid is None:
+        return None
     if kind == "constant":
         return Field.full(grid, value)
     if kind == "cosine":
@@ -379,14 +383,12 @@ def build_config(raw, base_dir="."):
                 f"1/kappa = {1.0 / kappa}; set run.allow_unstable = true "
                 "to override")
 
-    # initial data
-    initial_theta = initial_chi = None
-    if grid is not None:
-        theta_default = model.j.theta_inf if model is not None else 0.0
-        initial_theta = make_initial_field(rd, "initial.theta", grid,
-                                           default_value=theta_default)
-        initial_chi = make_initial_field(rd, "initial.chi", grid,
-                                         default_value=0.0)
+    # initial data, read whatever the grid: built only on a grid
+    theta_default = model.j.theta_inf if model is not None else 0.0
+    initial_theta = make_initial_field(rd, "initial.theta", grid,
+                                       default_value=theta_default)
+    initial_chi = make_initial_field(rd, "initial.chi", grid,
+                                     default_value=0.0)
 
     # diagnostics options
     diagnostics = {

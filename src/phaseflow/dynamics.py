@@ -45,22 +45,10 @@ OMEGA_THRESHOLDS = (1e-7, 1e-6, 1e-6)
 #: consecutive passing rows that make a convergence verdict
 OMEGA_CONSECUTIVE = 3
 
-#: tightest relative linear residual ||rhs - J x|| / ||rhs|| asked of a 2D
-#: solve, and the default of ``Stepper.linear_solve``
-REFINE_TOL = 1e-12
-
-#: forcing term of inexact Newton in 2D (Eisenstat & Walker 1996, choice 2,
-#: with the floor of Kelley 1995, Sec. 6.3): the first iteration of a step
-#: asks for ETA_MAX, iteration k for
-#: min(ETA_MAX, max(ETA_GAMMA (res_k / res_k-1)^2,
-#:                  ETA_FLOOR newton_tol / res_k, REFINE_TOL))
-ETA_MAX = 1e-3
-ETA_GAMMA = 0.9
-ETA_FLOOR = 0.1
-
-#: triangular-solve sweeps with a lagged 2D factor before it is replaced by
-#: a factor of the current Jacobian
-REFINE_MAX_SWEEPS = 10
+#: a 2D Newton iteration solves with the kept LU factor (a chord step) and
+#: refactors at the current iterate when the last iteration of the same
+#: step left the residual above REFACTOR_RATIO times the one before it
+REFACTOR_RATIO = 0.1
 
 
 @dataclass
@@ -144,12 +132,9 @@ class StateValues(NamedTuple):
 
 @dataclass(frozen=True)
 class StepReport:
-    """What one accepted step did.  ``linear_residual`` is the worst
-    relative linear residual ||J d + r|| / ||r|| of its 2D Newton solves,
-    bounded by the forcing cap ETA_MAX, and None when no solve measured one
-    (every 1D step, where the direct band solve reports none, and a step
-    without a solve); ``refinement_sweeps`` counts the triangular solves
-    with the kept 2D factor (0 in 1D, where every solve factors);
+    """What one accepted step did.  ``factorizations`` counts the LU
+    factors its solves made: one per solve in 1D, and in 2D only where the
+    kept factor was missing or contracted too slowly (see REFACTOR_RATIO);
     ``predictor_fallbacks`` is 1 when the extrapolated start left the
     admissible set and Newton started from the old state instead.
     ``values`` are the new state's StateValues from the accepting
@@ -160,8 +145,6 @@ class StepReport:
     damping_events: int
     linear_solves: int
     factorizations: int
-    refinement_sweeps: int
-    linear_residual: Optional[float]
     predictor_fallbacks: int
     values: StateValues = field(compare=False, repr=False)
 
@@ -222,16 +205,6 @@ def free_energy(theta_flat, chi_flat, model, ws):
         np.dot(ws.w, np.asarray(model.j.value(theta_flat))))
 
 
-def _worst(a, b):
-    """The larger of two linear residuals, where None is no measurement
-    and NaN wins: ``max`` would drop a NaN against an earlier value."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return float(np.maximum(a, b))
-
-
 # ----------------------------------------------------------------------
 # the stepper
 # ----------------------------------------------------------------------
@@ -245,8 +218,8 @@ class Stepper:
     every dual norm of g or g_t is the 2x2 Gram form
     ``coefficient_dual_norm``.  A step depends only on its arguments: the
     caller hands it the state before, from which it extrapolates its Newton
-    start.  What a Stepper keeps between calls is the lagged 2D LU factor
-    that ``linear_solve`` reuses across iterations and steps, and the Gram
+    start.  What a Stepper keeps between calls is the 2D LU factor that
+    ``linear_solve`` reuses across iterations and steps, and the Gram
     matrix, a cache of fixed problem data.
     """
 
@@ -407,48 +380,53 @@ class Stepper:
                                - arrays.lhat * arrays.u]), a_chi
 
     def _residual_norm(self, r):
+        """The larger H norm of the heat and the phase rows; an overflow
+        reads inf, and a NaN in either is kept."""
         full = np.zeros(self.n)
         full[self.act] = r[:self.m]
-        return max(self.ws.h_norm(full), self.ws.h_norm(r[self.m:]))
+        with np.errstate(over="ignore"):
+            return float(np.maximum(self.ws.h_norm(full),
+                                    self.ws.h_norm(r[self.m:])))
 
     def _jacobian(self, arrays, dt):
         """Newton matrix entries at an Iterate, in the order of the static
         structure; j'', W'', lam' and the secant's derivative are evaluated
-        here, on the iterations that solve."""
+        here, on the iterations that factor.  An overflow reads inf, which
+        ``linear_solve`` rejects."""
         m = self.model
         u, lhat = arrays.u, arrays.lhat
-        jpp = np.asarray(m.j.d2(arrays.theta), dtype=float)
-        wpp = np.asarray(m.w.d2(arrays.chi), dtype=float)
-        lam_p = np.asarray(m.lam.d1(arrays.chi), dtype=float)
-        dlhat = secant_derivative(m.lam.d2, lam_p, lhat, arrays.switch)
-        kappa = m.w.kappa
-        jpp_act = jpp[self.act]
-        data = np.concatenate([
-            self._btt_data * jpp_act[self._btt_col],   # B j''(theta) block
-            np.full(self.m, 1.0 / dt),                 # theta time term
-            lam_p[self.act] / dt,                      # latent-heat coupling
-            -(lhat * jpp)[self.act],                   # flux feedback
-            self._acc_data,                            # Neumann stiffness
-            1.0 / dt + wpp + kappa - dlhat * u,        # chi diagonal
-        ])
-        return data
+        with np.errstate(over="ignore", invalid="ignore"):
+            jpp = np.asarray(m.j.d2(arrays.theta), dtype=float)
+            wpp = np.asarray(m.w.d2(arrays.chi), dtype=float)
+            lam_p = np.asarray(m.lam.d1(arrays.chi), dtype=float)
+            dlhat = secant_derivative(m.lam.d2, lam_p, lhat, arrays.switch)
+            jpp_act = jpp[self.act]
+            return np.concatenate([
+                self._btt_data * jpp_act[self._btt_col],   # B j''(theta)
+                np.full(self.m, 1.0 / dt),                 # theta time term
+                lam_p[self.act] / dt,                      # latent heat
+                -(lhat * jpp)[self.act],                   # flux feedback
+                self._acc_data,                            # Neumann stiffness
+                1.0 / dt + wpp + m.w.kappa - dlhat * u,    # chi diagonal
+            ])
 
-    def linear_solve(self, data, rhs, tol=REFINE_TOL):
+    def linear_solve(self, data, rhs):
         """Solve J x = rhs for the Newton matrix J with entries ``data`` on
         the static structure; rhs and x are in the Newton ordering
         (active thetas, then all chis).
 
-        Returns (x, factorizations, sweeps, relative residual
-        ||J x - rhs|| / ||rhs||).  1D factors the band directly, ignores
-        ``tol`` and measures no residual (None); 2D reuses the lagged
-        factor by iterative refinement down to the relative residual
-        ``tol`` and refactors with the current Jacobian when that misses
-        it.  A zero rhs gives x = 0, and the residual 0.0, without a
-        factorization.  A singular factor raises NewtonDiverged.
+        Returns (x, factorizations).  1D factors the band on every call;
+        2D solves with the kept LU factor and ignores ``data`` (which may
+        then be None), factoring ``data`` only when no factor is kept.  A
+        zero rhs gives x = 0 without a factorization.  A matrix to factor
+        that is not finite, or a singular factor, raises NewtonDiverged.
         """
-        scale = float(np.linalg.norm(rhs))
-        if scale == 0.0:
-            return np.zeros_like(rhs), 0, 0, 0.0
+        if not rhs.any():
+            return np.zeros_like(rhs), 0
+        if self._lu is not None:
+            return self._lu.solve(rhs), 0
+        if not np.isfinite(data).all():
+            raise NewtonDiverged("non-finite Newton matrix in step solve")
         storage = np.bincount(self._slot, weights=data,
                               minlength=self._nslots)
         if self.grid.dim == 1:
@@ -459,44 +437,15 @@ class Stepper:
             if info > 0:
                 raise NewtonDiverged(
                     "singular linearization in step solve (singular matrix)")
-            return x[self._pos], 1, 0, None
+            return x[self._pos], 1
         jac = sps.csc_matrix((storage, self._indices, self._indptr),
                              shape=self._jshape)
-        factorizations = 0
-        if self._lu is None:
-            self._factor(jac)
-            factorizations = 1
-        x, sweeps, rel = self._refine(jac, rhs, scale, tol)
-        if factorizations == 0 and not rel <= tol:
-            self._factor(jac)
-            factorizations = 1
-            x, more, rel = self._refine(jac, rhs, scale, tol)
-            sweeps += more
-        return x, factorizations, sweeps, rel
-
-    def _factor(self, jac):
         try:
             self._lu = splu(jac, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise NewtonDiverged(
                 f"singular linearization in step solve ({exc})") from None
-
-    def _refine(self, jac, rhs, scale, tol):
-        """Sweeps x += LU^-1 (rhs - J x) from x = 0 with the kept factor,
-        while the residual falls and is above ``tol``."""
-        x = self._lu.solve(rhs)
-        r = rhs - jac @ x
-        rel = float(np.linalg.norm(r)) / scale
-        sweeps = 1
-        while rel > tol and sweeps < REFINE_MAX_SWEEPS:
-            x_new = x + self._lu.solve(r)
-            r_new = rhs - jac @ x_new
-            rel_new = float(np.linalg.norm(r_new)) / scale
-            sweeps += 1
-            if not rel_new < rel:
-                break
-            x, r, rel = x_new, r_new, rel_new
-        return x, sweeps, rel
+        return self._lu.solve(rhs), 1
 
     def _admissible(self, z):
         """Both fields of z DOMAIN_MARGIN inside the domains of j and W."""
@@ -512,10 +461,11 @@ class Stepper:
         from ``state`` otherwise or when that extrapolation leaves the
         admissible set (a counted fallback).  A start extrapolated from a
         nonzero increment takes at least one Newton correction (unless
-        max_newton is 1), so no step repeats the last increment.  Each
-        Newton solve asks only for the forcing term's relative linear
-        residual (see ETA_MAX); a step is accepted on its nonlinear residual
-        alone, and NewtonDiverged at the cap says if it was still falling.
+        max_newton is 1), so no step repeats the last increment.  In 2D a
+        Newton direction solves with the kept LU factor, and the Jacobian
+        is assembled and factored only as REFACTOR_RATIO says; a step is
+        accepted on its nonlinear residual alone, and NewtonDiverged at the
+        cap says if it was still falling.
         Each update is damped by ``models.damped_update``, whose halvings
         are the report's damping events.  ``values`` are the StateValues
         of ``state``, evaluated here when the caller does not pass them.
@@ -545,9 +495,8 @@ class Stepper:
             else:
                 z, fallbacks = z_old, 1
         damping_events = 0
-        solves = factorizations = sweeps = 0
-        lin_res = None
-        eta, res_prev = ETA_MAX, None
+        solves = factorizations = 0
+        res_prev = None
         res_min, it_min = _INF, 0     # least residual, first iteration
 
         for it in range(1, config.max_newton + 1):
@@ -558,6 +507,9 @@ class Stepper:
                 arrays.u[self.ws.bmask] = 0.0
             r, a_chi = self._residual(arrays, z, z_old, dt, g)
             res = self._residual_norm(r)
+            if not math.isfinite(res):
+                raise NewtonDiverged(
+                    f"non-finite residual norm {res!r} in step", residual=res)
             if res <= config.newton_tol and not (
                     predicted and it == 1 and config.max_newton > 1):
                 # the old state, the checked prediction or a damped
@@ -569,8 +521,8 @@ class Stepper:
                 return new_state, StepReport(
                     newton_iters=it, residual=res,
                     damping_events=damping_events, linear_solves=solves,
-                    factorizations=factorizations, refinement_sweeps=sweeps,
-                    linear_residual=lin_res, predictor_fallbacks=fallbacks,
+                    factorizations=factorizations,
+                    predictor_fallbacks=fallbacks,
                     values=StateValues(
                         free_energy(theta_f, chi, self.model, self.ws),
                         arrays.u, arrays.wp, a_chi, arrays.lam))
@@ -584,17 +536,15 @@ class Stepper:
                     f"{trend}", residual=res)
             if res < res_min:
                 res_min, it_min = res, it
-            if res_prev is not None:
-                eta = min(ETA_MAX, max(ETA_GAMMA * (res / res_prev) ** 2,
-                                       ETA_FLOOR * config.newton_tol / res,
-                                       REFINE_TOL))
+            if res_prev is not None and res > REFACTOR_RATIO * res_prev:
+                self._lu = None      # the kept factor contracts too slowly
             res_prev = res
-            delta, factored, swept, rel = self.linear_solve(
-                self._jacobian(arrays, dt), -r, eta)
+            # the Jacobian data is passed inline and freed with the solve:
+            # held in a name past it, a 1D run took ten times the page faults
+            delta, factored = self.linear_solve(
+                self._jacobian(arrays, dt) if self._lu is None else None, -r)
             solves += 1
             factorizations += factored
-            sweeps += swept
-            lin_res = _worst(lin_res, rel)
             if not np.all(np.isfinite(delta)):
                 raise NewtonDiverged("singular linearization in step solve",
                                      residual=res)
@@ -712,16 +662,12 @@ class Trajectory:
         return np.array([self.stepper.g_dual_norm(t) for t in self.times])
 
 
-#: Trajectory.stats keys: the StepReport counters SUMMED_STATS summed, and
-#: MAXED_STATS maximized into <field>_max, over every accepted step and
-#: half step, and the steps retried as two half steps.  A maximum skips a
-#: report's None (no measurement), is None when every report's is, and
-#: keeps a NaN
+#: Trajectory.stats keys: the StepReport counters SUMMED_STATS summed over
+#: every accepted step and half step, and the steps retried as two half
+#: steps
 SUMMED_STATS = ("newton_iters", "damping_events", "linear_solves",
-                "factorizations", "refinement_sweeps", "predictor_fallbacks")
-MAXED_STATS = ("linear_residual",)
-RUN_STATS = SUMMED_STATS + tuple(f"{key}_max" for key in MAXED_STATS) + (
-    "retried_steps",)
+                "factorizations", "predictor_fallbacks")
+RUN_STATS = SUMMED_STATS + ("retried_steps",)
 
 
 def _fmt(x):
@@ -756,9 +702,6 @@ def _accepted_steps(stepper, state, values, config, stats):
         for _, rep in steps:
             for key in SUMMED_STATS:
                 stats[key] += getattr(rep, key)
-            for key in MAXED_STATS:
-                stats[f"{key}_max"] = _worst(stats[f"{key}_max"],
-                                             getattr(rep, key))
         previous, (state, report) = state, steps[-1]
         # from the step index: repeated addition of dt drifts
         state.t = k * config.dt
@@ -820,8 +763,7 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     series = {k: [] for k in TRACE_COLUMNS + AUX_SERIES}
     prev = None                  # the State of the previous row
     omega = OmegaScan(config.omega_tols)
-    stats = dict.fromkeys(RUN_STATS, 0) | dict.fromkeys(
-        f"{key}_max" for key in MAXED_STATS)
+    stats = dict.fromkeys(RUN_STATS, 0)
 
     try:
         for k, state, values, iters in _accepted_steps(

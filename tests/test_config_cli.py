@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -461,6 +462,25 @@ class TestRunExperiment:
                      path]) == 3
         assert "pivot factorization failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, what", [
+        ("caginalp_quartic.cfg", "model.lambda.ell", "Newton matrix"),
+        ("decaying_source.cfg", "source.amplitude", "residual norm")])
+    def test_non_finite_newton_system_exit_code(self, tmp_path, capsys,
+                                                name, key, what):
+        # 1e308 overflows the Jacobian's lam'(chi) / dt, or the residual's
+        # H norm: a typed solver failure naming it, and no numpy warning
+        raw = parse_raw(os.path.join(CONFIG_DIR, name))
+        raw.update({key: "1e308", "grid.nodes": "17", "run.t_end": "0.005"})
+        path = write_cfg(tmp_path / name, raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path / "o"), "run", path])
+        assert code == 3
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert f"solver failure: step to t = 0.001: non-finite {what}" in out
+        assert "Traceback" not in out + err
+
 
 class TestCliEntry:
     def test_validate_ok(self, tmp_path, capsys):
@@ -592,6 +612,15 @@ class TestCliEntry:
         assert main(["validate", path]) == 2
         assert "'initial.chi.amplitude' must be finite" in \
             capsys.readouterr().err
+
+    def test_grid_violation_alone(self, tmp_path, capsys):
+        # the initial keys are read without a grid: none is unknown
+        raw = parse_raw(os.path.join(CONFIG_DIR, "caginalp_quartic.cfg"))
+        raw["grid.nodes"] = "2"
+        assert main(["validate", write_cfg(tmp_path / "c.cfg", raw)]) == 2
+        violations = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("  - ")]
+        assert violations == ["  - grid: need at least 3 nodes per axis"]
 
     def test_huge_integer_setting(self, tmp_path, capsys):
         # an integer too large for a float is a value, not a traceback

@@ -1,5 +1,5 @@
-"""The Newton solve layer: the interleaved banded LU in 1D, the lagged
-sparse LU with iterative refinement in 2D, and the counters a run reports."""
+"""The Newton solve layer: the interleaved banded LU in 1D, the kept
+sparse LU of the 2D chord iteration, and the counters a run reports."""
 
 import json
 from dataclasses import replace
@@ -63,14 +63,10 @@ def _spsolve(stepper, data, rhs):
     return spsolve(jac, rhs)
 
 
-def _spsolve_step(self, data, rhs, tol=dyn.REFINE_TOL):
-    return _spsolve(self, data, rhs), 1, 0, 0.0
-
-
-def _relative_residual(stepper, data, x, rhs):
-    jac = sps.coo_matrix((data, (stepper._jrows, stepper._jcols)),
-                         shape=stepper._jshape).tocsc()
-    return np.linalg.norm(jac @ x - rhs) / np.linalg.norm(rhs)
+def _spsolve_step(self, data, rhs):
+    # never keeps a factor, so every 2D iteration assembles its Jacobian:
+    # exact Newton
+    return _spsolve(self, data, rhs), 1
 
 
 class TestLinearSolve:
@@ -81,32 +77,9 @@ class TestLinearSolve:
         stepper = Stepper(wall_model, grid, _bc(kind), zero_source())
         data, rhs = _newton_system(stepper, state, 1e-2, state.chi.flat)
         ref = _spsolve(stepper, data, rhs)
-        x, _, _, rel = stepper.linear_solve(data, rhs)
+        x, factorizations = stepper.linear_solve(data, rhs)
+        assert factorizations == 1
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        jac = sps.coo_matrix((data, (stepper._jrows, stepper._jcols)),
-                             shape=stepper._jshape).tocsc()
-        scale = np.linalg.norm(rhs)
-        if grid.dim == 1:
-            assert rel is None      # the direct band solve measures none
-        else:
-            assert abs(rel - np.linalg.norm(jac @ x - rhs) / scale) <= 1e-15
-
-    @pytest.mark.parametrize("nodes, kind", SOLVE_CASES)
-    def test_refined_solve_meets_its_tolerance(self, wall_model, nodes,
-                                                kind):
-        # in 2D the second system is solved with the factor of the first,
-        # so the refinement residual is what bounds it
-        grid = Grid((1.0,) * len(nodes), nodes)
-        state = _near_wall_state(grid, wall_model)
-        chi = state.chi.flat
-        for tol in (1e-4, dyn.REFINE_TOL):
-            stepper = Stepper(wall_model, grid, _bc(kind), zero_source())
-            stepper.linear_solve(*_newton_system(stepper, state, 1e-2, chi))
-            data, rhs = _newton_system(stepper, state, 1e-2,
-                                       0.9 * chi + 0.01)
-            x, _, _, rel = stepper.linear_solve(data, rhs, tol)
-            assert _relative_residual(stepper, data, x, rhs) <= tol
-            assert rel is None if grid.dim == 1 else rel <= tol
 
     @pytest.mark.parametrize("nodes", [(17,), (8, 8)])
     def test_zero_rhs_solves_nothing(self, wall_model, nodes):
@@ -114,9 +87,8 @@ class TestLinearSolve:
         state = _near_wall_state(grid, wall_model)
         stepper = Stepper(wall_model, grid, _bc("dirichlet"), zero_source())
         data, rhs = _newton_system(stepper, state, 1e-2, state.chi.flat)
-        x, factorizations, sweeps, rel = stepper.linear_solve(
-            data, np.zeros_like(rhs))
-        assert factorizations == sweeps == 0 and rel == 0.0
+        x, factorizations = stepper.linear_solve(data, np.zeros_like(rhs))
+        assert factorizations == 0
         np.testing.assert_array_equal(x, np.zeros_like(rhs))
         assert stepper._lu is None
 
@@ -165,17 +137,21 @@ class TestLinearSolve:
         stepper = Stepper(wall_model, grid, _bc("robin"), zero_source())
         data, rhs = _newton_system(stepper, state, 1e-2, state.chi.flat)
         assert stepper.linear_solve(data, rhs)[1] == 1
-        _, factorizations, sweeps, _ = stepper.linear_solve(1.01 * data, rhs)
-        assert factorizations == 0 and sweeps > 1
+        # the second system is solved with the factor of the first
+        x, factorizations = stepper.linear_solve(1.01 * data, rhs)
+        assert factorizations == 0
+        ref = _spsolve(stepper, data, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("nodes", [(33,), (8, 8)])
     def test_singular_linearization_diverges(self, wall_model, nodes,
                                              monkeypatch):
+        # a fresh Stepper keeps no 2D factor, so its first iteration
+        # factors the zero Jacobian
         grid = Grid((1.0,) * len(nodes), nodes)
         state = _near_wall_state(grid, wall_model)
         stepper = Stepper(wall_model, grid, _bc("robin"), zero_source())
         cfg = TrajectoryConfig(dt=1e-2, t_end=1e-2)
-        stepper.step(state, cfg)             # leaves a 2D factor behind
         monkeypatch.setattr(dyn.Stepper, "_jacobian",
                             lambda self, arrays, dt: np.zeros(
                                 self._jrows.size))
@@ -193,21 +169,18 @@ class TestLaggedFactorRun:
         traj = run(state, cfg, wall_model, grid, bc, zero_source())
         stats = traj.stats
         assert 1 < stats["factorizations"] < stats["linear_solves"]
-        assert stats["linear_residual_max"] <= dyn.ETA_MAX
         dis = check_dissipation(traj.energies, traj.g_dual,
                                 np.diff(traj.times), 0.0)
         assert dis.passed
 
         monkeypatch.setattr(dyn.Stepper, "linear_solve", _spsolve_step)
         ref = run(state, cfg, wall_model, grid, bc, zero_source())
-        np.testing.assert_array_equal(traj.columns["newton_iters"],
-                                      ref.columns["newton_iters"])
         for name in ("theta", "chi"):
             got = getattr(traj.final_state, name).values
             want = getattr(ref.final_state, name).values
             assert np.max(np.abs(got - want)) <= cfg.newton_tol
 
-    def test_forcing_term_matches_tight_solves(self, monkeypatch):
+    def test_chord_matches_exact_newton(self, monkeypatch):
         # plate2d's laws on a 32x32 Dirichlet box, 20 steps
         model = ModelSpec(builtin("mixed_j", tau_c=1.0),
                           builtin("quartic_W"), builtin("tanh_lambda"))
@@ -218,31 +191,34 @@ class TestLaggedFactorRun:
         state = State.make(0.0, Field.zeros(grid), Field(grid, chi), model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.02, newton_tol=1e-8)
         bc = _bc("dirichlet")
+        traj = run(state, cfg, model, grid, bc, zero_source())
+        assert traj.stats["factorizations"] < traj.stats["linear_solves"]
 
-        solve = dyn.Stepper.linear_solve
-        misses = []
-
-        def checked(self, data, rhs, tol=dyn.REFINE_TOL):
-            out = solve(self, data, rhs, tol)
-            if not (out[3] <= tol or out[1] == 1):
-                misses.append((tol, out[3]))
-            return out
-
-        with monkeypatch.context() as patch:
-            patch.setattr(dyn.Stepper, "linear_solve", checked)
-            traj = run(state, cfg, model, grid, bc, zero_source())
-        assert misses == []
-        # a cap of REFINE_TOL makes every solve ask for REFINE_TOL
-        monkeypatch.setattr(dyn, "ETA_MAX", dyn.REFINE_TOL)
-        tight = run(state, cfg, model, grid, bc, zero_source())
-        np.testing.assert_array_equal(traj.columns["newton_iters"],
-                                      tight.columns["newton_iters"])
+        monkeypatch.setattr(dyn.Stepper, "linear_solve", _spsolve_step)
+        exact = run(state, cfg, model, grid, bc, zero_source())
         for name in ("theta", "chi"):
             got = getattr(traj.final_state, name).values
-            want = getattr(tight.final_state, name).values
+            want = getattr(exact.final_state, name).values
             assert np.max(np.abs(got - want)) <= cfg.newton_tol
-        assert traj.stats["refinement_sweeps"] \
-            <= tight.stats["refinement_sweeps"] / 2
+
+    def test_stale_factor_after_dt_change(self, wall_model):
+        # the retry's case: a factor built at dt serves a step of dt/2
+        grid = Grid((1.0, 1.0), (24, 24))
+        bc = _bc("robin")
+        state = _near_wall_state(grid, wall_model)
+        cfg = TrajectoryConfig(dt=2e-3, t_end=2e-3)
+        stepper = Stepper(wall_model, grid, bc, zero_source())
+        stepper.step(state, cfg)
+        assert stepper._lu is not None
+        half = replace(cfg, dt=0.5 * cfg.dt)
+        new, report = stepper.step(state, half)
+        assert report.residual <= half.newton_tol
+        fresh, _ = Stepper(wall_model, grid, bc, zero_source()).step(state,
+                                                                     half)
+        for name in ("theta", "chi"):
+            got = getattr(new, name).values
+            want = getattr(fresh, name).values
+            assert np.max(np.abs(got - want)) <= half.newton_tol
 
     def test_determinism_bitwise_2d(self, caginalp_model, dirichlet_bc,
                                     tmp_path):
@@ -274,35 +250,7 @@ class TestRunStats:
         # the accepting iteration of each of the 20 steps solves nothing
         assert stats["linear_solves"] == stats["newton_iters"] - 20
         assert stats["factorizations"] == stats["linear_solves"]
-        assert stats["refinement_sweeps"] == 0
         assert stats["retried_steps"] == 0
-        # the direct band solve measures no linear residual
-        assert stats["linear_residual_max"] is None
-
-    @pytest.mark.parametrize("residuals, worst", [
-        ((None, 1e-3, None, 2e-3, None), 2e-3),
-        ((None, 1e-3, float("nan"), 2e-3, None), "nan"),
-        ((None,) * 5, None)])
-    def test_linear_residual_reduction(self, caginalp_model, unit_grid,
-                                       dirichlet_bc, monkeypatch, residuals,
-                                       worst):
-        # the run's maximum skips None and keeps a NaN, wherever it falls
-        st = cosine_state(unit_grid, caginalp_model)
-        cfg = TrajectoryConfig(dt=1e-3, t_end=5e-3)
-        original = dyn.Stepper.step
-        fed = iter(residuals)
-
-        def step(self, state, config, **kwargs):
-            new, rep = original(self, state, config, **kwargs)
-            return new, replace(rep, linear_residual=next(fed))
-
-        monkeypatch.setattr(dyn.Stepper, "step", step)
-        got = run(st, cfg, caginalp_model, unit_grid, dirichlet_bc,
-                  zero_source()).stats["linear_residual_max"]
-        if worst == "nan":
-            assert np.isnan(got)
-        else:
-            assert got == worst
 
 
 def _robin_wall_raw(tmp_path):
