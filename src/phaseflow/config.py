@@ -379,7 +379,7 @@ def build_config(raw, base_dir="."):
         kappa = model.w.kappa
         if run_cfg.dt > 1.0 / kappa and not allow_unstable:
             rd.violations.append(
-                f"run.dt = {run_cfg.dt} exceeds the stability bound "
+                f"run.dt = {run_cfg.dt} exceeds the accuracy guard "
                 f"1/kappa = {1.0 / kappa}; set run.allow_unstable = true "
                 "to override")
 

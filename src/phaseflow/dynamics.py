@@ -202,7 +202,7 @@ def free_energy(theta_flat, chi_flat, model, ws):
     """Discrete free energy: the stationary energy of chi plus the
     trapezoid quadrature of j(theta); any workspace of the grid serves."""
     return stationary_energy(chi_flat, model, ws) + float(
-        np.dot(ws.w, np.asarray(model.j.value(theta_flat))))
+        np.dot(ws.w, model.j.value(theta_flat)))
 
 
 # ----------------------------------------------------------------------
@@ -298,9 +298,9 @@ class Stepper:
         lam(chi_old), fixed over the step.  The derivative arrays only the
         Jacobian needs are left to ``_jacobian``."""
         m = self.model
-        u = np.asarray(m.j.d1(theta), dtype=float)
-        wp = np.asarray(m.w.d1(chi_new), dtype=float)
-        lam_new = np.asarray(m.lam.value(chi_new), dtype=float)
+        u = m.j.d1(theta)
+        wp = m.w.d1(chi_new)
+        lam_new = m.lam.value(chi_new)
         lhat, switch = secant(m.lam.d1, chi_old, chi_new, lam_old, lam_new)
         return Iterate(theta, chi_new, u, wp, lam_old, lam_new, lhat, switch)
 
@@ -310,8 +310,7 @@ class Stepper:
         m = self.model
         return StateValues(free_energy(theta, chi, m, self.ws),
                            evaluate(m.j, 1, theta), evaluate(m.w, 1, chi),
-                           self.ws.A_fd @ chi,
-                           np.asarray(m.lam.value(chi), dtype=float))
+                           self.ws.A_fd @ chi, m.lam.value(chi))
 
     def g_coefficients(self, t):
         """(e, b) of g(t) = e p + b gamma / w: the source envelope, and for
@@ -396,9 +395,9 @@ class Stepper:
         m = self.model
         u, lhat = arrays.u, arrays.lhat
         with np.errstate(over="ignore", invalid="ignore"):
-            jpp = np.asarray(m.j.d2(arrays.theta), dtype=float)
-            wpp = np.asarray(m.w.d2(arrays.chi), dtype=float)
-            lam_p = np.asarray(m.lam.d1(arrays.chi), dtype=float)
+            jpp = m.j.d2(arrays.theta)
+            wpp = m.w.d2(arrays.chi)
+            lam_p = m.lam.d1(arrays.chi)
             dlhat = secant_derivative(m.lam.d2, lam_p, lhat, arrays.switch)
             jpp_act = jpp[self.act]
             return np.concatenate([

@@ -6,8 +6,12 @@ A model is the triple (j, W, lam).  j is uniformly convex with its minimum
 normalized to zero at the equilibrium temperature; W is a possibly singular
 double well, nonconvex at most up to a quadratic (W'' >= -kappa); lam has
 bounded curvature.  Every law is a value/first/second derivative triple of
-vectorized callables; the built-ins are numpy closures, and custom callables
-are handled the same way.
+callables under one contract: a law callable takes a float64 ndarray
+(0-d, or a numpy float64, for one point) and returns a new float64 array
+of that shape, never its input, because ``Stepper.step`` writes into j' on
+Dirichlet boundary nodes.  The package calls laws only that way;
+``evaluate`` is the one place that converts other input (Python scalars,
+lists) and checks the domain.  The built-ins are plain numpy closures.
 
 Built-in catalog (parameters):
 
@@ -55,7 +59,8 @@ MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class ConvexPotential:
-    """Heat-flux law j: convex, nonnegative, minimum 0 at theta_inf."""
+    """Heat-flux law j: convex, nonnegative, minimum 0 at theta_inf.
+    value, d1 and d2 keep the law contract of the module docstring."""
 
     name: str
     domain: tuple  # open interval J
@@ -70,7 +75,9 @@ class ConvexPotential:
 
 @dataclass(frozen=True)
 class NonconvexPotential:
-    """Configuration potential W: nonnegative, W'' >= -kappa, coercive tails."""
+    """Configuration potential W: nonnegative, W'' >= -kappa, coercive
+    tails.  value, d1 and d2 keep the law contract of the module
+    docstring."""
 
     name: str
     domain: tuple   # open interval I containing 0
@@ -86,7 +93,8 @@ class NonconvexPotential:
 
 @dataclass(frozen=True)
 class LatentHeat:
-    """Latent heat lam with |lam''| bounded by curvature_bound."""
+    """Latent heat lam with |lam''| bounded by curvature_bound.  value, d1
+    and d2 keep the law contract of the module docstring."""
 
     name: str
     value: Callable
@@ -437,13 +445,24 @@ def _bisect(fn, a, b):
 
 def _moreau_shifted(potential, c, rho):
     """Value/first/second derivative of env_rho[f + c Id^2/2] - c Id^2/2,
-    for f the potential and f + c Id^2/2 convex."""
+    for f the potential and g = f + c Id^2/2 convex."""
     lo, hi = potential.domain
     shifted_d1 = lambda s: potential.d1(s) + c * s
 
     def prox(r):
+        # converts, so that regularize may call d1 on Python floats
         r = np.asarray(r, dtype=float)
         return r, _prox(shifted_d1, potential.domain, rho, r)
+
+    def at_wall(s):
+        # where the prox is clamped at a finite wall, the envelope is the
+        # quadratic (s - r)^2/(2 rho)
+        wall = np.zeros(s.shape, bool)
+        if math.isfinite(lo):
+            wall |= s - lo <= 2e-13 * (1.0 + abs(lo))
+        if math.isfinite(hi):
+            wall |= hi - s <= 2e-13 * (1.0 + abs(hi))
+        return wall
 
     def value(r):
         r, s = prox(r)
@@ -451,19 +470,18 @@ def _moreau_shifted(potential, c, rho):
                 + (s - r) ** 2 / (2.0 * rho) - 0.5 * c * r ** 2)
 
     def d1(r):
+        # the envelope's gradient is g'(s) = (r - s)/rho at s = prox(r);
+        # the prox error is amplified by g''(s) in the first form and by
+        # 1/rho in the second, so the smaller factor decides
         r, s = prox(r)
-        return (r - s) / rho - c * r
+        g2 = potential.d2(s) + c
+        flat = (rho * g2 <= 1.0) & ~at_wall(s)
+        return np.where(flat, shifted_d1(s), (r - s) / rho) - c * r
 
     def d2(r):
         r, s = prox(r)
         f2 = potential.d2(s) + c
-        env = f2 / (1.0 + rho * f2)
-        # at a clamped wall the envelope is the quadratic (s - r)^2/(2 rho)
-        if math.isfinite(lo):
-            env = np.where(s - lo <= 2e-13 * (1.0 + abs(lo)), 1.0 / rho, env)
-        if math.isfinite(hi):
-            env = np.where(hi - s <= 2e-13 * (1.0 + abs(hi)), 1.0 / rho, env)
-        return env - c
+        return np.where(at_wall(s), 1.0 / rho, f2 / (1.0 + rho * f2)) - c
 
     return value, d1, d2
 
@@ -523,18 +541,10 @@ def regularize(potential, n):
 # built-in laws
 # ----------------------------------------------------------------------
 
-def _law(value, d1, d2):
-    """Value/first/second derivative closures over a float array argument."""
-    def on_array(fn):
-        return lambda r: fn(np.asarray(r, dtype=float))
-    return on_array(value), on_array(d1), on_array(d2)
-
-
 def _builtin_caginalp_j():
-    value, d1, d2 = _law(lambda r: 0.5 * r * r, lambda r: r.copy(),
-                         np.ones_like)
     # j'' = 1 exactly, minimum at 0, ratio |j''|/(1+|j'|^0) = 1/2... bounded
-    return ConvexPotential("caginalp_j", (-_INF, _INF), value, d1, d2,
+    return ConvexPotential("caginalp_j", (-_INF, _INF), lambda r: 0.5 * r * r,
+                           lambda r: r.copy(), np.ones_like,
                            sigma=1.0, theta_inf=0.0, alpha=0.0)
 
 
@@ -542,31 +552,30 @@ def _builtin_penrose_fife_j(tau_c=1.0, sigma=0.5):
     if tau_c <= 0:
         raise InvalidParameter("tau_c must be positive")
     tc = float(tau_c)
-    value, d1, d2 = _law(
-        lambda r: -np.log(r + tc) + np.log(tc) + r / tc,
-        lambda r: -1.0 / (r + tc) + 1.0 / tc,
-        lambda r: 1.0 / ((r + tc) * (r + tc)))
     # j'' = (r+tau_c)^-2 decays to zero, so no positive modulus actually
     # holds on the unbounded domain: the declared sigma is a nominal claim
     # that validate_hypotheses is expected to refute.  Near the singular
     # wall j'' ~ (r+tau_c)^-2 and |j'| ~ (r+tau_c)^-1, hence alpha = 2.
-    return ConvexPotential("penrose_fife_j", (-tc, _INF),
-                           value, d1, d2, sigma=float(sigma), theta_inf=0.0,
-                           alpha=2.0)
+    return ConvexPotential(
+        "penrose_fife_j", (-tc, _INF),
+        lambda r: -np.log(r + tc) + np.log(tc) + r / tc,
+        lambda r: -1.0 / (r + tc) + 1.0 / tc,
+        lambda r: 1.0 / ((r + tc) * (r + tc)),
+        sigma=float(sigma), theta_inf=0.0, alpha=2.0)
 
 
 def _builtin_mixed_j(tau_c=1.0):
     if tau_c <= 0:
         raise InvalidParameter("tau_c must be positive")
     tc = float(tau_c)
-    value, d1, d2 = _law(
-        lambda r: 0.5 * r * r - np.log(r + tc) + np.log(tc) + r / tc,
-        lambda r: r - 1.0 / (r + tc) + 1.0 / tc,
-        lambda r: 1.0 + 1.0 / ((r + tc) * (r + tc)))
     # j'' = 1 + (r+tau_c)^-2 >= 1, minimum at 0 since both parts vanish
     # there; near the wall j''/(1+|j'|^2) -> 1, so alpha = 2.
-    return ConvexPotential("mixed_j", (-tc, _INF), value, d1, d2,
-                           sigma=1.0, theta_inf=0.0, alpha=2.0)
+    return ConvexPotential(
+        "mixed_j", (-tc, _INF),
+        lambda r: 0.5 * r * r - np.log(r + tc) + np.log(tc) + r / tc,
+        lambda r: r - 1.0 / (r + tc) + 1.0 / tc,
+        lambda r: 1.0 + 1.0 / ((r + tc) * (r + tc)),
+        sigma=1.0, theta_inf=0.0, alpha=2.0)
 
 
 def _quartic_value(r):
@@ -575,11 +584,10 @@ def _quartic_value(r):
 
 
 def _builtin_quartic_w():
-    value, d1, d2 = _law(_quartic_value, lambda r: r * (r * r - 1.0),
-                         lambda r: 3.0 * r * r - 1.0)
     # W'' = 3r^2 - 1 >= -1 -> kappa = 1; W'(r)/r = r^2 - 1 >= 3 for |r| >= 2
     return NonconvexPotential("quartic_W", (-_INF, _INF), (-2.0, 2.0),
-                              value, d1, d2, kappa=1.0, mu=3.0,
+                              _quartic_value, lambda r: r * (r * r - 1.0),
+                              lambda r: 3.0 * r * r - 1.0, kappa=1.0, mu=3.0,
                               d1_zeros=(-1.0, 0.0, 1.0))
 
 
@@ -599,28 +607,27 @@ def _builtin_logarithmic_w(theta1=1.0, theta_c=2.0):
                           + (1 - rstar) * np.log1p(-rstar))
               - 0.5 * tc * rstar * rstar)
     c0 = -w0_min  # additive shift puts the minima at 0
-    value, d1, d2 = _law(
-        lambda r: (0.5 * t1 * ((1.0 + r) * np.log1p(r)
-                               + (1.0 - r) * np.log1p(-r))
-                   - 0.5 * tc * r * r + c0),
-        lambda r: 0.5 * t1 * (np.log1p(r) - np.log1p(-r)) - tc * r,
-        lambda r: t1 / (1.0 - r * r) - tc)
     core = (-0.5 * (1.0 + rstar), 0.5 * (1.0 + rstar))
     # W'(r)/r = t1 artanh(r)/r - tc is increasing in |r|, so its infimum
     # over the tails is attained at the core edge
     mu = t1 * math.atanh(core[1]) / core[1] - tc
-    return NonconvexPotential("logarithmic_W", (-1.0, 1.0), core,
-                              value, d1, d2, kappa=tc - t1, mu=mu,
-                              d1_zeros=(-rstar, 0.0, rstar),
-                              meta={"rstar": rstar})
+    return NonconvexPotential(
+        "logarithmic_W", (-1.0, 1.0), core,
+        lambda r: (0.5 * t1 * ((1.0 + r) * np.log1p(r)
+                               + (1.0 - r) * np.log1p(-r))
+                   - 0.5 * tc * r * r + c0),
+        lambda r: 0.5 * t1 * (np.log1p(r) - np.log1p(-r)) - tc * r,
+        lambda r: t1 / (1.0 - r * r) - tc,
+        kappa=tc - t1, mu=mu, d1_zeros=(-rstar, 0.0, rstar),
+        meta={"rstar": rstar})
 
 
 def _builtin_linear_lambda(ell=1.0):
     ell = float(ell)
-    value, d1, d2 = _law(lambda r: ell * r, lambda r: np.full_like(r, ell),
-                         np.zeros_like)
     # lam'' = 0, any positive bound works; 1 is recorded for definiteness
-    return LatentHeat("linear_lambda", value, d1, d2, curvature_bound=1.0)
+    return LatentHeat("linear_lambda", lambda r: ell * r,
+                      lambda r: np.full_like(r, ell), np.zeros_like,
+                      curvature_bound=1.0)
 
 
 def _builtin_tanh_lambda(scale=1.0, width=1.0):
@@ -636,11 +643,11 @@ def _builtin_tanh_lambda(scale=1.0, width=1.0):
         t = np.tanh(r / b)
         return -(2.0 * a / (b * b)) * t * (1.0 - t * t)
 
-    value, d1, d2 = _law(lambda r: a * np.tanh(r / b), d1, d2)
     # |lam''| = (2|scale|/width^2) |t|(1-t^2), t=tanh, maximized at
     # t = 1/sqrt(3): bound = 4|scale| / (3 sqrt(3) width^2)
     bound = 4.0 * abs(scale) / (3.0 * math.sqrt(3.0) * width * width)
-    return LatentHeat("tanh_lambda", value, d1, d2, curvature_bound=bound)
+    return LatentHeat("tanh_lambda", lambda r: a * np.tanh(r / b), d1, d2,
+                      curvature_bound=bound)
 
 
 _BUILTINS = {

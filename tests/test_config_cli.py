@@ -541,6 +541,61 @@ class TestCliEntry:
         missing = str(tmp_path / "missing.csv")
         assert main(["--quiet", "fit", missing, str(steady)]) == 2
 
+    def test_fit_without_snapshots_exit_2(self, tmp_path, capsys):
+        # a readable trace and steady state, but no snap_*.pfld next to
+        # the trace
+        trace = tmp_path / "run" / "trace.csv"
+        trace.parent.mkdir()
+        trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")
+        steady = tmp_path / "steady.pfld"
+        write_records(steady,
+                      [(build_config(minimal_raw()).initial_chi, 0.0)])
+        assert main(["--quiet", "fit", str(trace), str(steady)]) == 2
+        assert "no snapshots next to the trace" in capsys.readouterr().err
+        assert not (trace.parent / "diagnostics.json").exists()
+
+    def test_failed_dissipation_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a real excess would be round-off, so the report is made to fail
+        real = phaseflow.diagnostics.check_dissipation
+        monkeypatch.setattr(
+            phaseflow.diagnostics, "check_dissipation",
+            lambda *args: replace(real(*args), passed=False))
+        path = write_cfg(tmp_path / "c.cfg", minimal_raw())
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "run", path]) == 4
+        assert ("failed assertions: energy inequality violated"
+                in capsys.readouterr().out)
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["dissipation"]["passed"] is False
+
+    def test_unbounded_monitor_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the trend flag is made to fire on a run whose monitors are sound
+        real = phaseflow.diagnostics.monitor_bounds
+        monkeypatch.setattr(
+            phaseflow.diagnostics, "monitor_bounds",
+            lambda *args: replace(real(*args), unbounded=True))
+        path = write_cfg(tmp_path / "c.cfg", minimal_raw(**{
+            "grid.nodes": "9", "run.dt": "1e-2", "run.t_end": "2.0",
+            "diagnostics.monitors": "true", "diagnostics.s": "0.0",
+            "diagnostics.assert_bounded": "true"}))
+        out = tmp_path / "m"
+        assert main(["--out", str(out), "run", path]) == 4
+        assert ("failed assertions: regularity monitor unbounded"
+                in capsys.readouterr().out)
+        payload = json.loads((out / "diagnostics.json").read_text())
+        assert payload["monitors"]["unbounded"] is True
+
+    def test_sweep_rejected_value_exit_2(self, tmp_path, capsys):
+        # the point build_config rejects is named, and nothing runs
+        path = write_cfg(tmp_path / "c.cfg", minimal_raw())
+        out = tmp_path / "sw"
+        assert main(["--quiet", "--out", str(out), "sweep", path, "run.dt",
+                     "1e-3", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[1] run.dt=-1: ")
+        assert "run.dt" in err.split(": ", 1)[1]
+        assert not (out / "sweep_000" / "trace.csv").exists()
+
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(TRACE_HEADER + "\n0,1,0,0,0,0,0\n1,0.5,0,0,0,0,3\n")

@@ -988,6 +988,22 @@ class TestBoundaryConsistency:
         assert dists[0] < 1e-2
         assert dists[1] <= dists[0] / 5 and dists[2] <= dists[1] / 5
 
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_sharp_smoothing_meets_default_tolerance(self, n):
+        # the smoothed j' must keep the parent law's precision where j'' is
+        # small: from (r - s)/rho alone the prox's round-off, times n, kept
+        # the residual above the default newton_tol (stalled at 6.5e-10
+        # for n = 1000 and at 7.0e-9 for n = 10000)
+        g = Grid((1.0,), (33,))
+        x = g.axes()[0]
+        model = ModelSpec(regularize(builtin("mixed_j"), n),
+                          builtin("quartic_W"), builtin("linear_lambda"))
+        st = State.make(0.0, Field(g, 0.3 * np.cos(np.pi * x)),
+                        Field(g, 0.2 * np.cos(np.pi * x)), model)
+        traj = run(st, TrajectoryConfig(dt=1e-2, t_end=0.2), model, g,
+                   BoundarySpec("robin", eta=0.5), zero_source())
+        assert traj.final_state.t == pytest.approx(0.2)
+
 
 class TestCustomPotentials:
     def test_custom_model_runs_on_numpy_lane(self, dirichlet_bc):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from phaseflow import (Grid, ModelSpec, builtin, builtin_names,
-                       divided_difference_lambda, evaluate, regularize,
-                       residual_stationary, validate_hypotheses)
+from phaseflow import (ConvexPotential, Grid, LatentHeat, ModelSpec, builtin,
+                       builtin_names, divided_difference_lambda, evaluate,
+                       regularize, residual_stationary, validate_hypotheses)
 from phaseflow.errors import (DomainViolation, InvalidParameter,
                               UnknownModel)
 from phaseflow.models import SECANT_RTOL, secant, secant_derivative
@@ -113,6 +113,33 @@ class TestBuiltins:
     def test_logarithmic_well_unresolvable_minima(self):
         with pytest.raises(InvalidParameter):
             builtin("logarithmic_W", theta1=0.1, theta_c=2.0)
+
+
+def _contract_laws():
+    """Every built-in with default parameters, and the smoothing of each
+    flux law and each well."""
+    laws = [builtin(name) for name in builtin_names()]
+    return laws + [regularize(p, 10) for p in laws
+                   if not isinstance(p, LatentHeat)]
+
+
+class TestLawContract:
+    # the package calls laws on float64 arrays without converting inputs
+    # or results, and the stepper writes into j' in place
+    @pytest.mark.parametrize("law", _contract_laws(), ids=lambda p: p.name)
+    @pytest.mark.parametrize("shape", [(7,), ()], ids=["vector", "point"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_new_float_array_of_the_input_shape(self, law, shape, order):
+        # inside every domain: (-1, 1) of logarithmic_W, (-1, inf) of the
+        # flux laws
+        x = np.linspace(-0.9, 0.9, 7) if shape else np.array(0.3)
+        before = x.copy()
+        out = (law.value, law.d1, law.d2)[order](x)
+        assert out is not x
+        assert out.shape == shape and out.dtype == np.float64
+        assert np.array_equal(x, before)
+        want = np.asarray(evaluate(law, order, x))
+        assert out.tobytes() == want.tobytes()
 
 
 class TestDividedDifference:
@@ -334,12 +361,16 @@ def scalar_envelope(potential, c, rho, r, order):
     if order == 0:
         return (float(potential.value(np.float64(s))) + 0.5 * c * s * s
                 + (s - r) ** 2 / (2.0 * rho) - 0.5 * c * r * r)
-    if order == 1:
-        return (r - s) / rho - c * r
-    if ((np.isfinite(lo) and s - lo <= 2e-13 * (1.0 + abs(lo)))
-            or (np.isfinite(hi) and hi - s <= 2e-13 * (1.0 + abs(hi)))):
-        return 1.0 / rho - c
+    at_wall = ((np.isfinite(lo) and s - lo <= 2e-13 * (1.0 + abs(lo)))
+               or (np.isfinite(hi) and hi - s <= 2e-13 * (1.0 + abs(hi))))
     f2 = float(potential.d2(np.float64(s))) + c
+    if order == 1:
+        # g'(s) where rho g''(s) <= 1, for g = f + c Id^2/2, else (r - s)/rho
+        if rho * f2 <= 1.0 and not at_wall:
+            return float(potential.d1(np.float64(s))) + c * s - c * r
+        return (r - s) / rho - c * r
+    if at_wall:
+        return 1.0 / rho - c
     return f2 / (1.0 + rho * f2) - c
 
 
@@ -361,6 +392,17 @@ class TestRegularize:
             got = evaluate(pn, order, r)
             ulp = np.spacing(np.maximum(np.abs(want), np.abs(got)))
             assert np.all(np.abs(got - want) <= 4 * ulp), order
+
+    def test_derivative_at_a_clamped_wall(self):
+        # a wall where f' stays bounded clamps the prox; there the envelope
+        # is a quadratic in r, whose slope g'(s) does not give
+        j = ConvexPotential("walled_quadratic", (-1.0, np.inf),
+                            lambda r: 0.5 * r * r, lambda r: r.copy(),
+                            np.ones_like, sigma=1.0, theta_inf=0.0)
+        jn = regularize(j, 2)
+        r, h = np.array([-5.0, -3.0, -1.2, 1.0]), 1e-6
+        slope = (evaluate(jn, 0, r + h) - evaluate(jn, 0, r - h)) / (2 * h)
+        np.testing.assert_allclose(evaluate(jn, 1, r), slope, rtol=1e-8)
 
     def test_quadratic_closed_form(self):
         # keeping sigma/4 r^2 explicit and smoothing the rest of r^2/2 with

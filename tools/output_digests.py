@@ -1,0 +1,55 @@
+"""Digests of every file that `phaseflow run` and `phaseflow steady` write
+for the shipped configs.
+
+    python tools/output_digests.py [CONFIG_DIR]
+
+Runs both commands in-process (``cli.main`` with ``--quiet`` and ``--out``
+under a temporary directory) for every ``*.cfg`` in CONFIG_DIR (default:
+the repository's ``configs``), then prints one ``exit  config/command
+code`` line per command and ``sha256  path`` for each file written, sorted
+by path.  Two trees write the same outputs iff they print the same lines,
+so a diff of the two printouts checks a claim of byte-identical outputs.
+Exits 1 when a command exits nonzero.
+"""
+
+import glob
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from phaseflow.cli import main as phaseflow_main  # noqa: E402
+
+COMMANDS = ("run", "steady")
+
+
+def digests(config_dir):
+    """(lines, worst exit code) for the configs in config_dir: the exit
+    lines in run order, then the digest lines sorted by path."""
+    configs = sorted(glob.glob(os.path.join(config_dir, "*.cfg")))
+    lines, worst = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in configs:
+            stem = os.path.splitext(os.path.basename(path))[0]
+            for command in COMMANDS:
+                out = os.path.join(tmp, stem, command)
+                code = phaseflow_main(["--quiet", "--out", out, command, path])
+                lines.append(f"exit  {stem}/{command}  {code}")
+                worst = max(worst, code)
+        written = sorted(os.path.relpath(os.path.join(folder, name), tmp)
+                         for folder, _, files in os.walk(tmp)
+                         for name in files)
+        for rel in written:
+            with open(os.path.join(tmp, rel), "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}")
+    return lines, worst
+
+
+if __name__ == "__main__":
+    lines, worst = digests(sys.argv[1] if len(sys.argv) > 1
+                           else os.path.join(ROOT, "configs"))
+    print("\n".join(lines))
+    sys.exit(1 if worst else 0)
