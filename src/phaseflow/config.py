@@ -444,7 +444,8 @@ def build_config(raw, base_dir="."):
     if not rd.violations and model is not None and grid is not None:
         try:
             st = State.make(0.0, initial_theta, initial_chi, model)
-            with np.errstate(over="ignore"):   # an overflow reads inf
+            # an overflow reads inf, and inf - inf NaN: both are refused
+            with np.errstate(over="ignore", invalid="ignore"):
                 e0 = free_energy(st.theta.flat, st.chi.flat, model,
                                  OperatorWorkspace(grid, None))
             if not math.isfinite(e0):

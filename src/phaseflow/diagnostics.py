@@ -460,8 +460,8 @@ def tail_statistic(times, g_dual_norms, delta):
 def source_report(traj):
     """Numerical checks of the integrability tags the run's source
     declares, on the run's right-hand side: g_t is the central difference
-    of its coefficients ``traj.stepper.g_coefficients``, measured with the
-    run's Gram form, so no g vector is built."""
+    of its coefficients ``traj.stepper.g_coefficients`` over all row times
+    at once, measured with the run's Gram form, so no g vector is built."""
     stepper = traj.stepper
     source, c = stepper.source, stepper.g_coefficients
     times = traj.times
@@ -475,9 +475,11 @@ def source_report(traj):
     p = source.p_tag
     if not source.is_zero or stepper.bc.kind == "robin":
         eps = 1e-6
-        gt = np.array([stepper.coefficient_dual_norm(
-            np.subtract(c(t + eps), c(max(t - eps, 0.0)))
-            / (eps + min(eps, t))) for t in times])
+        (e_hi, b_hi), (e_lo, b_lo) = c(times + eps), c(
+            np.maximum(times - eps, 0.0))
+        den = eps + np.minimum(eps, times)
+        gt = stepper.coefficient_dual_norm(((e_hi - e_lo) / den,
+                                            (b_hi - b_lo) / den))
         series = _window_norms(times, 0.0, gt, p)
         if series.size:
             windowed = float(np.max(series))

@@ -127,6 +127,7 @@ class StateValues(NamedTuple):
     u: np.ndarray                # j'(theta)
     wp: np.ndarray               # W'(chi)
     a_chi: np.ndarray            # A chi
+    b_u: np.ndarray              # B u, on the active nodes
     lam: np.ndarray              # lam(chi)
 
 
@@ -198,10 +199,11 @@ class TrajectoryConfig:
                                    f"numbers, got {tols!r}")
 
 
-def free_energy(theta_flat, chi_flat, model, ws):
+def free_energy(theta_flat, chi_flat, model, ws, a_chi=None):
     """Discrete free energy: the stationary energy of chi plus the
-    trapezoid quadrature of j(theta); any workspace of the grid serves."""
-    return stationary_energy(chi_flat, model, ws) + float(
+    trapezoid quadrature of j(theta); any workspace of the grid serves,
+    and a caller that holds ``a_chi`` = A_fd chi passes it."""
+    return stationary_energy(chi_flat, model, ws, a_chi) + float(
         np.dot(ws.w, model.j.value(theta_flat)))
 
 
@@ -251,7 +253,8 @@ class Stepper:
         without the Dirichlet boundary thetas, which gives a band of two
         sub- and two superdiagonals, stored as LAPACK gbsv takes it:
         a[i, j] in row lower + upper + i - j, with the first ``lower`` rows
-        zero for the factor's fill-in; in 2D the storage is the data array
+        zero for the factor's fill-in, column by column, so that gbsv
+        factors the storage in place; in 2D the storage is the data array
         of a fixed CSC pattern.
         """
         m, n = self.m, self.n
@@ -280,8 +283,9 @@ class Stepper:
             r, c = pos[rows], pos[cols]
             lower, upper = int(np.max(r - c)), int(np.max(c - r))
             self._band = (lower, upper)
-            self._slot = (lower + upper + r - c) * size + c
-            self._nslots = (2 * lower + upper + 1) * size
+            rows_ab = 2 * lower + upper + 1
+            self._slot = c * rows_ab + lower + upper + r - c
+            self._nslots = rows_ab * size
         else:
             keys, self._slot = np.unique(cols * size + rows,
                                          return_inverse=True)
@@ -306,29 +310,57 @@ class Stepper:
 
     def state_values(self, theta, chi):
         """StateValues of a state that no step accepted, such as a run's
-        initial state; j' and W' are checked against their domains."""
-        m = self.model
-        return StateValues(free_energy(theta, chi, m, self.ws),
-                           evaluate(m.j, 1, theta), evaluate(m.w, 1, chi),
-                           self.ws.A_fd @ chi, m.lam.value(chi))
+        initial state; j' and W' are checked against their domains, and a
+        j' that returns its input breaks the law contract and is refused
+        here, before a step writes into it."""
+        m, ws = self.model, self.ws
+        u = evaluate(m.j, 1, theta)
+        if np.shares_memory(u, theta):
+            raise InvalidParameter(
+                f"{m.j.name}: j' returned its input; a law must return a "
+                f"new float64 array, never its input, because Stepper.step "
+                f"writes into j' on Dirichlet boundary nodes")
+        a_chi = ws.A_fd @ chi
+        return StateValues(free_energy(theta, chi, m, ws, a_chi), u,
+                           evaluate(m.w, 1, chi), a_chi,
+                           ws.B_fd @ u[self.act], m.lam.value(chi))
 
     def g_coefficients(self, t):
         """(e, b) of g(t) = e p + b gamma / w: the source envelope, and for
         Robin conditions eta j' of the exterior temperature (theta_gamma(t),
-        or model.j.theta_inf without a schedule); 0 for an absent term."""
-        e = 0.0 if self._profile is None else float(self.source.envelope(t))
-        b = 0.0
+        or model.j.theta_inf without a schedule); 0 for an absent term.
+
+        ``t`` is a time, which gives two floats, or an array of times,
+        which gives two arrays of its shape.  The envelope and the schedule
+        are called once per time with a float; j' is evaluated once, on
+        all the exterior temperatures."""
+        times = np.asarray(t, dtype=float)
+
+        def per_time(fn):
+            return np.array([float(fn(s)) for s in times.ravel().tolist()]
+                            ).reshape(times.shape)
+
+        e = np.zeros(times.shape) if self._profile is None \
+            else per_time(self.source.envelope)
+        b = np.zeros(times.shape)
         if self.bc.kind == "robin":
-            exterior = self.model.j.theta_inf if self.bc.theta_gamma is None \
-                else float(self.bc.theta_gamma(t))
-            b = self.bc.eta * float(evaluate(self.model.j, 1, exterior))
+            schedule = self.bc.theta_gamma
+            exterior = np.full(times.shape, self.model.j.theta_inf) \
+                if schedule is None else per_time(schedule)
+            b = self.bc.eta * evaluate(self.model.j, 1, exterior)
+        if times.ndim == 0:
+            return float(e), float(b)
         return e, b
 
     def g_density(self, t):
         """Right-hand side g(t) as a nodal density: the volumetric source
         plus, for Robin conditions, the boundary exchange term; None when
         both coefficients are zero."""
-        e, b = self.g_coefficients(t)
+        return self._density(*self.g_coefficients(t))
+
+    def _density(self, e, b):
+        """The nodal density e p + b gamma / w of the coefficients (e, b),
+        None when both are zero."""
         if not (e or b):
             return None
         g = np.zeros(self.n) if self._profile is None else self._profile * e
@@ -341,20 +373,27 @@ class Stepper:
         functional c[0] w p + c[1] gamma: sqrt(c . G c) with the Gram matrix
         G = V K_B^-1 V^T of the rows w p and gamma on the active nodes,
         built with two solves on the workspace's K_B factor when first asked
-        with c != 0; exactly 0.0 for c = 0, which factors nothing."""
-        if not any(c):
-            return 0.0
-        if self._gram is None:
-            p = 0.0 if self._profile is None else self._profile
-            rows = np.array([self.ws.w * p, self.ws.gamma])[:, self.act]
-            sols = [self.ws.pivot_solve("B", r) for r in rows]
-            self._gram = rows @ np.transpose(sols)
-        c = np.asarray(c, dtype=float)
-        return math.sqrt(max(float(c @ self._gram @ c), 0.0))
+        with c != 0; exactly 0 for c = 0, which factors nothing.  c[0] and
+        c[1] are numbers, which give a float, or arrays of one shape, which
+        give the norms elementwise."""
+        e, b = np.asarray(c[0], dtype=float), np.asarray(c[1], dtype=float)
+        if not (e.any() or b.any()):
+            q = np.zeros(e.shape)
+        else:
+            if self._gram is None:
+                p = 0.0 if self._profile is None else self._profile
+                rows = np.array([self.ws.w * p, self.ws.gamma])[:, self.act]
+                sols = [self.ws.pivot_solve("B", r) for r in rows]
+                self._gram = rows @ np.transpose(sols)
+            (g00, g01), (g10, g11) = self._gram.tolist()
+            q = (e * g00 + b * g10) * e + (e * g01 + b * g11) * b
+        norm = np.sqrt(np.maximum(q, 0.0))
+        return float(norm) if norm.ndim == 0 else norm
 
     def g_dual_norm(self, t):
         """||g(t)||_*, the norm the per-step energy estimate pairs the
-        right-hand side with."""
+        right-hand side with, at a time or elementwise over an array of
+        times."""
         return self.coefficient_dual_norm(self.g_coefficients(t))
 
     def theta_full(self, theta_act):
@@ -367,16 +406,17 @@ class Stepper:
     def _residual(self, arrays, z, z_old, dt, g):
         """Newton residual at the iterate z of a step from z_old, both in
         the Newton ordering (the heat rows, then the phase rows), with the
-        iterate's A chi."""
+        iterate's A chi and B u."""
         act, m, dz = self.act, self.m, z - z_old
+        b_u = self.ws.B_fd @ arrays.u[act]
         heat = (dz[:m] / dt + (arrays.lam[act] - arrays.lam_old[act]) / dt
-                + self.ws.B_fd @ arrays.u[act])
+                + b_u)
         if g is not None:
             heat = heat - g[act]
         a_chi = self.ws.A_fd @ z[m:]
         return np.concatenate([heat, dz[m:] / dt + a_chi + arrays.wp
                                + self.model.w.kappa * dz[m:]
-                               - arrays.lhat * arrays.u]), a_chi
+                               - arrays.lhat * arrays.u]), a_chi, b_u
 
     def _residual_norm(self, r):
         """The larger H norm of the heat and the phase rows; an overflow
@@ -430,9 +470,12 @@ class Stepper:
                               minlength=self._nslots)
         if self.grid.dim == 1:
             lower, upper = self._band
-            # gbsv factors and solves on copies of the band and rhs
-            x, info = dgbsv(lower, upper, storage.reshape(-1, rhs.size),
-                            rhs[self._perm])[2:]
+            # gbsv factors and solves in place, on the fresh storage and
+            # permuted rhs: a copy of each would be one more large
+            # temporary per solve
+            x, info = dgbsv(lower, upper, storage.reshape(rhs.size, -1).T,
+                            rhs[self._perm], overwrite_ab=True,
+                            overwrite_b=True)[2:]
             if info > 0:
                 raise NewtonDiverged(
                     "singular linearization in step solve (singular matrix)")
@@ -452,7 +495,8 @@ class Stepper:
                        DOMAIN_MARGIN)
                 and inside(self.model.w, z[self.m:], DOMAIN_MARGIN))
 
-    def step(self, state, config, values=None, previous=None):
+    def step(self, state, config, values=None, previous=None,
+             coefficients=None):
         """Advance one step of config.dt; returns (new state, report).
 
         Newton starts from state + (state - previous) when the caller
@@ -467,7 +511,8 @@ class Stepper:
         cap says if it was still falling.
         Each update is damped by ``models.damped_update``, whose halvings
         are the report's damping events.  ``values`` are the StateValues
-        of ``state``, evaluated here when the caller does not pass them.
+        of ``state``, and ``coefficients`` are g_coefficients(state.t +
+        config.dt); each is evaluated here when the caller does not pass it.
         """
         dt = config.dt
         # read only: every iterate below is a new array
@@ -477,7 +522,9 @@ class Stepper:
             values = self.state_values(theta_old, chi_old)
         lam_old = values.lam
         t_new = state.t + dt
-        g = self.g_density(t_new)
+        if coefficients is None:
+            coefficients = self.g_coefficients(t_new)
+        g = self._density(*coefficients)
 
         # the iterate in the Newton ordering: active thetas, then all chis
         z_old = np.concatenate([theta_old[self.act], chi_old])
@@ -504,7 +551,7 @@ class Stepper:
             if self.dirichlet:
                 # boundary flux vanishes exactly there (j'(theta_inf) = 0)
                 arrays.u[self.ws.bmask] = 0.0
-            r, a_chi = self._residual(arrays, z, z_old, dt, g)
+            r, a_chi, b_u = self._residual(arrays, z, z_old, dt, g)
             res = self._residual_norm(r)
             if not math.isfinite(res):
                 raise NewtonDiverged(
@@ -523,8 +570,9 @@ class Stepper:
                     factorizations=factorizations,
                     predictor_fallbacks=fallbacks,
                     values=StateValues(
-                        free_energy(theta_f, chi, self.model, self.ws),
-                        arrays.u, arrays.wp, a_chi, arrays.lam))
+                        free_energy(theta_f, chi, self.model, self.ws,
+                                    a_chi),
+                        arrays.u, arrays.wp, a_chi, b_u, arrays.lam))
             if it == config.max_newton:
                 trend = "still falling" if res < res_min else (
                     f"stalled: smallest {res_min:.3e} first reached at "
@@ -658,7 +706,7 @@ class Trajectory:
     @cached_property
     def g_dual(self):
         """||g(t_row)||_* per trace row."""
-        return np.array([self.stepper.g_dual_norm(t) for t in self.times])
+        return self.stepper.g_dual_norm(self.times)
 
 
 #: Trajectory.stats keys: the StepReport counters SUMMED_STATS summed over
@@ -673,6 +721,24 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+#: whole steps whose right-hand side coefficients a run evaluates at once
+COEFFICIENT_BLOCK = 256
+
+
+def _step_coefficients(stepper, t0, config):
+    """g_coefficients of whole steps 1, 2, ... at the time state.t + dt
+    that step k forms from its old state's time, t0 for k = 1 and
+    (k - 1) * dt after, evaluated COEFFICIENT_BLOCK steps at a time."""
+    n_steps = round(config.t_end / config.dt)
+    for first in range(0, n_steps, COEFFICIENT_BLOCK):
+        starts = np.arange(first, min(first + COEFFICIENT_BLOCK, n_steps)) \
+            * config.dt
+        if first == 0:
+            starts[0] = t0
+        e, b = stepper.g_coefficients(starts + config.dt)
+        yield from zip(e.tolist(), b.tolist())
+
+
 def _accepted_steps(stepper, state, values, config, stats):
     """Yield (k, state, values, newton_iters) for k = 0 ... n_steps, the
     initial state first, with its given StateValues and 0 iterations; step
@@ -680,13 +746,17 @@ def _accepted_steps(stepper, state, values, config, stats):
     step predicts from the state before it.  One whose Newton solve
     diverges is retried once as two unpredicted half steps; if a half step
     diverges too, the NewtonDiverged raised names the whole step's time and
-    both failures.  Every report is reduced into ``stats``."""
+    both failures.  Every report is reduced into ``stats``, and each whole
+    step takes its right-hand side coefficients from
+    ``_step_coefficients``."""
     yield 0, state, values, 0
     previous = None
-    for k in range(1, round(config.t_end / config.dt) + 1):
+    for k, coefficients in enumerate(
+            _step_coefficients(stepper, state.t, config), 1):
         try:
             steps = [stepper.step(state, config, values=values,
-                                  previous=previous)]
+                                  previous=previous,
+                                  coefficients=coefficients)]
         except NewtonDiverged as whole:
             half = replace(config, dt=0.5 * config.dt)
             try:
@@ -711,7 +781,7 @@ def _accepted_steps(stepper, state, values, config, stats):
 def _trace_row(state, prev, values, iters, model, ws):
     """Trace and aux values of a row after the row ``prev`` (None for the
     first), read off the state's StateValues: no pointwise law or operator
-    product is evaluated again."""
+    product of u or chi is evaluated again."""
     th, ch = state.theta.flat, state.chi.flat
     if prev is None:
         chit = thetat = 0.0
@@ -721,13 +791,14 @@ def _trace_row(state, prev, values, iters, model, ws):
         thetat = ws.h_norm(th - prev.theta.flat) / dtr
     dev = th - model.j.theta_inf
     return {"t": state.t, "energy": values.energy,
-            "norm_u_V": ws.vcal_norm(values.u),
+            "norm_u_V": ws.vcal_norm(values.u, values.b_u),
             "norm_chit_H": chit, "dist_theta_H": ws.h_norm(dev),
             "stationary_residual": ws.vstar_neumann_norm(values.a_chi
                                                          + values.wp),
             "newton_iters": iters,
             "norm_thetat_H": thetat, "norm_theta_V": ws.vcal_norm(dev),
-            "norm_chi_H2": ws.h_norm(values.a_chi) + ws.v_norm(ch),
+            "norm_chi_H2": ws.h_norm(values.a_chi) + ws.v_norm(ch,
+                                                                values.a_chi),
             "norm_wprime_H": ws.h_norm(values.wp)}
 
 
@@ -746,7 +817,8 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     stepper = Stepper(model, grid, bc, source)
     n_steps = round(config.t_end / config.dt)
 
-    with np.errstate(over="ignore"):   # an overflow reads inf
+    # an overflow reads inf, and inf - inf NaN: both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         values = stepper.state_values(initial.theta.flat, initial.chi.flat)
     if not math.isfinite(values.energy):
         raise InvalidParameter("initial energy is not finite")

@@ -293,9 +293,12 @@ class OperatorWorkspace:
     norm, which the Neumann dual norm inverts.  ``active`` holds the heat
     unknowns (the interior nodes for Dirichlet conditions, all nodes for
     Robin), ``K_B`` the heat operator on them (the interior block of K_A,
-    or K_A + eta diag(gamma)) and ``B_fd`` = diag(1/w[active]) K_B.
-    ``bc=None`` means Neumann-only: those three are None, and only the
-    norms without a heat operator work.
+    or K_A + eta diag(gamma)) and ``B_fd`` = diag(1/w_active) K_B, with
+    ``w_active`` = w[active].  Each quadratic form is the weighted dot of a
+    field with its pointwise product, (w v) . (A_fd v) for K_A, so a caller
+    that already holds the product forms none.  ``bc=None`` means
+    Neumann-only: those four are None, and only the norms without a heat
+    operator work.
     """
 
     def __init__(self, grid, bc):
@@ -307,7 +310,7 @@ class OperatorWorkspace:
         self.A_fd = (sps.diags(1.0 / self.w) @ self.K_A).tocsr()
         self.K_V = (self.K_A + sps.diags(self.w)).tocsc()
         self._factors = {}
-        self.active = self.K_B = self.B_fd = None
+        self.active = self.K_B = self.B_fd = self.w_active = None
         if bc is None:
             return
         if bc.kind == "dirichlet":
@@ -316,7 +319,8 @@ class OperatorWorkspace:
         else:
             self.active = np.arange(grid.n_total)
             self.K_B = (self.K_A + bc.eta * sps.diags(self.gamma)).tocsr()
-        self.B_fd = (sps.diags(1.0 / self.w[self.active]) @ self.K_B).tocsr()
+        self.w_active = self.w[self.active]
+        self.B_fd = (sps.diags(1.0 / self.w_active) @ self.K_B).tocsr()
 
     # -- scalar reductions -------------------------------------------------
     def h_norm(self, flat):
@@ -325,17 +329,25 @@ class OperatorWorkspace:
     def c0_norm(self, flat):
         return float(np.max(np.abs(flat)))
 
-    def v_norm(self, flat):
-        """sqrt(u . K_V u): the exact gradient form plus the trapezoid H
-        norm, the primal of ``vstar_neumann_norm``."""
-        return float(np.sqrt(max(float(flat @ (self.K_V @ flat)), 0.0)))
+    def v_norm(self, flat, a_v=None):
+        """sqrt(v . K_V v) = sqrt((w v) . (A_fd v + v)): the gradient form
+        plus the trapezoid H norm, the primal of ``vstar_neumann_norm``.
+        A caller that holds ``a_v`` = A_fd v passes it."""
+        if a_v is None:
+            a_v = self.A_fd @ flat
+        return float(np.sqrt(max(float(np.dot(self.w * flat, a_v + flat)),
+                                 0.0)))
 
-    def vcal_norm(self, flat):
+    def vcal_norm(self, flat, b_u=None):
         """Norm of the solution space the heat operator acts on,
-        sqrt(u . K_B u) over the active nodes: the Dirichlet gradient norm,
-        or the Robin norm."""
+        sqrt(u . K_B u) = sqrt((w u) . (B_fd u)) over the active nodes: the
+        Dirichlet gradient norm, or the Robin norm.  A caller that holds
+        ``b_u`` = B_fd u on the active nodes passes it."""
         u = np.asarray(flat).ravel()[self.active]
-        return float(np.sqrt(max(float(u @ (self.K_B @ u)), 0.0)))
+        if b_u is None:
+            b_u = self.B_fd @ u
+        return float(np.sqrt(max(float(np.dot(self.w_active * u, b_u)),
+                                 0.0)))
 
     def pivot_solve(self, pivot, g):
         """K^-1 g for the pivot 'B' (K_B) or 'neumann' (K_V), factored once

@@ -70,10 +70,13 @@ def default_confinement(model):
     return (mid - half, mid + half)
 
 
-def stationary_energy(chi_flat, model, ws):
+def stationary_energy(chi_flat, model, ws, a_chi=None):
     """E(v) = int( |grad v|^2/2 + W(v) ), the energy the flow minimizes:
-    the exact stiffness quadratic form plus trapezoid quadrature of W."""
-    return 0.5 * float(chi_flat @ (ws.K_A @ chi_flat)) \
+    the stiffness form (w v) . (A_fd v) / 2 plus trapezoid quadrature of
+    W.  A caller that holds ``a_chi`` = A_fd v passes it."""
+    if a_chi is None:
+        a_chi = ws.A_fd @ chi_flat
+    return 0.5 * float(np.dot(ws.w * chi_flat, a_chi)) \
         + float(np.dot(ws.w, evaluate(model.w, 0, chi_flat)))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -399,6 +400,22 @@ class TestRunExperiment:
                            match="initial energy is not finite"):
             run(hot, cfg.run, cfg.model, cfg.grid, cfg.bc, cfg.source)
 
+    def test_overflowing_initial_chi_energy(self, tmp_path, capsys):
+        # A chi overflows to +-inf, and the gradient form reads inf - inf:
+        # a NaN energy, refused without an invalid-value warning
+        raw = minimal_raw(**{"grid.nodes": "5"})
+        cfg = build_config(raw)
+        chi = Field(cfg.grid, [1.0, 8.98e307, -1.5, 0.25, 1.25])
+        path = tmp_path / "c.pfld"
+        write_records(path, [(chi, 0.0)])
+        raw.update({"initial.chi": "snapshot", "initial.chi.path": str(path)})
+        assert main(["validate", write_cfg(tmp_path / "c.cfg", raw)]) == 2
+        assert "initial energy is not finite" in capsys.readouterr().err
+        with pytest.raises(InvalidParameter,
+                           match="initial energy is not finite"):
+            run(State.make(0.0, cfg.initial_theta, chi, cfg.model), cfg.run,
+                cfg.model, cfg.grid, cfg.bc, cfg.source)
+
     def test_monitors_after_early_stop(self, tmp_path):
         raw = early_stop_raw(**{"output.dir": str(tmp_path / "e")})
         assert run_experiment(build_config(raw), quiet=True) == 4
@@ -480,6 +497,75 @@ class TestRunExperiment:
         out, err = capsys.readouterr()
         assert f"solver failure: step to t = 0.001: non-finite {what}" in out
         assert "Traceback" not in out + err
+
+
+class TestCorruptSnapshots:
+    """A valid one-record snapshot, truncated or with one bit flipped, as
+    the initial order parameter of ``phaseflow validate``: every case
+    exits 0 or 2 with neither a traceback nor a warning, and a corrupt
+    header, a missing byte or a non-finite value exits 2."""
+
+    #: 1.0, 1.25 and -1.5 become inf or NaN when the top exponent bit
+    #: flips; 0.5 and 0.25 become finite values near the float maximum
+    VALUES = [1.0, 0.5, -1.5, 0.25, 1.25]
+    #: magic, version, dimension and node count of a 1D record
+    HEADER = 10
+    VALUES_AT = 26
+
+    def _exits(self, tmp_path, capsys, blobs):
+        """The exit code of ``validate`` on each corrupted file; every case
+        writes new files, which is much faster than rewriting one."""
+        codes = []
+        for k, blob in enumerate(blobs):
+            path = tmp_path / f"v{k}.pfld"
+            path.write_bytes(blob)
+            raw = minimal_raw(**{"grid.nodes": "5", "initial.chi": "snapshot",
+                                 "initial.chi.path": str(path)})
+            cfg = write_cfg(tmp_path / f"v{k}.cfg", raw)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                codes.append(main(["--quiet", "validate", cfg]))
+            out, err = capsys.readouterr()
+            assert not caught, (k, [str(w.message) for w in caught])
+            assert "Traceback" not in out + err, k
+        return codes
+
+    def _valid(self, tmp_path):
+        path = tmp_path / "valid.pfld"
+        write_records(path, [(Field(Grid((1.0,), (5,)), self.VALUES), 0.0)])
+        return path.read_bytes()
+
+    def test_valid_snapshot_validates(self, tmp_path, capsys):
+        assert self._exits(tmp_path, capsys, [self._valid(tmp_path)]) == [0]
+
+    def test_every_truncation_exits_2(self, tmp_path, capsys):
+        blob = self._valid(tmp_path)
+        assert len(blob) == self.VALUES_AT + 8 * len(self.VALUES)
+        cuts = [blob[:n] for n in range(len(blob))]
+        assert self._exits(tmp_path, capsys, cuts) == [2] * len(cuts)
+
+    def test_every_bit_flip_exits_0_or_2(self, tmp_path, capsys):
+        blob = self._valid(tmp_path)
+        flips, must_fail = [], []
+        for byte in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[byte] ^= 1 << bit
+                flips.append(bytes(flipped))
+                value = None
+                if byte >= self.VALUES_AT:
+                    at = self.VALUES_AT + (byte - self.VALUES_AT) // 8 * 8
+                    (value,) = struct.unpack("<d", flipped[at:at + 8])
+                must_fail.append(byte < self.HEADER or (
+                    value is not None and not np.isfinite(value)))
+        codes = self._exits(tmp_path, capsys, flips)
+        assert set(codes) <= {0, 2}
+        assert all(code == 2 for code, bad in zip(codes, must_fail) if bad)
+        # the five values' top exponent bits: three reach inf or NaN, and
+        # the other two an energy that overflows (inf - inf), all exit 2
+        assert sum(must_fail) == 8 * self.HEADER + 3
+        top = [self.VALUES_AT + 8 * i + 7 for i in range(len(self.VALUES))]
+        assert [codes[8 * byte + 6] for byte in top] == [2] * 5
 
 
 class TestCliEntry:

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -594,17 +595,37 @@ def _counted(fn, counts, key):
     return wrapper
 
 
+def _trace_problem(case):
+    """(grid, bc, source) of a trace-row test: a Robin run with a bump
+    source, a Dirichlet run with a constant source, and a 9 x 9 Robin run
+    with an exterior temperature schedule and no source."""
+    bump = SourceSpec(
+        profile=lambda *xs: np.exp(-((xs[0] - 0.5) / 0.125) ** 2),
+        envelope=lambda t: np.exp(-t))
+    return {
+        "robin_1d": (Grid((1.0,), (33,)), BoundarySpec("robin", eta=0.5),
+                     bump),
+        "dirichlet_1d": (Grid((1.0,), (33,)), BoundarySpec("dirichlet"),
+                         replace(bump, envelope=lambda t: 1.0)),
+        "robin_2d": (Grid((1.0, 1.0), (9, 9)),
+                     BoundarySpec("robin", eta=0.5, theta_gamma=lambda t:
+                                  -0.2 * np.exp(-t)),
+                     zero_source()),
+    }[case]
+
+
 class TestTraceRows:
-    def test_rows_equal_independent_evaluation(self):
+    @pytest.mark.parametrize("case", ["robin_1d", "dirichlet_1d",
+                                      "robin_2d"])
+    def test_rows_equal_independent_evaluation(self, case):
         model = _wall_model()
-        g = Grid((1.0,), (33,))
-        x = g.axes()[0]
-        bc = BoundarySpec("robin", eta=0.5)
-        source = SourceSpec(
-            profile=lambda x: np.exp(-((x - 0.5) / 0.125) ** 2),
-            envelope=lambda t: np.exp(-t))
-        st = State.make(0.0, Field(g, -0.5 + 0.4 * np.cos(2 * np.pi * x)),
-                        Field(g, 0.2 * np.cos(np.pi * x)), model)
+        g, bc, source = _trace_problem(case)
+        st = State.make(
+            0.0,
+            Field.from_function(
+                g, lambda *xs: -0.5 + 0.4 * np.cos(2 * np.pi * xs[0])),
+            Field.from_function(g, lambda *xs: 0.2 * np.cos(np.pi * xs[0])),
+            model)
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.02, trace_every=3,
                                keep_states=True)
         traj = run(st, cfg, model, g, bc, source)
@@ -823,6 +844,71 @@ class TestSourceGram:
         # about 1e-9 of the sup here
         assert tol <= 1e-8 * vec_sup
 
+    @pytest.mark.parametrize("case", ["robin_bump", "robin_schedule",
+                                      "dirichlet_source", "robin_zero"])
+    def test_g_over_times_is_g_at_each_time(self, case):
+        # one call over the row times, one arithmetic with the single time
+        model, grid, bc, source = _source_problem(case)
+        traj = run(cosine_state(grid, model),
+                   TrajectoryConfig(dt=1e-2, t_end=0.5), model, grid, bc,
+                   source)
+        stepper = traj.stepper
+        assert traj.g_dual.tolist() == [stepper.g_dual_norm(t)
+                                        for t in traj.times]
+        e, b = stepper.g_coefficients(traj.times)
+        assert list(zip(e.tolist(), b.tolist())) == [
+            stepper.g_coefficients(t) for t in traj.times]
+        assert stepper.g_coefficients(traj.times.reshape(3, 17))[1].shape \
+            == (3, 17)
+
+    def test_run_hands_each_step_its_own_coefficients(self, monkeypatch):
+        # in blocks of 3 steps, from an initial time off the dt grid: step
+        # k's pair is g_coefficients(state.t + dt) of its old state's time
+        model, grid, bc, source = _source_problem("robin_schedule")
+        stepper = Stepper(model, grid, bc, source)
+        cfg = TrajectoryConfig(dt=1e-2, t_end=0.1)
+        monkeypatch.setattr(dyn, "COEFFICIENT_BLOCK", 3)
+        got = list(dyn._step_coefficients(stepper, 0.25, cfg))
+        starts = [0.25] + [k * cfg.dt for k in range(1, 10)]
+        assert got == [stepper.g_coefficients(t + cfg.dt) for t in starts]
+
+    def test_g_over_times_names_the_bad_exterior(self):
+        model, grid, _, source = _source_problem("robin_bump")
+        wall = ModelSpec(builtin("mixed_j", tau_c=1.0), model.w, model.lam)
+        bc = BoundarySpec("robin", eta=0.5,
+                          theta_gamma=lambda t: -1.0 - t)
+        stepper = Stepper(wall, grid, bc, source)
+        with pytest.raises(DomainViolation, match=r"argument -1\.0 outside"):
+            stepper.g_coefficients(np.array([0.0, 0.5]))
+        with pytest.raises(DomainViolation, match=r"argument -1\.5 outside"):
+            stepper.g_coefficients(0.5)
+
+    def test_source_report_matches_per_time_difference(self):
+        # the g_t sup of the coefficients differenced over all row times at
+        # once against the same central difference taken one time at a
+        # time, with the Gram form c . G c; the envelope returns a float
+        model, grid, _, _ = _source_problem("robin_schedule")
+        bc = BoundarySpec("robin", eta=0.5,
+                          theta_gamma=lambda t: 0.2 * np.exp(-2.0 * t))
+        source = SourceSpec(profile=make_profile("bump", 0.5, (1.0,)),
+                            envelope=lambda t: 1.0)
+        traj = run(cosine_state(grid, model),
+                   TrajectoryConfig(dt=1e-2, t_end=1.0), model, grid, bc,
+                   source)
+        got = source_report(traj).windowed_gt_sup
+        stepper, c = traj.stepper, traj.stepper.g_coefficients
+        eps = 1e-6
+        gt = []
+        for t in traj.times:
+            dc = np.subtract(c(t + eps), c(max(t - eps, 0.0))) / (
+                eps + min(eps, t))
+            gt.append(math.sqrt(max(float(dc @ stepper._gram @ dc), 0.0)))
+        # p_tag = inf: the windowed norm of the one unit window is the
+        # maximum over its rows, those before t = 1
+        want = max(gt[:-1])
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def _count_kb_solves(self, monkeypatch, case):
         calls = []
         solve = OperatorWorkspace.pivot_solve
@@ -1011,7 +1097,8 @@ class TestCustomPotentials:
                                       NonconvexPotential)
         j = ConvexPotential(
             "custom_quadratic", (-np.inf, np.inf),
-            lambda r: 0.5 * np.asarray(r) ** 2, lambda r: np.asarray(r),
+            lambda r: 0.5 * np.asarray(r) ** 2,
+            lambda r: np.array(r, dtype=float),
             lambda r: np.ones_like(np.asarray(r)),
             sigma=1.0, theta_inf=0.0)
         w = NonconvexPotential(
@@ -1030,3 +1117,17 @@ class TestCustomPotentials:
         cfg = TrajectoryConfig(dt=1e-3, t_end=0.02)
         traj = run(st, cfg, custom, g, dirichlet_bc, zero_source())
         assert np.max(np.diff(traj.energies)) <= 1e-9
+
+    def test_flux_derivative_returning_its_input_is_refused(self,
+                                                            dirichlet_bc):
+        # a j' that hands back its argument would have the step's Dirichlet
+        # write land in the iterate's theta; here theta_inf = 0.5, so the
+        # write would change the state
+        j = replace(builtin("caginalp_j"), theta_inf=0.5,
+                    d1=lambda r: r)
+        model = ModelSpec(j, builtin("quartic_W"), builtin("linear_lambda"))
+        g = Grid((1.0,), (17,))
+        st = cosine_state(g, model, theta_value=0.5)
+        with pytest.raises(InvalidParameter, match="never its input"):
+            run(st, TrajectoryConfig(dt=1e-3, t_end=0.01), model, g,
+                dirichlet_bc, zero_source())
