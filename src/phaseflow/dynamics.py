@@ -353,14 +353,10 @@ class Stepper:
         return e, b
 
     def g_density(self, t):
-        """Right-hand side g(t) as a nodal density: the volumetric source
-        plus, for Robin conditions, the boundary exchange term; None when
-        both coefficients are zero."""
-        return self._density(*self.g_coefficients(t))
-
-    def _density(self, e, b):
-        """The nodal density e p + b gamma / w of the coefficients (e, b),
-        None when both are zero."""
+        """Right-hand side g(t) as the nodal density e p + b gamma / w: the
+        volumetric source plus, for Robin conditions, the boundary exchange
+        term; None when both coefficients are zero."""
+        e, b = self.g_coefficients(t)
         if not (e or b):
             return None
         g = np.zeros(self.n) if self._profile is None else self._profile * e
@@ -495,8 +491,7 @@ class Stepper:
                        DOMAIN_MARGIN)
                 and inside(self.model.w, z[self.m:], DOMAIN_MARGIN))
 
-    def step(self, state, config, values=None, previous=None,
-             coefficients=None):
+    def step(self, state, config, values=None, previous=None):
         """Advance one step of config.dt; returns (new state, report).
 
         Newton starts from state + (state - previous) when the caller
@@ -511,8 +506,9 @@ class Stepper:
         cap says if it was still falling.
         Each update is damped by ``models.damped_update``, whose halvings
         are the report's damping events.  ``values`` are the StateValues
-        of ``state``, and ``coefficients`` are g_coefficients(state.t +
-        config.dt); each is evaluated here when the caller does not pass it.
+        of ``state``, evaluated here when the caller does not pass them.
+        The right-hand side is g_density(state.t + config.dt), evaluated
+        here at whatever time the step reaches.
         """
         dt = config.dt
         # read only: every iterate below is a new array
@@ -522,9 +518,7 @@ class Stepper:
             values = self.state_values(theta_old, chi_old)
         lam_old = values.lam
         t_new = state.t + dt
-        if coefficients is None:
-            coefficients = self.g_coefficients(t_new)
-        g = self._density(*coefficients)
+        g = self.g_density(t_new)
 
         # the iterate in the Newton ordering: active thetas, then all chis
         z_old = np.concatenate([theta_old[self.act], chi_old])
@@ -721,42 +715,24 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-#: whole steps whose right-hand side coefficients a run evaluates at once
-COEFFICIENT_BLOCK = 256
-
-
-def _step_coefficients(stepper, t0, config):
-    """g_coefficients of whole steps 1, 2, ... at the time state.t + dt
-    that step k forms from its old state's time, t0 for k = 1 and
-    (k - 1) * dt after, evaluated COEFFICIENT_BLOCK steps at a time."""
-    n_steps = round(config.t_end / config.dt)
-    for first in range(0, n_steps, COEFFICIENT_BLOCK):
-        starts = np.arange(first, min(first + COEFFICIENT_BLOCK, n_steps)) \
-            * config.dt
-        if first == 0:
-            starts[0] = t0
-        e, b = stepper.g_coefficients(starts + config.dt)
-        yield from zip(e.tolist(), b.tolist())
-
-
 def _accepted_steps(stepper, state, values, config, stats):
     """Yield (k, state, values, newton_iters) for k = 0 ... n_steps, the
     initial state first, with its given StateValues and 0 iterations; step
-    k's state has time k * dt, and its values come from its report.  A
-    step predicts from the state before it.  One whose Newton solve
-    diverges is retried once as two unpredicted half steps; if a half step
-    diverges too, the NewtonDiverged raised names the whole step's time and
-    both failures.  Every report is reduced into ``stats``, and each whole
-    step takes its right-hand side coefficients from
-    ``_step_coefficients``."""
+    k's state has time t0 + k * dt, t0 the initial state's, and its values
+    come from its report.  A step predicts from the state before it.  One
+    whose Newton solve diverges is retried once as two unpredicted half
+    steps; if a half step diverges too, the NewtonDiverged raised names the
+    whole step's time and both failures.  Every report is reduced into
+    ``stats``."""
     yield 0, state, values, 0
+    t0 = state.t
     previous = None
-    for k, coefficients in enumerate(
-            _step_coefficients(stepper, state.t, config), 1):
+    for k in range(1, round(config.t_end / config.dt) + 1):
+        # from the step index: repeated addition of dt drifts
+        t_k = t0 + k * config.dt
         try:
             steps = [stepper.step(state, config, values=values,
-                                  previous=previous,
-                                  coefficients=coefficients)]
+                                  previous=previous)]
         except NewtonDiverged as whole:
             half = replace(config, dt=0.5 * config.dt)
             try:
@@ -764,7 +740,7 @@ def _accepted_steps(stepper, state, values, config, stats):
                 steps = [(mid, rep1),
                          stepper.step(mid, half, values=rep1.values)]
             except NewtonDiverged as part:
-                msg = (f"step to t = {k * config.dt:.12g}: {whole}; "
+                msg = (f"step to t = {t_k:.12g}: {whole}; "
                        f"retried as two half steps: {part}")
                 raise NewtonDiverged(msg, residual=whole.residual) from part
             stats["retried_steps"] += 1
@@ -772,8 +748,7 @@ def _accepted_steps(stepper, state, values, config, stats):
             for key in SUMMED_STATS:
                 stats[key] += getattr(rep, key)
         previous, (state, report) = state, steps[-1]
-        # from the step index: repeated addition of dt drifts
-        state.t = k * config.dt
+        state.t = t_k
         values = report.values
         yield k, state, values, sum([rep.newton_iters for _, rep in steps])
 
@@ -806,10 +781,11 @@ def run(initial, config, model, grid, bc, source, out_dir=None):
     """Drive a trajectory to the horizon (or to detected convergence).
 
     Emits one trace row per ``trace_every`` steps and one at the horizon,
-    at the time k * dt of its step index k, with the energy, flux and decay
-    norms and the stationary residual of the order parameter; writes
-    ``trace.csv`` plus two-record field snapshots when ``out_dir`` is
-    given.
+    with the energy, flux and decay norms and the stationary residual of
+    the order parameter; step k = 0 ... round(t_end / dt) has the time
+    initial.t + k * dt, so ``t_end`` is the run's length from its initial
+    time.  Writes ``trace.csv`` plus two-record field snapshots when
+    ``out_dir`` is given.
     """
     if initial.theta.grid != grid or initial.chi.grid != grid:
         raise InvalidParameter(

@@ -117,12 +117,15 @@ class ModelSpec:
 
 
 def inside(potential, arr, margin=0.0):
-    """True iff every entry of ``arr`` lies in the open domain of the
-    potential shrunk by ``margin``; NaN and +-inf are never inside."""
+    """True iff every entry of the float array ``arr`` lies in the open
+    domain of the potential shrunk by ``margin``; NaN and +-inf are never
+    inside, and an empty array is.  A finite wall compares two reductions:
+    a NaN entry makes min and max NaN, which no comparison passes."""
     lo, hi = potential.domain
     if lo == -_INF and hi == _INF:
         return bool(np.isfinite(arr).all())
-    return bool((arr > lo + margin).all() and (arr < hi - margin).all())
+    return bool(lo + margin < arr.min(initial=_INF)
+                and arr.max(initial=-_INF) < hi - margin)
 
 
 def damped_update(x, dx, admissible, what):

@@ -13,7 +13,7 @@ from phaseflow import (BoundarySpec, Field, Grid, ModelSpec,
 from phaseflow import dynamics as dyn
 from phaseflow import models
 from phaseflow.config import make_profile
-from phaseflow.diagnostics import source_report
+from phaseflow.diagnostics import EnergyTrace, source_report
 from phaseflow.errors import (DomainExhausted, DomainViolation,
                               InvalidParameter, NewtonDiverged)
 from phaseflow.grids import quad_weights, read_records
@@ -421,6 +421,55 @@ class TestRun:
         for i, t in enumerate(traj.times):
             assert t == (100 * i) * 1e-3
         assert traj.final_state.t == 2.0
+
+    def test_row_times_from_the_initial_time(self, tmp_path):
+        # a run from t0 = 5 stamps t0 + k dt, writes a trace that reads
+        # back, and hands each step's source envelope state.t + dt
+        model, _, bc, bump = _source_problem("dirichlet_source")
+        g = Grid((1.0,), (17,))
+        seen = []
+
+        def envelope(t):
+            seen.append(t)
+            return math.exp(-t)
+
+        source = replace(bump, envelope=envelope)
+        st = cosine_state(g, model)
+        st = State.make(5.0, st.theta, st.chi, model)
+        cfg = TrajectoryConfig(dt=0.1, t_end=0.3)
+        traj = run(st, cfg, model, g, bc, source, out_dir=str(tmp_path))
+        assert traj.times.tolist() == [5.0 + k * 0.1 for k in range(4)]
+        assert traj.final_state.t == 5.0 + 3 * 0.1
+        assert seen == [t + 0.1 for t in traj.times[:-1]]
+        trace = EnergyTrace.from_csv(str(tmp_path / "trace.csv"))
+        assert trace.t.tolist() == traj.times.tolist()
+
+    def test_stop_calls_no_later_schedule(self):
+        # converges at t = 27.13 of t_end = 60: the schedule is called only
+        # at the times the steps form, so one that leaves the domain of j
+        # (-1, inf) after the stop does not fail the run
+        model = ModelSpec(builtin("mixed_j", tau_c=1.0),
+                          builtin("quartic_W"),
+                          builtin("linear_lambda", ell=1.0))
+        g = Grid((1.0,), (33,))
+        cfg = TrajectoryConfig(dt=1e-2, t_end=60.0, stop_on_converged=True)
+
+        def converge(schedule):
+            return run(cosine_state(g, model), cfg, model, g,
+                       BoundarySpec("robin", eta=5.0, theta_gamma=schedule),
+                       zero_source())
+
+        seen = []
+        traj = converge(lambda t: seen.append(t) or 0.0)
+        assert traj.verdict.converged
+        assert traj.final_state.t == 27.13
+        assert seen == [t + cfg.dt for t in traj.times[:-1]]
+        stop = traj.final_state.t + 0.5 * cfg.dt
+        jumped = converge(lambda t: -2.0 if t > stop else 0.0)
+        assert jumped.verdict.converged
+        assert jumped.final_state.t == traj.final_state.t
+        assert np.array_equal(jumped.final_state.chi.values,
+                              traj.final_state.chi.values)
 
 
 def _fresh_step(state, config, model, grid, bc, source):
@@ -860,17 +909,6 @@ class TestSourceGram:
             stepper.g_coefficients(t) for t in traj.times]
         assert stepper.g_coefficients(traj.times.reshape(3, 17))[1].shape \
             == (3, 17)
-
-    def test_run_hands_each_step_its_own_coefficients(self, monkeypatch):
-        # in blocks of 3 steps, from an initial time off the dt grid: step
-        # k's pair is g_coefficients(state.t + dt) of its old state's time
-        model, grid, bc, source = _source_problem("robin_schedule")
-        stepper = Stepper(model, grid, bc, source)
-        cfg = TrajectoryConfig(dt=1e-2, t_end=0.1)
-        monkeypatch.setattr(dyn, "COEFFICIENT_BLOCK", 3)
-        got = list(dyn._step_coefficients(stepper, 0.25, cfg))
-        starts = [0.25] + [k * cfg.dt for k in range(1, 10)]
-        assert got == [stepper.g_coefficients(t + cfg.dt) for t in starts]
 
     def test_g_over_times_names_the_bad_exterior(self):
         model, grid, _, source = _source_problem("robin_bump")

@@ -7,7 +7,8 @@ from phaseflow import (ConvexPotential, Grid, LatentHeat, ModelSpec, builtin,
                        regularize, residual_stationary, validate_hypotheses)
 from phaseflow.errors import (DomainViolation, InvalidParameter,
                               UnknownModel)
-from phaseflow.models import SECANT_RTOL, secant, secant_derivative
+from phaseflow.models import (DOMAIN_MARGIN, SECANT_RTOL, inside, secant,
+                              secant_derivative)
 
 
 class TestEvaluate:
@@ -63,6 +64,39 @@ class TestEvaluate:
         lam = builtin("linear_lambda", ell=2.0)
         assert evaluate(lam, 0, 1e6) == 2e6
         assert evaluate(lam, 2, -1e6) == 0.0
+
+
+class TestInside:
+    @staticmethod
+    def _comparisons(law, arr, margin):
+        # the entrywise form: every entry strictly inside the shrunk domain
+        lo, hi = law.domain
+        if lo == -np.inf and hi == np.inf:
+            return bool(np.isfinite(arr).all())
+        return bool((arr > lo + margin).all() and (arr < hi - margin).all())
+
+    @pytest.mark.parametrize("name", ["logarithmic_W", "mixed_j",
+                                      "quartic_W"])
+    @pytest.mark.parametrize("margin", [0.0, DOMAIN_MARGIN])
+    def test_matches_entrywise_comparisons(self, name, margin):
+        law = builtin(name, tau_c=1.0) if name == "mixed_j" else builtin(name)
+        rng = np.random.default_rng(3)
+        specials = [np.nan, np.inf, -np.inf, -1.0, 1.0, -1.0 + margin,
+                    1.0 - margin, -1.0 + 2 * margin]
+        arrays = [np.array(v) for v in specials + [0.0, 0.5]]
+        arrays += [np.array([]), np.empty((0, 3))]
+        for size in (1, 2, 5, 128):
+            for _ in range(40):
+                arr = rng.uniform(-1.2, 1.2, size)
+                for _ in range(rng.integers(0, 3)):
+                    arr[rng.integers(size)] = rng.choice(specials)
+                arrays.append(arr)
+        seen = set()
+        for arr in arrays:
+            want = self._comparisons(law, arr, margin)
+            assert inside(law, arr, margin) is want, (name, margin, arr)
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestBuiltins:
